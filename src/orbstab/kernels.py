@@ -3,112 +3,37 @@
 The scan enumerates every ordered triple (i, j, k) of distinct points,
 builds the Mobius map sending a fixed base triple there, and keeps the
 candidates that permute the whole set within tolerance.  Candidates are
-rejected as soon as one image point finds no unused partner, so non-
-symmetric sets cost little more than one map application per triple.
-
-Two implementations share this contract: a numba-compiled loop (default)
-and a vectorized numpy fallback.  Set ORBSTAB_BACKEND=numpy to force the
-fallback, ORBSTAB_BACKEND=numba to insist on the compiled path.
+rejected as soon as one image point finds no partner, so non-symmetric
+sets cost little more than one map application per triple.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_CAP = 4096  # survivors are at most the group order; 4096 flags a tolerance failure
-
-_requested = os.environ.get("ORBSTAB_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"ORBSTAB_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-BACKEND = "numpy"
-if _requested != "numpy":
-    try:
-        from numba import njit
-        BACKEND = "numba"
-    except ImportError:
-        if _requested == "numba":
-            raise
-        njit = None
-else:
-    njit = None
 
 
 def active_backend() -> str:
-    return BACKEND
+    """The scan implementation in use; there is one."""
+    return "numpy"
 
 
-def _scan_python(Z, W, nrm, b0, b1, b2, m00, m01, m10, m11, tol, out, stamp):
-    # Reference loop; compiled by numba below, never run in pure python
-    # except under coverage experiments.
-    n = Z.shape[0]
-    cnt = 0
-    cand = 0
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                cand += 1
-                kap = Z[j] * W[k] - Z[k] * W[j]
-                mu = Z[j] * W[i] - Z[i] * W[j]
-                # adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf),
-                # composed with the base matrix: F sends the base triple to (i, j, k)
-                a00 = -mu * Z[k]
-                a01 = kap * Z[i]
-                a10 = -mu * W[k]
-                a11 = kap * W[i]
-                f00 = a00 * m00 + a01 * m10
-                f01 = a00 * m01 + a01 * m11
-                f10 = a10 * m00 + a11 * m10
-                f11 = a10 * m01 + a11 * m11
-                ok = True
-                for t in range(n):
-                    iz = f00 * Z[t] + f01 * W[t]
-                    iw = f10 * Z[t] + f11 * W[t]
-                    inrm = math.sqrt(iz.real * iz.real + iz.imag * iz.imag
-                                     + iw.real * iw.real + iw.imag * iw.imag)
-                    if inrm < 1e-280:
-                        ok = False
-                        break
-                    found = -1
-                    for s in range(n):
-                        if stamp[s] == cand:
-                            continue
-                        cr = iz * W[s] - Z[s] * iw
-                        if 2.0 * abs(cr) <= tol * inrm * nrm[s]:
-                            found = s
-                            break
-                    if found < 0:
-                        ok = False
-                        break
-                    stamp[found] = cand
-                if ok:
-                    if cnt >= out.shape[0]:
-                        return -cnt
-                    out[cnt, 0] = i
-                    out[cnt, 1] = j
-                    out[cnt, 2] = k
-                    cnt += 1
-    return cnt
+def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
+                            M: tuple[complex, complex, complex, complex],
+                            tol: float) -> np.ndarray:
+    """The permutations of the point set induced by the scan's surviving maps.
 
-
-if njit is not None:
-    _scan_numba = njit(cache=True)(_scan_python)
-else:
-    _scan_numba = None
-
-
-def _scan_numpy(Z, W, nrm, base, M, tol):
-    """Vectorized candidate scan; one outer loop over i, batched (j, k)."""
+    ``M`` is the matrix sending the base triple to (0, 1, inf); the
+    candidate for (i, j, k) is the map taking the base triple to those
+    three points.  Returns an (m, n) int64 array, one row per map: row[t]
+    is the index of the image of point t, so the columns at the base
+    triple hold the triple (i, j, k) of that map.
+    """
+    Z = np.ascontiguousarray(Z, dtype=np.complex128)
+    W = np.ascontiguousarray(W, dtype=np.complex128)
+    nrm = np.ascontiguousarray(nrm, dtype=np.float64)
     n = Z.shape[0]
     m00, m01, m10, m11 = M
-    survivors = []
+    survivors = [np.empty((0, n), dtype=np.int64)]
     jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     jj, kk = jj.ravel(), kk.ravel()
     for i in range(n):
@@ -137,36 +62,9 @@ def _scan_numpy(Z, W, nrm, base, M, tol):
             alive = alive[ok]
             if alive.size == 0:
                 break
-        for c in alive:
-            row = matches[c]
-            # bijectivity: the n matched targets must be a permutation
-            if len(np.unique(row)) == n:
-                survivors.append((i, J[c], K[c]))
-    return np.array(survivors, dtype=np.int64).reshape(-1, 3)
-
-
-def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
-                            base: tuple[int, int, int],
-                            M: tuple[complex, complex, complex, complex],
-                            tol: float) -> np.ndarray:
-    """Ordered triples (i, j, k) whose induced map permutes the point set.
-
-    ``M`` is the matrix sending the base triple to (0, 1, inf); the
-    candidate for (i, j, k) is the map taking the base triple to those
-    three points.  Returns an (m, 3) int64 array.
-    """
-    Z = np.ascontiguousarray(Z, dtype=np.complex128)
-    W = np.ascontiguousarray(W, dtype=np.complex128)
-    nrm = np.ascontiguousarray(nrm, dtype=np.float64)
-    if BACKEND == "numba":
-        out = np.empty((_CAP, 3), dtype=np.int64)
-        stamp = np.zeros(Z.shape[0], dtype=np.int64)
-        cnt = _scan_numba(Z, W, nrm, base[0], base[1], base[2],
-                          complex(M[0]), complex(M[1]), complex(M[2]),
-                          complex(M[3]), float(tol), out, stamp)
-        if cnt < 0:
-            raise RuntimeError("stabilizer scan overflow: more than "
-                               f"{_CAP} candidate maps passed; the tolerance "
-                               "is too loose for this point set")
-        return out[:cnt].copy()
-    return _scan_numpy(Z, W, nrm, base, M, float(tol))
+        # indexing with an array copies the rows, so the table is freed
+        rows = matches[alive]
+        # bijectivity: the n matched targets must be a permutation
+        bijective = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+        survivors.append(rows[bijective])
+    return np.concatenate(survivors)

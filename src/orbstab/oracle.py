@@ -18,7 +18,7 @@ import numpy as np
 from . import classifier as cl
 from .errors import OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       _matrix_to_zero_one_inf, format_complex, maps_equal,
+                       _matrix_to_zero_one_inf, format_complex,
                        mobius_through_triple)
 from .kernels import scan_stabilizer_triples
 
@@ -44,12 +44,8 @@ class StabilizerResult:
         return tuple(len(o) for o in self.orbits)
 
     def to_json(self) -> dict:
-        out: dict = {"order": self.order, "label": cl._JSON_GROUP[self.label.kind]}
-        if self.label.kind in (cl.DIHEDRAL, cl.CYCLIC):
-            out["p"] = self.label.p
-        elif self.label.kind == cl.Z2:
-            out["p"] = 2
-        out["index"] = list(self.index)
+        entry = self.entry().to_json()
+        out: dict = {"order": self.order, "label": entry.pop("group"), **entry}
         out["orbit_sizes"] = sorted(self.orbit_sizes(), reverse=True)
         out["elements"] = [
             [format_complex(v) for v in (f.a, f.b, f.c, f.d)]
@@ -68,19 +64,9 @@ def _pick_base_triple(ps: PointSet) -> tuple[int, int, int]:
     return int(i), int(j), int(k)
 
 
-def _candidate_map(ps: PointSet, base: tuple[int, int, int],
-                   triple: tuple[int, int, int], tol: float) -> MobiusMap:
-    pts = ps.points
-    return mobius_through_triple(
-        (pts[base[0]], pts[base[1]], pts[base[2]]),
-        (pts[triple[0]], pts[triple[1]], pts[triple[2]]), tol=tol)
-
-
-def _canonical_sort(elements: list[MobiusMap]) -> list[MobiusMap]:
-    def key(f: MobiusMap):
-        return tuple(round(x, 9) for v in (f.a, f.b, f.c, f.d)
-                     for x in (v.real, v.imag))
-    return sorted(elements, key=key)
+def _canonical_key(f: MobiusMap) -> tuple[float, ...]:
+    return tuple(round(x, 9) for v in (f.a, f.b, f.c, f.d)
+                 for x in (v.real, v.imag))
 
 
 def _permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
@@ -100,11 +86,12 @@ def _permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
 
 
 def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
-    """Order of f in the Mobius group, assuming it divides some m <= cap.
+    """Order of f in the Mobius group, which must be at most cap.
 
     For elliptic elements the rotation angle theta satisfies
     tr^2/det = 2 + 2 cos(theta); the order is the denominator of
-    theta/(2 pi).  The candidate is always verified by squaring.
+    theta/(2 pi).  The candidate is verified by exponentiation, and an
+    element that fails the check is not of finite order <= cap.
     """
     if f.is_identity(tol):
         return 1
@@ -112,13 +99,7 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
     if abs(q.imag) < 1e-6 and -1e-6 <= q.real <= 4.0 + 1e-6:
         theta = math.acos(min(1.0, max(-1.0, q.real / 2.0 - 1.0)))
         m = Fraction(theta / (2.0 * math.pi)).limit_denominator(cap).denominator
-        if m >= 1 and f.power(m).is_identity(10.0 * tol):
-            return m
-    # fall back to brute iteration (non-elliptic input would loop to cap)
-    g = f
-    for m in range(2, cap + 1):
-        g = g.compose(f)
-        if g.is_identity(10.0 * tol):
+        if f.power(m).is_identity(10.0 * tol):
             return m
     raise UnrecognizedGroup(
         f"element has no order dividing {cap}; not part of a finite group")
@@ -264,20 +245,20 @@ def stabilizer(ps: PointSet, base_triple: tuple[int, int, int] | None = None,
     ps._check_separation()
     if base_triple is None:
         base_triple = _pick_base_triple(ps)
-    b0, b1, b2 = base_triple
-    pts = ps.points
-    m_base = _matrix_to_zero_one_inf(pts[b0], pts[b1], pts[b2])
+    base = list(base_triple)
+    src = [ps.points[b] for b in base]
+    m_base = _matrix_to_zero_one_inf(*src)
     z, w, nrm = ps.arrays()
-    triples = scan_stabilizer_triples(z, w, nrm, (b0, b1, b2),
-                                      (m_base.a, m_base.b, m_base.c, m_base.d),
-                                      ps.tol)
-    elements: list[MobiusMap] = []
-    for i, j, k in triples:
-        f = _candidate_map(ps, base_triple, (int(i), int(j), int(k)), ps.tol)
-        if not any(maps_equal(f, g, tol=10.0 * ps.tol) for g in elements):
-            elements.append(f)
-    elements = _canonical_sort(elements)
-    perms = np.array([_permutation_of(ps, f) for f in elements])
+    perms = scan_stabilizer_triples(z, w, nrm,
+                                    (m_base.a, m_base.b, m_base.c, m_base.d),
+                                    ps.tol)
+    # distinct rows differ on the base triple, so their maps are distinct
+    elements = [mobius_through_triple(src, [ps.points[t] for t in row[base]],
+                                      tol=ps.tol)
+                for row in perms]
+    order = sorted(range(len(elements)), key=lambda r: _canonical_key(elements[r]))
+    elements = [elements[r] for r in order]
+    perms = perms[order]
     if check_closure:
         # n >= 3 points make the action faithful, so permutation closure
         # is equivalent to group closure of the maps themselves

@@ -1,15 +1,70 @@
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
 from orbstab import classifier as cl
-from orbstab.geometry import PointSet, _matrix_to_zero_one_inf
-from orbstab.kernels import _CAP, _scan_numba, _scan_numpy, active_backend
-from orbstab.oracle import _pick_base_triple
+from orbstab.geometry import PointSet, _matrix_to_zero_one_inf, mobius_through_triple
+from orbstab.kernels import active_backend, scan_stabilizer_triples
+from orbstab.oracle import _permutation_of, _pick_base_triple
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness
+
+
+def _scan_python(Z, W, nrm, m00, m01, m10, m11, tol, out, stamp):
+    """Scalar reference loop for the scan: the triples (i, j, k) whose map
+    sends every point to an unused partner, written into ``out``."""
+    n = Z.shape[0]
+    cnt = 0
+    cand = 0
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                cand += 1
+                kap = Z[j] * W[k] - Z[k] * W[j]
+                mu = Z[j] * W[i] - Z[i] * W[j]
+                # adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf),
+                # composed with the base matrix: F sends the base triple to (i, j, k)
+                a00 = -mu * Z[k]
+                a01 = kap * Z[i]
+                a10 = -mu * W[k]
+                a11 = kap * W[i]
+                f00 = a00 * m00 + a01 * m10
+                f01 = a00 * m01 + a01 * m11
+                f10 = a10 * m00 + a11 * m10
+                f11 = a10 * m01 + a11 * m11
+                ok = True
+                for t in range(n):
+                    iz = f00 * Z[t] + f01 * W[t]
+                    iw = f10 * Z[t] + f11 * W[t]
+                    inrm = math.sqrt(iz.real * iz.real + iz.imag * iz.imag
+                                     + iw.real * iw.real + iw.imag * iw.imag)
+                    if inrm < 1e-280:
+                        ok = False
+                        break
+                    found = -1
+                    for s in range(n):
+                        if stamp[s] == cand:
+                            continue
+                        cr = iz * W[s] - Z[s] * iw
+                        if 2.0 * abs(cr) <= tol * inrm * nrm[s]:
+                            found = s
+                            break
+                    if found < 0:
+                        ok = False
+                        break
+                    stamp[found] = cand
+                if ok:
+                    if cnt >= out.shape[0]:
+                        return -cnt
+                    out[cnt, 0] = i
+                    out[cnt, 1] = j
+                    out[cnt, 2] = k
+                    cnt += 1
+    return cnt
 
 
 def scan_args(ps):
@@ -19,58 +74,53 @@ def scan_args(ps):
     return z, w, nrm, base, (m.a, m.b, m.c, m.d)
 
 
-def run_numba(ps):
-    z, w, nrm, base, m = scan_args(ps)
-    out = np.empty((_CAP, 3), dtype=np.int64)
+def run_reference(ps):
+    z, w, nrm, _, m = scan_args(ps)
+    out = np.empty((4096, 3), dtype=np.int64)
     stamp = np.zeros(ps.n, dtype=np.int64)
-    cnt = _scan_numba(z, w, nrm, base[0], base[1], base[2],
-                      m[0], m[1], m[2], m[3], ps.tol, out, stamp)
+    cnt = _scan_python(z, w, nrm, *m, ps.tol, out, stamp)
     assert cnt >= 0
     return sorted(map(tuple, out[:cnt].tolist()))
 
 
-def run_numpy(ps):
+def run_scan(ps):
     z, w, nrm, base, m = scan_args(ps)
-    return sorted(map(tuple, _scan_numpy(z, w, nrm, base, m, ps.tol).tolist()))
+    return list(base), scan_stabilizer_triples(z, w, nrm, m, ps.tol)
 
 
-@pytest.mark.skipif(_scan_numba is None, reason="numba backend unavailable")
-@pytest.mark.parametrize("make", [
+SHAPES = pytest.mark.parametrize("make", [
     lambda: PointSet.from_values([0, 1, float("inf")]),
     lambda: polyhedral_orbit(cl.S4, "V6"),
+    lambda: polyhedral_orbit(cl.S4, "V8"),
     lambda: polyhedral_orbit(cl.A5, "V12"),
     lambda: dihedral_witness(5, (1, 0, 1)),
     lambda: trivial_witness(9),
-], ids=["triple", "octahedron", "icosahedron", "d5-mixed", "asymmetric"])
-def test_backends_agree(make):
-    ps = make()
-    assert run_numba(ps) == run_numpy(ps)
+], ids=["triple", "octahedron", "cube", "icosahedron", "d5-mixed", "asymmetric"])
 
 
-@pytest.mark.skipif(_scan_numba is None, reason="numba backend unavailable")
-def test_survivor_count_equals_group_order(make=lambda: polyhedral_orbit(cl.S4, "V8")):
+@SHAPES
+def test_base_columns_match_reference_triples(make):
     ps = make()
-    assert len(run_numba(ps)) == 24
+    base, rows = run_scan(ps)
+    assert sorted(map(tuple, rows[:, base].tolist())) == run_reference(ps)
+
+
+@SHAPES
+def test_rows_are_the_permutations_of_their_maps(make):
+    ps = make()
+    base, rows = run_scan(ps)
+    assert rows.dtype == np.int64 and rows.shape[1] == ps.n
+    src = [ps.points[b] for b in base]
+    for row in rows:
+        assert sorted(row.tolist()) == list(range(ps.n))
+        f = mobius_through_triple(src, [ps.points[t] for t in row[base]])
+        assert row.tolist() == _permutation_of(ps, f).tolist()
+
+
+def test_survivor_count_equals_group_order():
+    _, rows = run_scan(polyhedral_orbit(cl.S4, "V8"))
+    assert rows.shape == (24, 8)
 
 
 def test_active_backend_reports():
-    assert active_backend() in ("numba", "numpy")
-
-
-def test_numpy_backend_env_flag():
-    """The env flag must force the numpy path end to end."""
-    code = (
-        "import os\n"
-        "from orbstab.kernels import active_backend\n"
-        "from orbstab.oracle import stabilizer\n"
-        "from orbstab.geometry import PointSet\n"
-        "assert active_backend() == 'numpy', active_backend()\n"
-        "res = stabilizer(PointSet.from_values([0, 1, float('inf')]))\n"
-        "assert res.order == 6 and str(res.label) == 'D_3'\n"
-        "print('numpy backend ok')\n"
-    )
-    env = dict(os.environ, ORBSTAB_BACKEND="numpy")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy backend ok" in proc.stdout
+    assert active_backend() == "numpy"
