@@ -4,129 +4,134 @@ n-point subset of the extended complex plane.
 Given only the cardinality n, ``classify`` enumerates every group that can
 occur as the stabilizer of some n-point set, each tagged with its component
 index: the tuple counting how many orbits of each size class the set
-decomposes into under that group.  The enumeration is pure integer
-arithmetic over the orbit-size identities (e.g. an icosahedral-invariant
-set has n = 12*v + 20*m + 30*e + 60*k), so it is exact, deterministic and
-fast at any n.
+decomposes into under that group.  Every finite group kind is one row of
+the kind table ``_KINDS``; an entry is pure integer arithmetic over its
+orbit-size identity (e.g. an icosahedral-invariant set has
+n = 12*v + 20*m + 30*e + 60*k), so the enumeration is exact and
+deterministic.  A rotation order p occurs only if it divides n, n - 1 or
+n - 2, because the points off the rotation axis fall into orbits of size
+p or 2p, so ``classify`` costs O(sqrt(n)).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
+from math import isqrt
 
 from .errors import InvalidCardinality
 
-# Group kinds.  Dihedral and cyclic carry a parameter p; the order-4
-# dihedral group (p = 2) is the Klein four-group K4 and the order-2 cyclic
-# group is Z2 -- both are kept as kinds of their own because their orbit
-# structure degenerates (several orbit families collapse to the same size).
+# Group kinds.  Dihedral and cyclic carry a parameter p.  The order-4
+# dihedral group (p = 2) is the Klein four-group K4, a kind of its own
+# because its three 2-point orbit families collapse into one slot; the
+# order-2 cyclic group is the cyclic kind at p = 2.
 A5 = "A5"
 S4 = "S4"
 A4 = "A4"
 DIHEDRAL = "D"
 K4 = "K4"
 CYCLIC = "Z"
-Z2 = "Z2"
 TRIVIAL = "trivial"
 INFINITE = "infinity"
 
-#: Orbit sizes backing each slot of the component index, generic orbit last.
-#: The A4 and K4 entries list a size more than once when several orbit
-#: families share it (two tetrahedra; pole pair and the two root pairs).
-ORBIT_SLOT_SIZES = {
-    A5: (12, 20, 30, 60),
-    S4: (6, 8, 12, 24),
-    A4: (4, 6, 12),
-    DIHEDRAL: (2, None, None),  # (poles, p, 2p); p filled per label
-    K4: (2, 4),
-    CYCLIC: (1, None),
-    Z2: (1, 2),
+
+@dataclass(frozen=True)
+class _Kind:
+    """One finite group kind of the table.
+
+    ``name`` is the JSON group name, and also the display name, followed
+    by ``_p`` for kinds that take a rotation order p >= ``min_p``.
+    ``sizes(p)`` is the orbit size of each index slot, generic orbit last;
+    the generic orbit size is the group order.  ``top`` is the largest
+    count of each special (non-generic) slot.  A non-empty index with at
+    least ``min_generic`` generic orbits is realizable; below that, only
+    the indices in ``small`` are, and not at the p values they map to.
+    Every other index forces a strictly larger stabilizer.
+    """
+
+    name: str
+    sizes: Callable[[int | None], tuple[int, ...]]
+    top: tuple[int, ...]
+    min_generic: int
+    small: dict[tuple[int, ...], tuple[int, ...]]
+    min_p: int | None = None
+
+
+_KINDS = {
+    A5: _Kind("A_5", lambda p: (12, 20, 30, 60), (1, 1, 1), 0, {}),
+    S4: _Kind("S_4", lambda p: (6, 8, 12, 24), (1, 1, 1), 0, {}),
+    # slot 0 holds up to two tetrahedra; with no generic orbit, both
+    # tetrahedra (the cube) or the edge orbit without a tetrahedron (the
+    # octahedron) make the set S4-invariant
+    A4: _Kind("A_4", lambda p: (4, 6, 12), (2, 1), 1,
+              {(1, 0, 0): (), (1, 1, 0): ()}),
+    # (poles, one or both root families, generic): with no generic orbit,
+    # both root families are D_2p-invariant, the poles alone have an
+    # infinite stabilizer and the poles plus the square are the octahedron
+    DIHEDRAL: _Kind("D", lambda p: (2, p, 2 * p), (1, 2), 1,
+                    {(0, 1, 0): (), (1, 1, 0): (4,)}, min_p=3),
+    # the pole pair and the two root pairs all have size 2
+    K4: _Kind("K_4", lambda p: (2, 4), (3,), 1, {}),
+    # fewer than three rotation orbits admit an inverting symmetry unless
+    # exactly one fixed point is taken; 0 with the p-th roots of unity is
+    # a triangle (D_3) at p = 2 and a tetrahedron (A_4) at p = 3
+    CYCLIC: _Kind("Z", lambda p: (1, p), (2,), 3,
+                  {(1, 1): (2, 3), (1, 2): ()}, min_p=2),
 }
 
-#: Upper bound (inclusive) for each non-generic index slot.
-INDEX_SLOT_RANGES = {
-    A5: (1, 1, 1),
-    S4: (1, 1, 1),
-    A4: (2, 1),
-    DIHEDRAL: (1, 2),
-    K4: (3,),
-    CYCLIC: (2,),
-    Z2: (2,),
-}
+#: The kinds whose entries carry no component index, with the
+#: cardinalities at which they occur.
+_BARE = {TRIVIAL: lambda n: n >= 5, INFINITE: lambda n: n <= 2}
+
+#: JSON group name of every kind; the bare kinds are named by themselves.
+_NAMES = {**{kind: row.name for kind, row in _KINDS.items()},
+          **{kind: kind for kind in _BARE}}
+_BY_NAME = {name: kind for kind, name in _NAMES.items()}
 
 
 @dataclass(frozen=True)
 class GroupLabel:
     """One of the finite (or infinite) Mobius group types.
 
-    ``p`` is the rotation order for dihedral/cyclic labels and None
-    otherwise.
+    ``p`` is the rotation order for dihedral (p >= 3) and cyclic (p >= 2)
+    labels and None otherwise; ``dihedral(2)`` is the K4 label.
     """
 
     kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind in (DIHEDRAL, CYCLIC):
-            if self.p is None or self.p < 3:
-                raise ValueError(f"{self.kind} label needs parameter p >= 3 "
-                                 f"(p = 2 is {K4 if self.kind == DIHEDRAL else Z2})")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} label carries no parameter")
+        if self.kind not in _NAMES:
+            raise ValueError(f"unknown group kind {self.kind!r}")
+        min_p = _KINDS[self.kind].min_p if self.kind in _KINDS else None
+        if min_p is None:
+            if self.p is not None:
+                raise ValueError(f"{self.kind} label carries no parameter")
+        elif self.p is None or self.p < min_p:
+            raise ValueError(f"{self.kind} label needs parameter p >= {min_p}")
 
     @property
     def order(self) -> int:
-        """Order of the abstract group; raises for the infinite label."""
-        if self.kind == A5:
-            return 60
-        if self.kind == S4:
-            return 24
-        if self.kind == A4:
-            return 12
-        if self.kind == DIHEDRAL:
-            return 2 * self.p
-        if self.kind == K4:
-            return 4
-        if self.kind == CYCLIC:
-            return self.p
-        if self.kind == Z2:
-            return 2
-        if self.kind == TRIVIAL:
-            return 1
-        raise ValueError("the infinite stabilizer has no finite order")
+        """Order of the abstract group: the size of its generic orbit."""
+        if self.kind == INFINITE:
+            raise ValueError("the infinite stabilizer has no finite order")
+        return self.orbit_sizes()[-1] if self.kind in _KINDS else 1
 
     def orbit_sizes(self) -> tuple[int, ...]:
         """Orbit size per index slot, generic orbit last."""
-        sizes = ORBIT_SLOT_SIZES[self.kind]
-        if self.kind == DIHEDRAL:
-            return (2, self.p, 2 * self.p)
-        if self.kind == CYCLIC:
-            return (1, self.p)
-        return sizes
+        return _KINDS[self.kind].sizes(self.p)
 
     def __str__(self) -> str:
-        if self.kind == A5:
-            return "A_5"
-        if self.kind == S4:
-            return "S_4"
-        if self.kind == A4:
-            return "A_4"
-        if self.kind == DIHEDRAL:
-            return f"D_{self.p}"
-        if self.kind == K4:
-            return "K_4"
-        if self.kind == CYCLIC:
-            return f"Z_{self.p}"
-        if self.kind == Z2:
-            return "Z_2"
-        return self.kind
+        name = _NAMES[self.kind]
+        return name if self.p is None else f"{name}_{self.p}"
 
 
 LABEL_A5 = GroupLabel(A5)
 LABEL_S4 = GroupLabel(S4)
 LABEL_A4 = GroupLabel(A4)
 LABEL_K4 = GroupLabel(K4)
-LABEL_Z2 = GroupLabel(Z2)
+LABEL_Z2 = GroupLabel(CYCLIC, 2)
 LABEL_TRIVIAL = GroupLabel(TRIVIAL)
 LABEL_INFINITE = GroupLabel(INFINITE)
 
@@ -137,8 +142,8 @@ def dihedral(p: int) -> GroupLabel:
 
 
 def cyclic(p: int) -> GroupLabel:
-    """Cyclic label of order p; Z2 when p == 2."""
-    return LABEL_Z2 if p == 2 else GroupLabel(CYCLIC, p)
+    """Cyclic label of order p >= 2."""
+    return GroupLabel(CYCLIC, p)
 
 
 @dataclass(frozen=True)
@@ -164,11 +169,9 @@ class ClassificationEntry:
         return f"{self.label}, ({inner})"
 
     def to_json(self) -> dict:
-        out: dict = {"group": _JSON_GROUP[self.label.kind]}
-        if self.label.kind in (DIHEDRAL, CYCLIC):
+        out: dict = {"group": _NAMES[self.label.kind]}
+        if self.label.p is not None:
             out["p"] = self.label.p
-        elif self.label.kind == Z2:
-            out["p"] = 2
         out["index"] = list(self.index)
         return out
 
@@ -176,28 +179,32 @@ class ClassificationEntry:
         return self.to_line()
 
 
-_JSON_GROUP = {
-    A5: "A_5", S4: "S_4", A4: "A_4", DIHEDRAL: "D", K4: "K_4",
-    CYCLIC: "Z", Z2: "Z", TRIVIAL: "trivial", INFINITE: "infinity",
-}
-
-
 def validate_index(label: GroupLabel, index: tuple[int, ...]) -> None:
     """Check the slot-range constraints of a component index."""
-    kind = label.kind
-    if kind in (TRIVIAL, INFINITE):
+    if label.kind in _BARE:
         if index != ():
-            raise ValueError(f"{kind} entries carry an empty index")
+            raise ValueError(f"{label.kind} entries carry an empty index")
         return
-    ranges = INDEX_SLOT_RANGES[kind]
-    if len(index) != len(ranges) + 1:
-        raise ValueError(f"{label} index must have {len(ranges) + 1} slots, "
+    top = _KINDS[label.kind].top
+    if len(index) != len(top) + 1:
+        raise ValueError(f"{label} index must have {len(top) + 1} slots, "
                          f"got {index}")
-    for slot, (count, top) in enumerate(zip(index, ranges)):
-        if not 0 <= count <= top:
+    for slot, (count, most) in enumerate(zip(index, top)):
+        if not 0 <= count <= most:
             raise ValueError(f"{label} index slot {slot} out of range: {index}")
     if index[-1] < 0:
         raise ValueError(f"{label} generic-orbit count is negative: {index}")
+
+
+def realizable(label: GroupLabel, index: tuple[int, ...]) -> bool:
+    """Whether some point set has exactly this finite stabilizer and
+    component index (within the slot bounds), rather than a strictly
+    larger stabilizer."""
+    row = _KINDS[label.kind]
+    if index[-1] >= row.min_generic:
+        return any(index)
+    excluded_p = row.small.get(tuple(index))
+    return excluded_p is not None and label.p not in excluded_p
 
 
 def cardinality_of(entry: ClassificationEntry) -> int:
@@ -206,143 +213,52 @@ def cardinality_of(entry: ClassificationEntry) -> int:
     Trivial and infinite entries impose no orbit-size identity, so they
     have no implied cardinality and raise ValueError.
     """
-    if entry.label.kind in (TRIVIAL, INFINITE):
+    if entry.label.kind in _BARE:
         raise ValueError(f"a bare {entry.label.kind} entry has no implied "
                          "cardinality; it only occurs attached to a query n")
     sizes = entry.label.orbit_sizes()
     return sum(s * c for s, c in zip(sizes, entry.index))
 
 
+def _entries(label: GroupLabel, n: int) -> list[ClassificationEntry]:
+    """The entries of classify(n) with the given label, special slots in
+    lexicographic order: solve n = sum(size * count) for the generic count
+    under each choice of special counts, and keep the realizable indices."""
+    if label.kind in _BARE:
+        return [ClassificationEntry(label, ())] if _BARE[label.kind](n) else []
+    *special, generic = label.orbit_sizes()
+    out = []
+    for counts in product(*(range(most + 1) for most in _KINDS[label.kind].top)):
+        k, r = divmod(n - sum(s * c for s, c in zip(special, counts)), generic)
+        index = (*counts, k)
+        if r == 0 and k >= 0 and realizable(label, index):
+            out.append(ClassificationEntry(label, index))
+    return out
+
+
+def _rotation_orders(n: int) -> list[int]:
+    """The p >= 2 dividing n, n - 1 or n - 2, largest first."""
+    out = set()
+    for m in range(max(n - 2, 1), n + 1):
+        low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+        out.update(low, (m // d for d in low))
+    return sorted((p for p in out if p >= 2), reverse=True)
+
+
 def classify(n: int) -> list[ClassificationEntry]:
     """All possible (stabilizer group, component index) pairs at size n.
 
-    Output order is fixed: the polyhedral blocks (A5, S4, A4), dihedral
-    labels with p running from n down to 3, K4, cyclic labels with p from
-    n down to 3, Z2, and finally the trivial entry (present iff n >= 5).
-    Sets with n <= 2 points have an infinite stabilizer.
+    Output order is fixed: infinity (present iff n <= 2), the polyhedral
+    blocks (A5, S4, A4), dihedral labels with p running from n down to 3,
+    K4, cyclic labels with p from n down to 2, and finally the trivial
+    entry (present iff n >= 5).
     """
     if n < 1:
         raise InvalidCardinality(f"cardinality must be >= 1, got {n}")
-    out: list[ClassificationEntry] = []
-    emit = out.append
-
-    if n <= 2:
-        emit(ClassificationEntry(LABEL_INFINITE, ()))
-
-    # A5 block: n = 12v + 20m + 30e + 60k with v, m, e in {0, 1}.
-    k, r = divmod(n, 60)
-    if r == 0 and k >= 1:
-        emit(ClassificationEntry(LABEL_A5, (0, 0, 0, k)))
-    if r == 12:
-        emit(ClassificationEntry(LABEL_A5, (1, 0, 0, k)))
-    if r == 20:
-        emit(ClassificationEntry(LABEL_A5, (0, 1, 0, k)))
-    if r == 30:
-        emit(ClassificationEntry(LABEL_A5, (0, 0, 1, k)))
-    if r == 32:
-        emit(ClassificationEntry(LABEL_A5, (1, 1, 0, k)))
-    if r == 42:
-        emit(ClassificationEntry(LABEL_A5, (1, 0, 1, k)))
-    if r == 50:
-        emit(ClassificationEntry(LABEL_A5, (0, 1, 1, k)))
-    if r == 2 and k >= 1:
-        emit(ClassificationEntry(LABEL_A5, (1, 1, 1, k - 1)))
-
-    # S4 block: n = 6v + 8m + 12e + 24k.
-    k, r = divmod(n, 24)
-    if r == 0 and k >= 1:
-        emit(ClassificationEntry(LABEL_S4, (0, 0, 0, k)))
-    if r == 6:
-        emit(ClassificationEntry(LABEL_S4, (1, 0, 0, k)))
-    if r == 8:
-        emit(ClassificationEntry(LABEL_S4, (0, 1, 0, k)))
-    if r == 12:
-        emit(ClassificationEntry(LABEL_S4, (0, 0, 1, k)))
-    if r == 14:
-        emit(ClassificationEntry(LABEL_S4, (1, 1, 0, k)))
-    if r == 18:
-        emit(ClassificationEntry(LABEL_S4, (1, 0, 1, k)))
-    if r == 20:
-        emit(ClassificationEntry(LABEL_S4, (0, 1, 1, k)))
-    if r == 2 and k >= 1:
-        emit(ClassificationEntry(LABEL_S4, (1, 1, 1, k - 1)))
-
-    # A4 block: n = 4v + 6e + 12k with v in {0, 1, 2}, e in {0, 1}.  The
-    # indices (2,0,0), (0,1,0) and (2,1,0) are absorbed by S4 and never
-    # emitted here.
-    k, r = divmod(n, 12)
-    if r == 0 and k >= 1:
-        emit(ClassificationEntry(LABEL_A4, (0, 0, k)))
-    if r == 4:
-        emit(ClassificationEntry(LABEL_A4, (1, 0, k)))
-    if r == 8 and k >= 1:
-        emit(ClassificationEntry(LABEL_A4, (2, 0, k)))
-    if r == 6 and k >= 1:
-        emit(ClassificationEntry(LABEL_A4, (0, 1, k)))
-    if r == 10:
-        emit(ClassificationEntry(LABEL_A4, (1, 1, k)))
-    if r == 2 and k >= 2:
-        emit(ClassificationEntry(LABEL_A4, (2, 1, k - 1)))
-
-    # Dihedral block: n = 2v + p(e + 2k).  (0,2,0) and (1,2,0) would have
-    # stabilizer D_2p, and (1,1,0) at p = 4 is the octahedron (S4).
-    for p in range(n, 2, -1):
-        k = n // (2 * p)
-        l = n // p - 2 * k
-        r = n - 2 * p * k - p * l
-        label = GroupLabel(DIHEDRAL, p)
-        if k >= 1 and r == 0:
-            emit(ClassificationEntry(label, (0, l, k)))
-        if k >= 2 and r == 0 and l == 0:
-            emit(ClassificationEntry(label, (0, 2, k - 1)))
-        if k >= 1 and r == 2:
-            emit(ClassificationEntry(label, (1, l, k)))
-        if k >= 2 and r == 2 and l == 0:
-            emit(ClassificationEntry(label, (1, 2, k - 1)))
-        if k == 0 and r == 0 and l == 1:
-            emit(ClassificationEntry(label, (0, 1, 0)))
-        if k == 0 and r == 2 and l == 1 and p != 4:
-            emit(ClassificationEntry(label, (1, 1, 0)))
-
-    # K4 block: n = 2v + 4k with v in {0..3}; k >= 1 always (v orbits alone
-    # have a larger stabilizer).
-    k, r = divmod(n, 4)
-    if k >= 1 and r == 0:
-        emit(ClassificationEntry(LABEL_K4, (0, k)))
-    if k >= 2 and r == 0:
-        emit(ClassificationEntry(LABEL_K4, (2, k - 1)))
-    if k >= 1 and r == 2:
-        emit(ClassificationEntry(LABEL_K4, (1, k)))
-    if k >= 2 and r == 2:
-        emit(ClassificationEntry(LABEL_K4, (3, k - 1)))
-
-    # Cyclic block: n = v + pk with v in {0, 1, 2}.  A single rotation
-    # orbit (or two, or with both poles) is always dihedral-invariant, so
-    # k <= 2 survives only with exactly one pole; (1,1) at p = 3 is the
-    # tetrahedron.
-    for p in range(n, 2, -1):
-        k, r = divmod(n, p)
-        label = GroupLabel(CYCLIC, p)
-        if k >= 3 and r <= 2:
-            emit(ClassificationEntry(label, (r, k)))
-        if k == 2 and r == 1:
-            emit(ClassificationEntry(label, (r, k)))
-        if k == 1 and r == 1 and p != 3:
-            emit(ClassificationEntry(label, (r, k)))
-
-    # Z2 block: n = v + 2k.
-    k, r = divmod(n, 2)
-    if k >= 3:
-        emit(ClassificationEntry(LABEL_Z2, (r, k)))
-    if k >= 4 and r == 0:
-        emit(ClassificationEntry(LABEL_Z2, (2, k - 1)))
-    if k == 2 and r == 1:
-        emit(ClassificationEntry(LABEL_Z2, (r, k)))
-
-    if n >= 5:
-        emit(ClassificationEntry(LABEL_TRIVIAL, ()))
-
-    return out
+    ps = _rotation_orders(n)
+    labels = [LABEL_INFINITE, LABEL_A5, LABEL_S4, LABEL_A4,
+              *map(dihedral, ps), *map(cyclic, ps), LABEL_TRIVIAL]
+    return [entry for label in labels for entry in _entries(label, n)]
 
 
 def classify_lines(n: int) -> list[str]:
@@ -354,11 +270,15 @@ def cardinality_set(label: GroupLabel, n_max: int) -> set[int]:
     """All n <= n_max whose classification contains the given group."""
     if label.kind == INFINITE:
         raise ValueError("the infinite stabilizer has no cardinality set")
-    out = set()
-    for n in range(1, n_max + 1):
-        if any(e.label == label for e in classify(n)):
-            out.add(n)
-    return out
+    return {n for n in range(1, n_max + 1) if _entries(label, n)}
+
+
+def _label(name: str, p: int | None = None) -> GroupLabel:
+    """The label with a JSON group name and parameter; D_2 is K4."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown group {name!r}")
+    kind = _BY_NAME[name]
+    return dihedral(p) if kind == DIHEDRAL else GroupLabel(kind, p)
 
 
 def parse_entry(text: str) -> ClassificationEntry:
@@ -371,7 +291,12 @@ def parse_entry(text: str) -> ClassificationEntry:
     head, sep, tail = s.partition(",")
     if not sep:
         raise ValueError(f"cannot parse entry {text!r}")
-    label = _parse_group_token(head.strip())
+    token = head.strip()
+    if token in _BY_NAME:
+        label = _label(token)
+    else:
+        name, _, p = token.rpartition("_")
+        label = _label(name, int(p))
     tail = tail.strip()
     if not (tail.startswith("(") and tail.endswith(")")):
         raise ValueError(f"cannot parse index in entry {text!r}")
@@ -379,31 +304,6 @@ def parse_entry(text: str) -> ClassificationEntry:
     return ClassificationEntry(label, index)
 
 
-def _parse_group_token(token: str) -> GroupLabel:
-    if token == "A_5":
-        return LABEL_A5
-    if token == "S_4":
-        return LABEL_S4
-    if token == "A_4":
-        return LABEL_A4
-    if token == "K_4":
-        return LABEL_K4
-    if token.startswith("D_"):
-        return dihedral(int(token[2:]))
-    if token.startswith("Z_"):
-        return cyclic(int(token[2:]))
-    raise ValueError(f"unknown group token {token!r}")
-
-
 def entry_from_json(data: dict) -> ClassificationEntry:
-    group = data["group"]
-    index = tuple(data.get("index", ()))
-    if group == "trivial":
-        return ClassificationEntry(LABEL_TRIVIAL, ())
-    if group == "infinity":
-        return ClassificationEntry(LABEL_INFINITE, ())
-    if group == "D":
-        return ClassificationEntry(dihedral(int(data["p"])), index)
-    if group == "Z":
-        return ClassificationEntry(cyclic(int(data["p"])), index)
-    return ClassificationEntry(_parse_group_token(group), index)
+    return ClassificationEntry(_label(data["group"], data.get("p")),
+                               tuple(data.get("index", ())))

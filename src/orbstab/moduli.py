@@ -457,7 +457,7 @@ def phi_check(lam: LambdaTuple, tol: float = 1e-7) -> PhiReport:
     between the two stabilizers of a configuration."""
     from .geometry import set_equal
     n = lam.n
-    G = stabilizer_G_lambda(lam, method="direct" if n <= 8 else "oracle")
+    G = stabilizer_G_lambda(lam)
     ps = lam.point_set()
     A = stabilizer(ps)
     maps = {sigma.images: f_sigma(lam, sigma) for sigma in G}

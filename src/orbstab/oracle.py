@@ -105,6 +105,12 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
         f"element has no order dividing {cap}; not part of a finite group")
 
 
+#: The (order, maximal element order) signatures that are neither cyclic
+#: (N == m) nor dihedral of rotation order at least 3 (N == 2m, m >= 3).
+_SIGNATURES = {(60, 5): cl.LABEL_A5, (24, 4): cl.LABEL_S4, (12, 3): cl.LABEL_A4,
+               (4, 2): cl.LABEL_K4}
+
+
 def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
     """Identify a finite Mobius group from its element list.
 
@@ -119,22 +125,12 @@ def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
         return cl.LABEL_TRIVIAL
     cap = max(n, 60)
     m = max(projective_order(f, cap=cap, tol=tol) for f in elements)
-    if n == 2:
-        if m != 2:
-            raise UnrecognizedGroup(f"order-2 group with element order {m}")
-        return cl.LABEL_Z2
-    if (n, m) == (60, 5):
-        return cl.LABEL_A5
-    if (n, m) == (24, 4):
-        return cl.LABEL_S4
-    if (n, m) == (12, 3):
-        return cl.LABEL_A4
-    if (n, m) == (4, 2):
-        return cl.LABEL_K4
+    if (n, m) in _SIGNATURES:
+        return _SIGNATURES[n, m]
     if n == m:
-        return cl.GroupLabel(cl.CYCLIC, n)
+        return cl.cyclic(n)
     if n == 2 * m and m >= 3:
-        return cl.GroupLabel(cl.DIHEDRAL, m)
+        return cl.dihedral(m)
     raise UnrecognizedGroup(
         f"(order, max element order) = ({n}, {m}) matches no finite Mobius "
         "group; closure check or tolerance failure")
@@ -183,7 +179,8 @@ def _component_index_and_orbits(ps, elements, label, perms=None):
     for orbit in orbit_idx:
         matched = False
         for slot, s in enumerate(sizes):
-            # A4 and K4 list a repeated size: all such orbits share a slot
+            # a slot counts every orbit of its size (two A4 tetrahedra,
+            # up to three K4 pairs)
             if len(orbit) == s:
                 counts[slot] += 1
                 matched = True
@@ -231,8 +228,8 @@ def _check_closure(perms: np.ndarray, pair_budget: int = 5000) -> None:
                                     "composition")
 
 
-def stabilizer(ps: PointSet, base_triple: tuple[int, int, int] | None = None,
-               check_closure: bool = True) -> StabilizerResult:
+def stabilizer(ps: PointSet,
+               base_triple: tuple[int, int, int] | None = None) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
     Enumerates the maps sending a maximally-separated base triple to every
@@ -259,10 +256,9 @@ def stabilizer(ps: PointSet, base_triple: tuple[int, int, int] | None = None,
     order = sorted(range(len(elements)), key=lambda r: _canonical_key(elements[r]))
     elements = [elements[r] for r in order]
     perms = perms[order]
-    if check_closure:
-        # n >= 3 points make the action faithful, so permutation closure
-        # is equivalent to group closure of the maps themselves
-        _check_closure(perms)
+    # n >= 3 points make the action faithful, so permutation closure is
+    # equivalent to group closure of the maps themselves
+    _check_closure(perms)
     label = identify_group(elements, tol=ps.tol)
     index, orbits = _component_index_and_orbits(ps, elements, label, perms)
     if sum(len(o) for o in orbits) != ps.n:

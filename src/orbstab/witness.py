@@ -119,6 +119,15 @@ def _orbit_of(point: RiemannPoint, group, tol: float) -> tuple[RiemannPoint, ...
     return tuple(orbit)
 
 
+#: The special-orbit tags of each polyhedral index slot, named by orbit
+#: size; the A4 vertex slot holds two tetrahedra.
+_SPECIAL_TAGS = {
+    cl.A5: (("V12",), ("V20",), ("V30",)),
+    cl.S4: (("V6",), ("V8",), ("V12",)),
+    cl.A4: (("V4a", "V4b"), ("V6",)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _special_orbits(kind: str) -> dict[str, tuple[RiemannPoint, ...]]:
     """Sub-maximal orbits, keyed by tag (V12/V20/V30, V6/V8/V12, V4a/V4b/V6).
@@ -141,15 +150,8 @@ def _special_orbits(kind: str) -> dict[str, tuple[RiemannPoint, ...]]:
             seen.extend(orbit)
             orbits.append(orbit)
     orbits.sort(key=lambda o: (len(o), _orbit_key(o)))
-    if kind == cl.A4:
-        tags = ("V4a", "V4b", "V6")
-        sizes = (4, 4, 6)
-    elif kind == cl.S4:
-        tags = ("V6", "V8", "V12")
-        sizes = (6, 8, 12)
-    else:
-        tags = ("V12", "V20", "V30")
-        sizes = (12, 20, 30)
+    slots = zip(_SPECIAL_TAGS[kind], cl.GroupLabel(kind).orbit_sizes())
+    tags, sizes = zip(*((tag, size) for slot, size in slots for tag in slot))
     if tuple(len(o) for o in orbits) != sizes:
         raise RuntimeError(f"unexpected special-orbit sizes for {kind}: "
                            f"{[len(o) for o in orbits]}")
@@ -227,7 +229,7 @@ def dihedral_witness(p: int, index: tuple[int, ...],
         nu, k = index
         if not 0 <= nu <= 3:
             raise ValueError(f"K4 index out of range: {index}")
-        if k < 1 and not force:
+        if not (force or cl.realizable(cl.LABEL_K4, index)):
             raise UnrealizableIndex(
                 f"K4 with index {index}: without a generic orbit the "
                 "stabilizer is infinite, D_4 or S_4")
@@ -245,20 +247,18 @@ def dihedral_witness(p: int, index: tuple[int, ...],
     nu, eps, k = index
     if not (0 <= nu <= 1 and 0 <= eps <= 2):
         raise ValueError(f"dihedral index out of range: {index}")
-    if k == 0 and not force:
-        realizable = (index == (0, 1, 0)) or (index == (1, 1, 0) and p != 4)
-        if not realizable:
-            reasons = {
-                (0, 2, 0): f"both root families alone are D_{2 * p}-invariant",
-                (1, 2, 0): f"both root families plus poles are D_{2 * p}-invariant",
-                (1, 1, 0): "poles plus one root family of order 4 form the "
-                           "octahedron (S_4)",
-                (1, 0, 0): "the pole pair alone has infinite stabilizer",
-                (0, 0, 0): "empty index",
-            }
-            raise UnrealizableIndex(
-                f"D_{p} with index {index}: "
-                f"{reasons.get(index, 'not realizable without a generic orbit')}")
+    if not (force or cl.realizable(cl.dihedral(p), index)):
+        reasons = {
+            (0, 2, 0): f"both root families alone are D_{2 * p}-invariant",
+            (1, 2, 0): f"both root families plus poles are D_{2 * p}-invariant",
+            (1, 1, 0): "poles plus one root family of order 4 form the "
+                       "octahedron (S_4)",
+            (1, 0, 0): "the pole pair alone has infinite stabilizer",
+            (0, 0, 0): "empty index",
+        }
+        raise UnrealizableIndex(
+            f"D_{p} with index {index}: "
+            f"{reasons.get(index, 'not realizable without a generic orbit')}")
     values = []
     if nu >= 1:
         values += [0.0, complex("inf")]
@@ -285,12 +285,19 @@ def cyclic_witness(p: int, index: tuple[int, ...],
     nu, k = index
     if not 0 <= nu <= 2:
         raise ValueError(f"cyclic index out of range: {index}")
+    if not (force or cl.realizable(cl.cyclic(p), index)):
+        reasons = {
+            (0, 1): f"a single rotation orbit is D_{p}-invariant",
+            (0, 2): f"two rotation orbits admit an inverting symmetry (D_{p})",
+            (2, 1): f"poles plus one rotation orbit are D_{p}-invariant",
+            (2, 2): f"poles plus two rotation orbits are D_{p}-invariant",
+            (1, 1): "0 plus the third roots of unity form a tetrahedron (A_4)",
+        }
+        reason = (reasons.get(index, "not realizable") if p > 2 else
+                  "the stabilizer is strictly larger (dihedral, polyhedral, "
+                  "or infinite)")
+        raise UnrealizableIndex(f"Z_{p} with index {index}: {reason}")
     if p == 2:
-        ok = (nu == 1 and k >= 2) or (nu in (0, 2) and k >= 3)
-        if not ok and not force:
-            raise UnrealizableIndex(
-                f"Z_2 with index {index}: the stabilizer is strictly larger "
-                "(dihedral, polyhedral, or infinite)")
         if nu == 0:
             values = [s * (2.0 * j - 1.0) / 2.0
                       for j in range(1, k + 1) for s in (1.0, -1.0)]
@@ -300,19 +307,6 @@ def cyclic_witness(p: int, index: tuple[int, ...],
             if nu == 2:
                 values.append(complex("inf"))
         return _pointset(values, tol)
-
-    ok = k >= 3 or (nu == 1 and k == 2) or (nu == 1 and k == 1 and p != 3)
-    if not ok and not force:
-        reasons = {
-            (0, 1): f"a single rotation orbit is D_{p}-invariant",
-            (0, 2): f"two rotation orbits admit an inverting symmetry (D_{p})",
-            (2, 1): f"poles plus one rotation orbit are D_{p}-invariant",
-            (2, 2): f"poles plus two rotation orbits are D_{p}-invariant",
-            (1, 1): "0 plus the third roots of unity form a tetrahedron (A_4)",
-        }
-        raise UnrealizableIndex(
-            f"Z_{p} with index {index}: "
-            f"{reasons.get(index, 'not realizable')}")
     values = []
     if nu >= 1:
         values.append(0.0)
@@ -335,35 +329,20 @@ def trivial_witness(n: int, tol: float = DEFAULT_TOL) -> PointSet:
 # ---------------------------------------------------------------------------
 # The verified dispatcher.
 
-_SPECIAL_TAGS = {
-    cl.A5: ("V12", "V20", "V30"),
-    cl.S4: ("V6", "V8", "V12"),
-    cl.A4: ("V4a", "V4b", "V6"),
-}
-
-
 def _polyhedral_assembly(kind: str, index: tuple[int, ...], attempt: int,
                          tol: float) -> PointSet:
     specials = _special_orbits(kind)
-    tags = _SPECIAL_TAGS[kind]
     order = cl.GroupLabel(kind).order
+    *counts, k = index
     points: list[RiemannPoint] = []
-    if kind == cl.A4:
-        nu, eps, k = index
-        for tag in tags[:2][:nu]:
+    for count, tags in zip(counts, _SPECIAL_TAGS[kind]):
+        for tag in tags[:count]:
             points.extend(specials[tag])
-        if eps:
-            points.extend(specials["V6"])
-    else:
-        nu, mu, eps, k = index
-        for count, tag in zip((nu, mu, eps), tags):
-            if count:
-                points.extend(specials[tag])
     # seed schedule: a fixed generic base point, spun by small angles to
     # keep the k orbits disjoint; the whole base moves on retries
     base = 0.2870 + 0.1730j
     base *= (1.0 + 0.0370 * attempt) * cmath.exp(0.6100j * attempt)
-    for l in range(1, index[-1] + 1):
+    for l in range(1, k + 1):
         seed = base * cmath.exp(2j * math.pi * l / (8.0 * k * k * order))
         orbit = polyhedral_orbit(kind, RiemannPoint.from_value(seed), tol=tol)
         points.extend(orbit)
@@ -402,10 +381,8 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
             ps = dihedral_witness(entry.label.p, entry.index, tol=tol)
         elif kind == cl.K4:
             ps = dihedral_witness(2, entry.index, tol=tol)
-        elif kind == cl.CYCLIC:
+        else:
             ps = cyclic_witness(entry.label.p, entry.index, tol=tol)
-        else:  # Z2
-            ps = cyclic_witness(2, entry.index, tol=tol)
         if ps.n != n:
             raise WitnessSearchExhausted(
                 f"construction for {entry} produced {ps.n} points, wanted {n}")

@@ -15,6 +15,160 @@ def labels_of(n):
     return {e.label for e in classify(n)}
 
 
+def _classify_reference(n):
+    """The classifier as seven hand-written blocks, one per group kind: the
+    reference the table-driven ``classify`` is compared against."""
+    if n < 1:
+        raise InvalidCardinality(f"cardinality must be >= 1, got {n}")
+    out = []
+    emit = out.append
+
+    if n <= 2:
+        emit(ClassificationEntry(cl.LABEL_INFINITE, ()))
+
+    # A5 block: n = 12v + 20m + 30e + 60k with v, m, e in {0, 1}.
+    k, r = divmod(n, 60)
+    if r == 0 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_A5, (0, 0, 0, k)))
+    if r == 12:
+        emit(ClassificationEntry(cl.LABEL_A5, (1, 0, 0, k)))
+    if r == 20:
+        emit(ClassificationEntry(cl.LABEL_A5, (0, 1, 0, k)))
+    if r == 30:
+        emit(ClassificationEntry(cl.LABEL_A5, (0, 0, 1, k)))
+    if r == 32:
+        emit(ClassificationEntry(cl.LABEL_A5, (1, 1, 0, k)))
+    if r == 42:
+        emit(ClassificationEntry(cl.LABEL_A5, (1, 0, 1, k)))
+    if r == 50:
+        emit(ClassificationEntry(cl.LABEL_A5, (0, 1, 1, k)))
+    if r == 2 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_A5, (1, 1, 1, k - 1)))
+
+    # S4 block: n = 6v + 8m + 12e + 24k.
+    k, r = divmod(n, 24)
+    if r == 0 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_S4, (0, 0, 0, k)))
+    if r == 6:
+        emit(ClassificationEntry(cl.LABEL_S4, (1, 0, 0, k)))
+    if r == 8:
+        emit(ClassificationEntry(cl.LABEL_S4, (0, 1, 0, k)))
+    if r == 12:
+        emit(ClassificationEntry(cl.LABEL_S4, (0, 0, 1, k)))
+    if r == 14:
+        emit(ClassificationEntry(cl.LABEL_S4, (1, 1, 0, k)))
+    if r == 18:
+        emit(ClassificationEntry(cl.LABEL_S4, (1, 0, 1, k)))
+    if r == 20:
+        emit(ClassificationEntry(cl.LABEL_S4, (0, 1, 1, k)))
+    if r == 2 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_S4, (1, 1, 1, k - 1)))
+
+    # A4 block: n = 4v + 6e + 12k with v in {0, 1, 2}, e in {0, 1}.  The
+    # indices (2,0,0), (0,1,0) and (2,1,0) are absorbed by S4 and never
+    # emitted here.
+    k, r = divmod(n, 12)
+    if r == 0 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_A4, (0, 0, k)))
+    if r == 4:
+        emit(ClassificationEntry(cl.LABEL_A4, (1, 0, k)))
+    if r == 8 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_A4, (2, 0, k)))
+    if r == 6 and k >= 1:
+        emit(ClassificationEntry(cl.LABEL_A4, (0, 1, k)))
+    if r == 10:
+        emit(ClassificationEntry(cl.LABEL_A4, (1, 1, k)))
+    if r == 2 and k >= 2:
+        emit(ClassificationEntry(cl.LABEL_A4, (2, 1, k - 1)))
+
+    # Dihedral block: n = 2v + p(e + 2k).  (0,2,0) and (1,2,0) would have
+    # stabilizer D_2p, and (1,1,0) at p = 4 is the octahedron (S4).
+    for p in range(n, 2, -1):
+        k = n // (2 * p)
+        l = n // p - 2 * k
+        r = n - 2 * p * k - p * l
+        label = GroupLabel(cl.DIHEDRAL, p)
+        if k >= 1 and r == 0:
+            emit(ClassificationEntry(label, (0, l, k)))
+        if k >= 2 and r == 0 and l == 0:
+            emit(ClassificationEntry(label, (0, 2, k - 1)))
+        if k >= 1 and r == 2:
+            emit(ClassificationEntry(label, (1, l, k)))
+        if k >= 2 and r == 2 and l == 0:
+            emit(ClassificationEntry(label, (1, 2, k - 1)))
+        if k == 0 and r == 0 and l == 1:
+            emit(ClassificationEntry(label, (0, 1, 0)))
+        if k == 0 and r == 2 and l == 1 and p != 4:
+            emit(ClassificationEntry(label, (1, 1, 0)))
+
+    # K4 block: n = 2v + 4k with v in {0..3}; k >= 1 always (v orbits alone
+    # have a larger stabilizer).
+    k, r = divmod(n, 4)
+    if k >= 1 and r == 0:
+        emit(ClassificationEntry(cl.LABEL_K4, (0, k)))
+    if k >= 2 and r == 0:
+        emit(ClassificationEntry(cl.LABEL_K4, (2, k - 1)))
+    if k >= 1 and r == 2:
+        emit(ClassificationEntry(cl.LABEL_K4, (1, k)))
+    if k >= 2 and r == 2:
+        emit(ClassificationEntry(cl.LABEL_K4, (3, k - 1)))
+
+    # Cyclic block: n = v + pk with v in {0, 1, 2}.  A single rotation
+    # orbit (or two, or with both poles) is always dihedral-invariant, so
+    # k <= 2 survives only with exactly one pole; (1,1) at p = 3 is the
+    # tetrahedron.
+    for p in range(n, 2, -1):
+        k, r = divmod(n, p)
+        label = GroupLabel(cl.CYCLIC, p)
+        if k >= 3 and r <= 2:
+            emit(ClassificationEntry(label, (r, k)))
+        if k == 2 and r == 1:
+            emit(ClassificationEntry(label, (r, k)))
+        if k == 1 and r == 1 and p != 3:
+            emit(ClassificationEntry(label, (r, k)))
+
+    # Z2 block: n = v + 2k.
+    k, r = divmod(n, 2)
+    if k >= 3:
+        emit(ClassificationEntry(cyclic(2), (r, k)))
+    if k >= 4 and r == 0:
+        emit(ClassificationEntry(cyclic(2), (2, k - 1)))
+    if k == 2 and r == 1:
+        emit(ClassificationEntry(cyclic(2), (r, k)))
+
+    if n >= 5:
+        emit(ClassificationEntry(cl.LABEL_TRIVIAL, ()))
+
+    return out
+
+
+def _same_output(got, want):
+    return ([e.to_line() for e in got] == [e.to_line() for e in want]
+            and [e.to_json() for e in got] == [e.to_json() for e in want])
+
+
+class TestAgainstReference:
+    def test_small_n(self):
+        for n in range(1, 1001):
+            assert _same_output(classify(n), _classify_reference(n)), n
+
+    @pytest.mark.parametrize("n", [2018, 99_998, 100_000, 100_801])
+    def test_large_n(self, n):
+        assert _same_output(classify(n), _classify_reference(n))
+
+    def test_cardinality_sets_match_definition(self):
+        n_max = 400
+        labels = [{e.label for e in _classify_reference(n)}
+                  for n in range(1, n_max + 1)]
+        groups = [cl.LABEL_A5, cl.LABEL_S4, cl.LABEL_A4, cl.LABEL_K4,
+                  cl.LABEL_Z2, cl.LABEL_TRIVIAL]
+        groups += [dihedral(p) for p in range(3, 13)]
+        groups += [cyclic(p) for p in range(3, 13)]
+        for g in groups:
+            want = {n for n, present in enumerate(labels, 1) if g in present}
+            assert cardinality_set(g, n_max) == want, g
+
+
 class TestGolden2018:
     def test_exact_listing(self):
         golden = (DATA / "golden_2018.txt").read_text().splitlines()
@@ -142,6 +296,23 @@ class TestLabels:
         assert cyclic(2) == cl.LABEL_Z2
         with pytest.raises(ValueError):
             GroupLabel(cl.DIHEDRAL, 2)
+
+    def test_z2_is_the_cyclic_kind_at_p_2(self):
+        assert cl.LABEL_Z2 == GroupLabel(cl.CYCLIC, 2)
+        assert str(cl.LABEL_Z2) == "Z_2"
+        assert cl.LABEL_Z2.orbit_sizes() == (1, 2)
+
+    @pytest.mark.parametrize("kind", ["bogus", "Z2"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=kind):
+            GroupLabel(kind)
+
+    @pytest.mark.parametrize("kind,p", [
+        (cl.DIHEDRAL, 2), (cl.CYCLIC, 1), (cl.CYCLIC, None), (cl.A5, 5),
+        (cl.TRIVIAL, 1)])
+    def test_bad_parameter_rejected(self, kind, p):
+        with pytest.raises(ValueError):
+            GroupLabel(kind, p)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import math
 
 import pytest
 
 from orbstab import classifier as cl
-from orbstab.classifier import ClassificationEntry, classify, cyclic, dihedral
+from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
+                                cyclic, dihedral)
 from orbstab.errors import (InvalidCardinality, SeedOnSpecialLocus,
                             UnrealizableIndex)
 from orbstab.geometry import PointSet, RiemannPoint, set_equal
@@ -124,6 +126,31 @@ class TestCyclicWitness:
         # 0 with the third roots of unity is a regular tetrahedron
         got = stabilizer(cyclic_witness(3, (1, 1), force=True))
         assert got.label == cl.LABEL_A4
+
+
+def _rejected_small_indices():
+    """(builder, p, label, index) for every non-empty index with at most two
+    generic orbits and at least 3 points that the classifier rejects."""
+    cases = []
+    for p in range(2, 9):
+        dihedral_slots = [range(4)] if p == 2 else [range(2), range(3)]
+        for build, label, slots in ((dihedral_witness, dihedral(p), dihedral_slots),
+                                    (cyclic_witness, cyclic(p), [range(3)])):
+            for index in itertools.product(*slots, range(3)):
+                if (any(index) and not cl.realizable(label, index)
+                        and cardinality_of(ClassificationEntry(label, index)) >= 3):
+                    cases.append((build, p, label, index))
+    return cases
+
+
+def test_rejected_indices_have_a_larger_stabilizer():
+    # the oracle, which knows nothing of the classifier's rule, must find a
+    # strictly larger group on every index the rule rejects
+    cases = _rejected_small_indices()
+    assert len(cases) == 44
+    for build, p, label, index in cases:
+        got = stabilizer(build(p, index, force=True))
+        assert got.label != label and got.order > label.order, (label, index)
 
 
 class TestTrivialWitness:
