@@ -2,9 +2,10 @@
 
 Classifies every Mobius group (with component index) that can stabilize
 an n-point subset of the extended complex plane, builds explicit witness
-configurations for each entry, brute-force verifies them, and exposes the
-symmetric-group action on normalized configurations whose fixed points
-are the orbifold singularities of the moduli space of n unordered points.
+configurations for each entry, verifies them with a stabilizer oracle
+independent of the classification, and exposes the symmetric-group
+action on normalized configurations whose fixed points are the orbifold
+singularities of the moduli space of n unordered points.
 """
 
 from .classifier import (ClassificationEntry, GroupLabel, cardinality_of,

@@ -58,3 +58,9 @@ class EnumerationBoundExceeded(OrbstabError, ValueError):
 class SeedOnSpecialLocus(OrbstabError, ValueError):
     """A seed point for a generic orbit lies on a special locus, so its
     orbit is smaller than the group order."""
+
+
+class CenteringFailed(OrbstabError, RuntimeError):
+    """Conformal centering of a point set did not bring its sphere centroid
+    within the residual target in the allowed Newton steps, so a rotation
+    search on the cloud could miss stabilizer elements."""

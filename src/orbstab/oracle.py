@@ -1,10 +1,11 @@
-"""Brute-force computation of the full Mobius stabilizer of a point set.
+"""Computation of the full Mobius stabilizer of a point set.
 
-Any map that fixes the set sends a fixed base triple to *some* ordered
-triple of points of the set, so enumerating all ordered triples is
-exhaustive.  The surviving maps are identified by their (order, maximal
-element order) signature, which separates all finite Mobius groups, and
-the component index is recovered from the orbit partition.
+The kernel centers the set conformally and finds every rotation of the
+centered cloud that permutes it (see ``kernels``); each permutation is
+turned back into the Mobius map through a fixed base triple.  The maps
+are identified by their (order, maximal element order) signature, which
+separates all finite Mobius groups, and the component index is recovered
+from the orbit partition.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from . import classifier as cl
 from .errors import OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       _matrix_to_zero_one_inf, format_complex,
-                       mobius_through_triple)
+                       format_complex, mobius_through_triple)
 from .kernels import scan_stabilizer_triples
 
 
@@ -136,24 +136,17 @@ def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
         "group; closure check or tolerance failure")
 
 
-def _orbit_partition(perms: np.ndarray, n: int) -> list[list[int]]:
-    parent = list(range(n))
+def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
+    """Orbits of the whole group's rows, each in index order, ordered by
+    their first index.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in perms:
-        for i in range(n):
-            a, b = find(i), find(int(row[i]))
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    The rows are every element of the group, so column t lists the orbit
+    of point t and its minimum labels the orbit.
+    """
+    labels = perms.min(axis=0)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
 
 
 def component_index(ps: PointSet, elements, label: cl.GroupLabel,
@@ -173,7 +166,7 @@ def _component_index_and_orbits(ps, elements, label, perms=None):
         perms = np.array([_permutation_of(ps, f) for f in elements])
     if label.kind == cl.TRIVIAL:
         return (), tuple((p,) for p in ps.points)
-    orbit_idx = _orbit_partition(perms, ps.n)
+    orbit_idx = _orbit_partition(perms)
     sizes = label.orbit_sizes()
     counts = [0] * len(sizes)
     for orbit in orbit_idx:
@@ -205,15 +198,16 @@ def _check_closure(perms: np.ndarray, pair_budget: int = 5000) -> None:
     seeded sample of pairs is used (large groups here are cyclic/dihedral,
     where the identity and inverse checks already catch scan failures).
     """
-    keys = {tuple(row.tolist()) for row in perms}
-    n = perms.shape[1]
-    if tuple(range(n)) not in keys:
+    rows = np.ascontiguousarray(perms, dtype=np.int64)
+    keys = {row.tobytes() for row in rows}
+    n = rows.shape[1]
+    identity = np.arange(n, dtype=np.int64)
+    if identity.tobytes() not in keys:
         raise UnrecognizedGroup("stabilizer scan did not recover the identity")
-    rows = [np.asarray(k) for k in keys]
     for p in rows:
         inv = np.empty(n, dtype=np.int64)
-        inv[p] = np.arange(n)
-        if tuple(inv.tolist()) not in keys:
+        inv[p] = identity
+        if inv.tobytes() not in keys:
             raise UnrecognizedGroup("stabilizer elements not closed under inverse")
     m = len(rows)
     if m * m <= pair_budget:
@@ -223,7 +217,7 @@ def _check_closure(perms: np.ndarray, pair_budget: int = 5000) -> None:
         pairs = ((rows[i], rows[j])
                  for i, j in rng.integers(0, m, size=(pair_budget, 2)))
     for p, q in pairs:
-        if tuple(p[q].tolist()) not in keys:
+        if p[q].tobytes() not in keys:
             raise UnrecognizedGroup("stabilizer elements not closed under "
                                     "composition")
 
@@ -232,9 +226,9 @@ def stabilizer(ps: PointSet,
                base_triple: tuple[int, int, int] | None = None) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
-    Enumerates the maps sending a maximally-separated base triple to every
-    ordered triple of set points, keeps those permuting the set, and
-    returns them with the group identification and orbit decomposition.
+    Finds every permutation of the set induced by a Mobius map, rebuilds
+    each map through a maximally-separated base triple, and returns them
+    with the group identification and orbit decomposition.
     """
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
@@ -244,11 +238,8 @@ def stabilizer(ps: PointSet,
         base_triple = _pick_base_triple(ps)
     base = list(base_triple)
     src = [ps.points[b] for b in base]
-    m_base = _matrix_to_zero_one_inf(*src)
     z, w, nrm = ps.arrays()
-    perms = scan_stabilizer_triples(z, w, nrm,
-                                    (m_base.a, m_base.b, m_base.c, m_base.d),
-                                    ps.tol)
+    perms = scan_stabilizer_triples(z, w, nrm, tuple(base), ps.tol)
     # distinct rows differ on the base triple, so their maps are distinct
     elements = [mobius_through_triple(src, [ps.points[t] for t in row[base]],
                                       tol=ps.tol)

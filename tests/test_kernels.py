@@ -3,11 +3,69 @@ import math
 import numpy as np
 import pytest
 
-from orbstab import classifier as cl
-from orbstab.geometry import PointSet, _matrix_to_zero_one_inf, mobius_through_triple
+from orbstab import classifier as cl, kernels
+from orbstab.classifier import classify, parse_entry
+from orbstab.errors import CenteringFailed
+from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
+                              chordal_distance, mobius_through_triple)
 from orbstab.kernels import active_backend, scan_stabilizer_triples
-from orbstab.oracle import _permutation_of, _pick_base_triple
-from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness
+from orbstab.oracle import _permutation_of, _pick_base_triple, stabilizer
+from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
+
+INFINITY = RiemannPoint.infinity()
+
+
+def _scan_reference(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
+                    M: tuple[complex, complex, complex, complex],
+                    tol: float) -> np.ndarray:
+    """The permutations of the point set induced by the scan's surviving maps.
+
+    ``M`` is the matrix sending the base triple to (0, 1, inf); the
+    candidate for (i, j, k) is the map taking the base triple to those
+    three points.  Returns an (m, n) int64 array, one row per map: row[t]
+    is the index of the image of point t, so the columns at the base
+    triple hold the triple (i, j, k) of that map.
+    """
+    Z = np.ascontiguousarray(Z, dtype=np.complex128)
+    W = np.ascontiguousarray(W, dtype=np.complex128)
+    nrm = np.ascontiguousarray(nrm, dtype=np.float64)
+    n = Z.shape[0]
+    m00, m01, m10, m11 = M
+    survivors = [np.empty((0, n), dtype=np.int64)]
+    jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    jj, kk = jj.ravel(), kk.ravel()
+    for i in range(n):
+        keep = (jj != i) & (kk != i) & (jj != kk)
+        J, K = jj[keep], kk[keep]
+        kap = Z[J] * W[K] - Z[K] * W[J]
+        mu = Z[J] * W[i] - Z[i] * W[J]
+        a00 = -mu * Z[K]
+        a01 = kap * Z[i]
+        a10 = -mu * W[K]
+        a11 = kap * W[i]
+        f00 = a00 * m00 + a01 * m10
+        f01 = a00 * m01 + a01 * m11
+        f10 = a10 * m00 + a11 * m10
+        f11 = a10 * m01 + a11 * m11
+        alive = np.arange(J.shape[0])
+        matches = np.empty((J.shape[0], n), dtype=np.int64)
+        for t in range(n):
+            iz = f00[alive] * Z[t] + f01[alive] * W[t]
+            iw = f10[alive] * Z[t] + f11[alive] * W[t]
+            inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
+            cross = np.abs(iz[:, None] * W[None, :] - Z[None, :] * iw[:, None])
+            hit = cross * 2.0 <= tol * inrm[:, None] * nrm[None, :]
+            ok = hit.any(axis=1)
+            matches[alive, t] = np.where(ok, hit.argmax(axis=1), -1)
+            alive = alive[ok]
+            if alive.size == 0:
+                break
+        # indexing with an array copies the rows, so the table is freed
+        rows = matches[alive]
+        # bijectivity: the n matched targets must be a permutation
+        bijective = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+        survivors.append(rows[bijective])
+    return np.concatenate(survivors)
 
 
 def _scan_python(Z, W, nrm, m00, m01, m10, m11, tol, out, stamp):
@@ -74,7 +132,7 @@ def scan_args(ps):
     return z, w, nrm, base, (m.a, m.b, m.c, m.d)
 
 
-def run_reference(ps):
+def run_python_loop(ps):
     z, w, nrm, _, m = scan_args(ps)
     out = np.empty((4096, 3), dtype=np.int64)
     stamp = np.zeros(ps.n, dtype=np.int64)
@@ -83,9 +141,18 @@ def run_reference(ps):
     return sorted(map(tuple, out[:cnt].tolist()))
 
 
-def run_scan(ps):
+def run_reference(ps):
     z, w, nrm, base, m = scan_args(ps)
-    return list(base), scan_stabilizer_triples(z, w, nrm, m, ps.tol)
+    return list(base), _scan_reference(z, w, nrm, m, ps.tol)
+
+
+def run_scan(ps):
+    z, w, nrm, base, _ = scan_args(ps)
+    return list(base), scan_stabilizer_triples(z, w, nrm, base, ps.tol)
+
+
+def row_set(rows):
+    return sorted(map(tuple, rows.tolist()))
 
 
 SHAPES = pytest.mark.parametrize("make", [
@@ -100,21 +167,27 @@ SHAPES = pytest.mark.parametrize("make", [
 
 @SHAPES
 def test_base_columns_match_reference_triples(make):
+    # the scalar loop checks the numpy reference scan, and through it the search
     ps = make()
-    base, rows = run_scan(ps)
-    assert sorted(map(tuple, rows[:, base].tolist())) == run_reference(ps)
+    triples = run_python_loop(ps)
+    for run in (run_reference, run_scan):
+        base, rows = run(ps)
+        assert sorted(map(tuple, rows[:, base].tolist())) == triples
 
 
-@SHAPES
-def test_rows_are_the_permutations_of_their_maps(make):
-    ps = make()
-    base, rows = run_scan(ps)
+def assert_rows_are_the_permutations_of_their_maps(ps, base, rows):
     assert rows.dtype == np.int64 and rows.shape[1] == ps.n
     src = [ps.points[b] for b in base]
     for row in rows:
         assert sorted(row.tolist()) == list(range(ps.n))
         f = mobius_through_triple(src, [ps.points[t] for t in row[base]])
         assert row.tolist() == _permutation_of(ps, f).tolist()
+
+
+@SHAPES
+def test_rows_are_the_permutations_of_their_maps(make):
+    ps = make()
+    assert_rows_are_the_permutations_of_their_maps(ps, *run_scan(ps))
 
 
 def test_survivor_count_equals_group_order():
@@ -124,3 +197,68 @@ def test_survivor_count_equals_group_order():
 
 def test_active_backend_reports():
     assert active_backend() == "numpy"
+
+
+def random_mobius(rng):
+    while True:
+        g = MobiusMap(*(complex(*rng.normal(size=2)) for _ in range(4)))
+        if abs(g.a * g.d - g.b * g.c) > 0.2:
+            return g
+
+
+def near_infinity_mobius(ps, rng):
+    """A map sending a finite point of ps to chordal distance < 1e-3 of inf."""
+    p = next(q for q in ps.points if abs(q.w) == 1.0)
+    q = p.value() + 4e-4 * np.exp(2j * math.pi * rng.random())
+    # an affine map of modulus >= 1 after z -> 1/(z - q) keeps p's image near inf
+    scale = (1.0 + rng.random()) * np.exp(2j * math.pi * rng.random())
+    return MobiusMap(scale, complex(*rng.normal(size=2)), 0.0, 1.0).compose(
+        MobiusMap(0.0, 1.0, 1.0, -q))
+
+
+def moved(ps, g, rng):
+    points = [g.apply(p) for p in ps.points]
+    return PointSet([points[t] for t in rng.permutation(ps.n)], tol=ps.tol)
+
+
+def witness_sets(n):
+    """Each classify(n) witness as built and under two seeded Mobius maps,
+    the second sending a point near infinity, with the points shuffled."""
+    rng = np.random.default_rng(n)
+    for entry in classify(n):
+        ps = witness(n, entry)
+        yield f"{entry} as built", ps
+        yield f"{entry} moved", moved(ps, random_mobius(rng), rng)
+        far = moved(ps, near_infinity_mobius(ps, rng), rng)
+        assert min(chordal_distance(p, INFINITY) for p in far.points) < 1e-3
+        yield f"{entry} near inf", far
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_search_equals_reference_on_every_witness(n):
+    for name, ps in witness_sets(n):
+        base, rows = run_scan(ps)
+        assert row_set(rows) == row_set(run_reference(ps)[1]), name
+        assert len(np.unique(rows, axis=0)) == len(rows), name
+        assert_rows_are_the_permutations_of_their_maps(ps, base, rows)
+
+
+def test_k4_moved_rows_are_distinct():
+    # duplicate-row regression: with the wide matching slack a slightly-off
+    # candidate rotation can snap onto a true permutation; without the
+    # dedup step, moved K_4 sets like this one gave 20-28 rows for 4 maps
+    entry = parse_entry("K_4, (0, 4)")
+    ps = moved(witness(16, entry), random_mobius(np.random.default_rng(7)),
+               np.random.default_rng(8))
+    _, rows = run_scan(ps)
+    assert rows.shape == (4, 16)
+    assert row_set(rows) == row_set(run_reference(ps)[1])
+
+
+def test_centering_failure_is_named(monkeypatch):
+    monkeypatch.setattr(kernels, "CENTERING_STEPS", 1)
+    ps = trivial_witness(12)
+    with pytest.raises(CenteringFailed, match=r"residual .* after 1 Newton steps"):
+        run_scan(ps)
+    with pytest.raises(CenteringFailed):
+        stabilizer(ps)

@@ -9,9 +9,9 @@ from orbstab.classifier import classify, cyclic, dihedral
 from orbstab.errors import AmbiguousMatching, UnrecognizedGroup
 from orbstab.geometry import MobiusMap, PointSet, RiemannPoint, maps_equal
 from orbstab.moduli import ANHARMONIC_GROUP
-from orbstab.oracle import (component_index, identify_group, projective_order,
-                            stabilizer)
-from orbstab.witness import polyhedral_orbit
+from orbstab.oracle import (_orbit_partition, component_index, identify_group,
+                            projective_order, stabilizer)
+from orbstab.witness import polyhedral_orbit, witness
 
 
 def values(*vs):
@@ -207,3 +207,34 @@ class TestComponentIndex:
         assert data["orbit_sizes"] == [3]
         assert len(data["elements"]) == 6
         assert all(len(row) == 4 for row in data["elements"])
+
+
+def _orbit_partition_reference(perms, n):
+    """Union-find over every row: the orbits in order of first index."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in perms:
+        for i in range(n):
+            a, b = find(i), find(int(row[i]))
+            if a != b:
+                parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("n", [5, 12, 14, 16])
+def test_orbit_partition_matches_union_find(n):
+    for entry in classify(n):
+        ps = witness(n, entry)
+        res = stabilizer(ps)
+        perms = np.array([[ps.index_of(f.apply(p)) for p in ps.points]
+                          for f in res.elements])
+        assert _orbit_partition(perms) == _orbit_partition_reference(perms, ps.n)
