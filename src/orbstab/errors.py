@@ -61,6 +61,6 @@ class SeedOnSpecialLocus(OrbstabError, ValueError):
 
 
 class CenteringFailed(OrbstabError, RuntimeError):
-    """Conformal centering of a point set did not bring its sphere centroid
-    within the residual target in the allowed Newton steps, so a rotation
-    search on the cloud could miss stabilizer elements."""
+    """Conformal centering of a point set stopped with its barycenter too
+    far from the origin, next to the separation of the centered points,
+    so a rotation search on the cloud could miss stabilizer elements."""

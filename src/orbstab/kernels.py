@@ -15,10 +15,10 @@ of an anchor ``a`` and a non-collinear partner ``b``.  Candidate images of
 ``|a - b|`` from them, and of a few anchor options the one with the fewest
 candidate pairs is used; on the witnesses that number is the group order.
 Each candidate rotation is checked by looking up the rotated points in a
-grid of cells, after a few probe points have rejected almost every wrong
-one.  The matching slack is a quarter of the centered minimum separation:
-wide enough to survive the stretching of centering, narrow enough that a
-point has at most one partner.
+grid of cells.  The matching slack is a quarter of the centered minimum
+separation, wide enough to survive the stretching of centering, unless
+the images of the ``tol`` balls under the centering map are wider; a
+lookup takes the nearest point within the slack.
 
 Matching only proposes permutations.  A row is kept when the Mobius map
 through the base triple and its images sends every point within ``tol`` of
@@ -38,8 +38,13 @@ import numpy as np
 
 from .errors import CenteringFailed
 
-#: Centroid norm at which the cloud counts as centered.
+#: Centroid norm at which centering stops.
 CENTERING_RESIDUAL = 1e-12
+
+#: Largest remaining centering shift, as a fraction of the centered
+#: minimum separation, accepted when rounding stops centering short of
+#: CENTERING_RESIDUAL (sets squeezed into a small cap).
+CENTERING_SHIFT = 1e-3
 
 #: Newton steps allowed before centering gives up.
 CENTERING_STEPS = 100
@@ -52,9 +57,6 @@ _MAX_STEP = 4.0
 
 #: Array entries (points times candidates) handled per vectorized block.
 _BLOCK = 1 << 16
-
-#: Points looked up for every candidate before the full lookup.
-_PROBES = 8
 
 #: Anchor options whose candidate counts are compared.
 _ANCHORS = 8
@@ -100,13 +102,21 @@ def _boost(u, length: float):
     return (ch + sh * u[2], sh * off, sh * off.conjugate(), ch - sh * u[2])
 
 
-def _center(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The sphere images of (Z : W) moved so that their centroid is 0.
+def _center(Z: np.ndarray, W: np.ndarray):
+    """The sphere images of (Z : W) moved so that their centroid is near 0.
 
     Each Newton step solves (I - M) d = c, with c the centroid and M the
     mean of x x^T, and moves the points away from d by hyperbolic length
     |d|, halving the step until the centroid shrinks.  The steps compose
-    into one matrix applied to the input, so rounding does not pile up.
+    into one matrix H applied to the input, so rounding does not pile up.
+    Centering stops at CENTERING_RESIDUAL, after CENTERING_STEPS steps, or
+    when no halving shrinks the centroid, which is where rounding stops a
+    set squeezed into a small cap.
+
+    Returns the centered cloud, the largest stretch of chordal distances
+    by H at a point, the length of the Newton step still to go (about how
+    far the barycenter is from 0), the centroid norm and the number of
+    steps taken.
     """
     H = (1.0, 0.0, 0.0, 1.0)
     X = _sphere(Z, W)
@@ -130,11 +140,12 @@ def _center(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
             t /= 2.0
         else:
             break
-    if not r <= CENTERING_RESIDUAL:  # also when the residual is NaN
-        raise CenteringFailed(
-            f"centering residual {r:.3g} above {CENTERING_RESIDUAL:g} after "
-            f"{steps} Newton steps")
-    return X
+    shift = math.hypot(*_newton_direction((X[:, :, None] * X[:, None, :]).mean(axis=0), c))
+    # H has determinant 1, so it stretches chordal distances at p by |p|^2 / |H p|^2
+    hz, hw = H[0] * Z + H[1] * W, H[2] * Z + H[3] * W
+    stretch = float(((np.abs(Z) ** 2 + np.abs(W) ** 2)
+                     / (np.abs(hz) ** 2 + np.abs(hw) ** 2)).max())
+    return X, stretch, shift, r, steps
 
 
 def _distances(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -190,7 +201,8 @@ class _Grid:
         return (cell[0] * _CELLS + cell[1]) * _CELLS + cell[2]
 
     def lookup(self, Y) -> np.ndarray:
-        """Index of the cloud point within slack of each query point, or -1.
+        """Index of the nearest cloud point within slack of each query
+        point, or -1.
 
         ``Y`` holds the three coordinate arrays of the queries.
         """
@@ -198,12 +210,14 @@ class _Grid:
         pos = np.searchsorted(self.keys, key)
         last = len(self.keys) - 1
         found = np.full(key.shape, -1, dtype=np.int64)
+        best = np.full(key.shape, self.slack ** 2)
         for k in range(self.depth):
             at = np.minimum(pos + k, last)
             cand = self.owner[at]
             d2 = sum((y - c[cand]) ** 2 for y, c in zip(Y, self.cols))
-            found = np.where((self.keys[at] == key) & (d2 <= self.slack ** 2),
-                             cand, found)
+            hit = (self.keys[at] == key) & (d2 <= best)
+            found = np.where(hit, cand, found)
+            best = np.where(hit, d2, best)
         return found
 
 
@@ -252,7 +266,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     W = np.ascontiguousarray(W, dtype=np.complex128)
     nrm = np.ascontiguousarray(nrm, dtype=np.float64)
     n = Z.shape[0]
-    X = _center(Z, W)
+    X, stretch, shift, residual, steps = _center(Z, W)
 
     # distance profiles: every point's sorted distances to the cloud,
     # compared with those of a few anchor options spread over the indices
@@ -265,7 +279,14 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
         sorted_rows = np.sort(_distances(X, blk), axis=1)
         sep = min(sep, float(sorted_rows[:, 1].min()))
         deviation[:, blk] = np.abs(sorted_rows - profiles[:, None, :]).max(axis=2)
-    slack = sep / 4.0
+    if not shift <= CENTERING_SHIFT * sep:  # also when it is NaN
+        raise CenteringFailed(
+            f"centering residual {residual:.3g} leaves a shift of {shift:.3g}, "
+            f"above {CENTERING_SHIFT:g} of the separation {sep:.3g}, after "
+            f"{steps} Newton steps")
+    # a true symmetry's images may sit anywhere in the tol balls, which
+    # centering stretches by up to ``stretch``
+    slack = max(sep / 4.0, 2.0 * tol * stretch)
     matched = deviation <= slack
 
     # each option's partner b: far from the line through the anchor, with
@@ -287,6 +308,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     pairs = []
     for blk in _row_blocks(len(images_a), n):
         near = np.abs(_distances(X, images_a[blk]) - dab) <= slack
+        near[np.arange(len(blk)), images_a[blk]] = False  # a wide slack meets a' itself
         r, s = np.nonzero(near)
         pairs.append(np.stack([images_a[blk][r], s], axis=1))
     pairs = np.concatenate(pairs)
@@ -294,16 +316,9 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     coords = (X[:, None, :] * _frame(X[a], X[b])[None, :, :]).sum(axis=2)
 
     grid = _Grid(X, slack)
-    alive = np.arange(len(pairs))
-    if n > _PROBES:
-        probes = coords[np.arange(_PROBES) * (n - 1) // (_PROBES - 1)]
-        alive = np.concatenate(
-            [blk[(_match(grid, frames[blk], probes) >= 0).all(axis=1)]
-             for blk in _row_blocks(len(pairs), _PROBES)])
-
     kept = [np.empty((0, n), dtype=np.int64)]
-    for blk in _row_blocks(len(alive), n):
-        rows = _match(grid, frames[alive[blk]], coords)
+    for blk in _row_blocks(len(pairs), n):
+        rows = _match(grid, frames[blk], coords)
         rows = rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)]
         if len(rows):
             kept.append(rows[_passes_chordal_test(Z, W, nrm, base, rows, tol)])

@@ -5,7 +5,7 @@ import pytest
 
 from orbstab import classifier as cl, kernels
 from orbstab.classifier import classify, parse_entry
-from orbstab.errors import CenteringFailed
+from orbstab.errors import AmbiguousMatching, CenteringFailed
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
                               chordal_distance, mobius_through_triple)
 from orbstab.kernels import active_backend, scan_stabilizer_triples
@@ -255,9 +255,56 @@ def test_k4_moved_rows_are_distinct():
     assert row_set(rows) == row_set(run_reference(ps)[1])
 
 
+def squeezed(ps, eps, rng):
+    """ps under z -> eps z + c: every point within about eps of c."""
+    g = MobiusMap(eps, complex(*rng.normal(size=2)), 0.0, 1.0)
+    return PointSet([g.apply(p) for p in ps.points], tol=ps.tol)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+def test_squeezed_sets_are_centered(eps):
+    # rounding stops centering short of its residual when the set lies in a
+    # tiny cap; the search must still run and agree with the reference
+    rng = np.random.default_rng(11)
+    for n in (6, 9, 12):
+        ps = squeezed(trivial_witness(n), eps, rng)
+        assert row_set(run_scan(ps)[1]) == row_set(run_reference(ps)[1]) == [
+            tuple(range(n))]
+        assert stabilizer(ps).label == cl.LABEL_TRIVIAL
+
+
+def near_tol_sets(rng, tol=1e-3):
+    """Two Z_p orbits about k * tol apart, a third on |z| = 0.5, 0 and inf,
+    each point jittered chordally by up to tol / 4, as built and moved."""
+    for k in (2.5, 3.0, 4.0, 6.0):
+        for p in (3, 4, 5, 7):
+            w = np.exp(2j * math.pi * np.arange(p) / p)
+            values = [*w, *(1.0 + k * tol) * w, *(0.5 * np.exp(0.3j) * w)]
+            points = [RiemannPoint.from_value(
+                v + tol / 4 * rng.random() * (1 + abs(v) ** 2) / 2
+                * np.exp(2j * math.pi * rng.random())) for v in values]
+            ps = PointSet(points + [RiemannPoint.from_value(0), INFINITY], tol=tol)
+            yield f"k={k} p={p} built", ps
+            while True:  # a map that keeps every distance above 2 * tol
+                try:
+                    ps = moved(ps, random_mobius(rng), rng)
+                    break
+                except AmbiguousMatching:
+                    continue
+            yield f"k={k} p={p} moved", ps
+
+
+def test_search_equals_reference_when_tol_is_near_half_the_separation():
+    # the tol balls, stretched by centering, may be wider than a quarter of
+    # the separation; the slack must cover them and lookups take the nearest
+    rng = np.random.default_rng(5)
+    for name, ps in near_tol_sets(rng):
+        assert row_set(run_scan(ps)[1]) == row_set(run_reference(ps)[1]), name
+
+
 def test_centering_failure_is_named(monkeypatch):
     monkeypatch.setattr(kernels, "CENTERING_STEPS", 1)
-    ps = trivial_witness(12)
+    ps = squeezed(trivial_witness(12), 1e-3, np.random.default_rng(3))
     with pytest.raises(CenteringFailed, match=r"residual .* after 1 Newton steps"):
         run_scan(ps)
     with pytest.raises(CenteringFailed):
