@@ -10,6 +10,7 @@ and isomorphism checks of the parameter-space action.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -189,40 +190,52 @@ def cmd_verify(args, out: _Output) -> int:
         return 2
     failures = 0
     total = 0
+    records = []
+
+    def report(text: str, record: dict):
+        """One checked line: printed at once as text, or kept for the JSON."""
+        nonlocal total, failures
+        total += 1
+        failures += 0 if record["pass"] else 1
+        if args.json:
+            records.append(record)
+        else:
+            out.emit(text)
+
     for n in range(args.n_min, args.n_max + 1):
         for entry in cl.classify(n):
             if entry.label.kind == cl.INFINITE:
                 continue
-            total += 1
             try:
                 ps = witness(n, entry, tol=tol, retry_bound=args.retry_bound)
                 got = stabilizer(ps)
                 ok = (got.label == entry.label and got.index == entry.index
                       and ps.n == n)
-                detail = "" if ok else f" oracle saw {got.entry().to_line()}"
+                detail = "" if ok else f"oracle saw {got.entry().to_line()}"
             except Exception as exc:  # report, do not abort the table
                 ok = False
-                detail = f" {type(exc).__name__}: {exc}"
-            failures += 0 if ok else 1
-            out.emit(f"n={n:<4d} {entry.to_line():<24s} "
-                     f"{'PASS' if ok else 'FAIL'}{detail}")
+                detail = f"{type(exc).__name__}: {exc}"
+            report(f"n={n:<4d} {entry.to_line():<24s} "
+                   f"{'PASS' if ok else 'FAIL'}{' ' + detail if detail else ''}",
+                   {"n": n, "entry": entry.to_json(), "pass": ok,
+                    "detail": detail})
         if args.exhaustive_small and n <= 7:
             listed = {(e.label, e.index) for e in cl.classify(n)}
             rng = np.random.default_rng(args.seed + n)
 
             def check_sample(tag, ps, expect=None):
-                nonlocal total, failures
                 got = stabilizer(ps)
-                total += 1
                 if expect is not None:
                     ok = got.entry() == expect
-                    why = f"FAIL (expected {expect.to_line()})"
+                    why = f"expected {expect.to_line()}"
                 else:
                     ok = (got.label, got.index) in listed
-                    why = "FAIL (entry not listed)"
-                failures += 0 if ok else 1
-                out.emit(f"n={n:<4d} {tag} -> {got.entry().to_line():<13s} "
-                         f"{'PASS' if ok else why}")
+                    why = "entry not listed"
+                report(f"n={n:<4d} {tag} -> {got.entry().to_line():<13s} "
+                       f"{'PASS' if ok else f'FAIL ({why})'}",
+                       {"n": n, "sample": tag.strip(),
+                        "entry": got.entry().to_json(), "pass": ok,
+                        "detail": "" if ok else why})
 
             sampler = _sample_configurations(n, rng, tol)
             for _ in range(25):
@@ -238,7 +251,11 @@ def cmd_verify(args, out: _Output) -> int:
                 moved = PointSet([g.apply(p) for p in ps.points], tol=tol)
                 check_sample("conjugated", moved, expect=entry)
                 check_sample("jittered  ", _jittered(ps, rng))
-    out.emit(f"summary: {total - failures}/{total} PASS")
+    if args.json:
+        out.emit(json.dumps({"entries": records, "passed": total - failures,
+                             "total": total}, indent=2))
+    else:
+        out.emit(f"summary: {total - failures}/{total} PASS")
     return 1 if failures else 0
 
 
@@ -247,32 +264,43 @@ def cmd_moduli(args, out: _Output) -> int:
     if args.n < 4:
         print("error: the action needs n >= 4", file=sys.stderr)
         return 2
-    checks = []
+    reports = {}
+
+    def report(name, rep):
+        """One finished check: printed at once as text, or kept for the JSON."""
+        reports[name] = rep
+        if not args.json:
+            out.emit(rep.summary())
+
     if args.group_law:
-        rep = verify_group_law(args.n, trials=args.trials, rng_seed=args.seed,
-                               tol=tol)
-        out.emit(rep.summary())
-        checks.append(rep.passed)
+        report("group_law", verify_group_law(args.n, trials=args.trials,
+                                             rng_seed=args.seed, tol=tol))
     if args.phi:
         if args.lambda_csv:
             values = tuple(parse_complex(part)
                            for part in args.lambda_csv.split(","))
-            lam = LambdaTuple(values, tol=tol)
         elif args.preset:
-            lam = preset_lambda(args.preset)
+            values = preset_lambda(args.preset).values
         else:
-            lam = random_lambda(args.n, np.random.default_rng(args.seed))
+            values = random_lambda(args.n, np.random.default_rng(args.seed)).values
+        lam = LambdaTuple(values, tol=tol)
+        if lam.n != args.n:
+            print(f"error: the configuration has n = {lam.n}, not the "
+                  f"requested n = {args.n}", file=sys.stderr)
+            return 2
         if lam.n < 5:
             print("error: the isomorphism check needs n >= 5", file=sys.stderr)
             return 2
-        rep = phi_check(lam)
-        out.emit(rep.summary())
-        checks.append(rep.passed)
-    if not checks:
+        report("phi", phi_check(lam))
+    if not reports:
         print("error: nothing to do; pass --group-law and/or --phi",
               file=sys.stderr)
         return 2
-    return 0 if all(checks) else 1
+    if args.json:
+        out.emit(json.dumps(
+            {name: {**dataclasses.asdict(rep), "passed": rep.passed}
+             for name, rep in reports.items()}, indent=2))
+    return 0 if all(rep.passed for rep in reports.values()) else 1
 
 
 def main(argv=None) -> int:

@@ -230,11 +230,22 @@ def maps_equal(f: MobiusMap, g: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     return f.compose(g.inverse()).is_identity(tol)
 
 
+def zero_one_inf_entries(z1, w1, z2, w2, z3, w3):
+    """Entries (a, b, c, d) of a matrix sending (z1 : w1), (z2 : w2) and
+    (z3 : w3) to 0, 1 and infinity.
+
+    Written with products and differences only, so the same code runs on
+    complex scalars and, entrywise, on numpy arrays of triples.
+    """
+    # Rows annihilate the first and third points; the middle point fixes
+    # the relative scale.
+    kappa = z2 * w3 - z3 * w2
+    mu = z2 * w1 - z1 * w2
+    return kappa * w1, -kappa * z1, mu * w3, -mu * z3
+
+
 def _matrix_to_zero_one_inf(p1: RiemannPoint, p2: RiemannPoint, p3: RiemannPoint) -> MobiusMap:
-    # Rows annihilate p1 and p3; the middle point fixes the relative scale.
-    kappa = p2.z * p3.w - p3.z * p2.w
-    mu = p2.z * p1.w - p1.z * p2.w
-    return MobiusMap(kappa * p1.w, -kappa * p1.z, mu * p3.w, -mu * p3.z)
+    return MobiusMap(*zero_one_inf_entries(p1.z, p1.w, p2.z, p2.w, p3.z, p3.w))
 
 
 def mobius_through_triple(src, dst, tol: float = DEFAULT_TOL) -> MobiusMap:

@@ -18,6 +18,7 @@ cross-checks the two on every call.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, EnumerationBoundExceeded
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distance, maps_equal, mobius_through_triple)
+                       chordal_distance, maps_equal, mobius_through_triple,
+                       zero_one_inf_entries)
 from .oracle import stabilizer
 
 #: The anharmonic group: the six Mobius maps permuting {0, 1, inf}.
@@ -385,11 +387,80 @@ def verify_group_law(n: int, trials: int = 200, rng_seed: int = 0,
                           faithful_moved=moved)
 
 
+#: How far (chordal, as a multiple of tol) the image of a marked point may
+#: lie from a coordinate and still be proposed for that coordinate's slot.
+#: It only has to cover rounding: the closed-form test at tol decides.
+_SLOT_SLACK = 1e3
+
+
+@functools.lru_cache(maxsize=8)
+def _ordered_triples(n: int) -> np.ndarray:
+    """All ordered triples of distinct indices 0..n-1, lexicographic, (T, 3)."""
+    return np.array(list(itertools.permutations(range(n), 3)), dtype=np.intp)
+
+
+def _bijections(candidates, used=()):
+    """Every choice of one distinct candidate per slot, slots in order."""
+    if not candidates:
+        yield ()
+        return
+    for t in candidates[0]:
+        if t not in used:
+            for rest in _bijections(candidates[1:], used + (t,)):
+                yield (t,) + rest
+
+
+def _triple_search(lam: LambdaTuple):
+    """The permutations that could fix lam, found from the points that
+    f_sigma pins.
+
+    A sigma fixing lam is fixed by the ordered triple (i, j, k) of marked
+    points it sends to slots 1, 2, 3: f_sigma is then the map taking them
+    to 0, 1, inf, and each slot s >= 4 must hold a marked point that this
+    map sends to l_{s-3}.  All n(n-1)(n-2) triples are mapped at once;
+    slot by slot, a triple survives only if some point outside it lands
+    within the slack of that slot's coordinate.
+    """
+    n = lam.n
+    pts = lam.marked_points()
+    z = np.array([p.z for p in pts])
+    w = np.array([p.w for p in pts])
+    tri = _ordered_triples(n)
+    i, j, k = tri.T
+    a, b, c, d = (e[:, None] for e in
+                  zero_one_inf_entries(z[i], w[i], z[j], w[j], z[k], w[k]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        image = (a * z + b * w) / (c * z + d * w)
+        rows = np.arange(len(tri))
+        for col in (i, j, k):  # the triple itself goes to 0, 1, inf
+            image[rows, col] = np.nan
+        # chordal |q - l| = 2 |q - l| / (sqrt(1 + |q|^2) sqrt(1 + |l|^2))
+        room = (0.5 * _SLOT_SLACK * lam.tol) * np.sqrt(1.0 + abs(image) ** 2)
+        masks = []
+        for value in lam.values:
+            near = abs(image - value) <= room * math.sqrt(1.0 + abs(value) ** 2)
+            alive = near.any(axis=1)
+            tri, image, room = tri[alive], image[alive], room[alive]
+            masks = [m[alive] for m in masks] + [near[alive]]
+    for r, triple in enumerate(tri.tolist()):
+        slots = [np.flatnonzero(m[r]).tolist() for m in masks]
+        for chosen in _bijections(slots):
+            images = [0] * n
+            for slot, t in enumerate(triple + list(chosen), start=1):
+                images[t] = slot
+            yield Permutation(tuple(images))
+
+
 def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
                         enumeration_bound: int = 8) -> list[Permutation]:
-    """The permutations whose action fixes the given K_n point.
+    """The permutations whose action fixes the given K_n point, sorted by
+    their images.
 
-    ``method`` is "direct" (enumerate the symmetric group; factorial cost,
+    ``method`` is "direct" (a triple search: map the marked points by each
+    of the n(n-1)(n-2) ordered triples that f_sigma could send to 0, 1 and
+    inf, propose the sigma whose slots those images fill, and keep those
+    whose closed-form action fixes the point within tol; cost
+    n(n-1)(n-2) * n numpy work plus one closed-form test per proposal,
     guarded by ``enumeration_bound``), "oracle" (compute the Mobius
     stabilizer of the underlying point set and pull each element back to
     the permutation it induces on the marked points), or "auto".
@@ -402,11 +473,10 @@ def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
             raise EnumerationBoundExceeded(
                 f"direct enumeration of S_{n} exceeds the bound "
                 f"{enumeration_bound}")
-        kept = []
-        for sigma in all_permutations(n):
-            if tuple_deviation(g_sigma_closed(lam, sigma), lam.values) <= lam.tol:
-                kept.append(sigma)
-        return kept
+        kept = [sigma for sigma in _triple_search(lam)
+                if tuple_deviation(g_sigma_closed(lam, sigma), lam.values)
+                <= lam.tol]
+        return sorted(kept, key=lambda s: s.images)
     if method != "oracle":
         raise ValueError(f"unknown method {method!r}")
     ps = lam.point_set()

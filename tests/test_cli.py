@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from orbstab import cli
 from orbstab.cli import main
 from orbstab.classifier import classify
 from orbstab.geometry import parse_complex
@@ -126,6 +127,42 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "9", "5")
         assert code == 2
 
+    def test_json_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "5", "6", "--json")
+        assert code == 0
+        data = json.loads(out)
+        expected = [{"n": n, "entry": e.to_json(), "pass": True, "detail": ""}
+                    for n in (5, 6) for e in classify(n)]
+        assert data == {"entries": expected, "passed": len(expected),
+                        "total": len(expected)}
+
+    def test_json_matches_text_with_samples(self, capsys):
+        argv = ("verify", "5", "5", "--exhaustive-small", "--seed", "7")
+        _, text, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        lines = [l for l in text.splitlines() if l.startswith("n=")]
+        assert len(data["entries"]) == data["total"] == len(lines)
+        samples = [r["sample"] for r in data["entries"] if "sample" in r]
+        assert samples == [l.split()[1] for l in lines if "->" in l]
+        assert text.splitlines()[-1] == (f"summary: {data['passed']}/"
+                                         f"{data['total']} PASS")
+
+    def test_failures_keep_exit_1_in_both_forms(self, capsys, monkeypatch):
+        def broken(ps):
+            raise RuntimeError("no oracle")
+        monkeypatch.setattr(cli, "stabilizer", broken)
+        code, text, _ = run(capsys, "verify", "5", "5")
+        assert code == 1
+        assert "FAIL RuntimeError: no oracle" in text
+        code, out, _ = run(capsys, "verify", "5", "5", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["passed"] == 0 and data["total"] == len(classify(5))
+        assert all(not r["pass"] and r["detail"] == "RuntimeError: no oracle"
+                   for r in data["entries"])
+
 
 class TestModuli:
     def test_group_law(self, capsys):
@@ -147,3 +184,38 @@ class TestModuli:
     def test_nothing_to_do_is_exit_2(self, capsys):
         code, _, err = run(capsys, "moduli", "6")
         assert code == 2
+
+    def test_json_output(self, capsys):
+        code, out, _ = run(capsys, "moduli", "5", "--group-law", "--phi",
+                           "--preset", "d5", "--trials", "20", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["group_law"]["n"] == 5 and data["group_law"]["trials"] == 20
+        assert data["group_law"]["passed"] is True
+        assert data["phi"] == {"n": 5, "order_G": 10, "order_A": 10,
+                               "stabilized": 10, "hom_pairs": 100,
+                               "hom_pairs_ok": 100, "onto_ok": True,
+                               "passed": True}
+
+    @pytest.mark.parametrize("source", [("--preset", "d5"),
+                                        ("--lambda", "2+1i,5")])
+    def test_phi_n_must_match_the_configuration(self, capsys, source):
+        code, out, err = run(capsys, "moduli", "8", "--phi", *source)
+        assert code == 2
+        assert out == ""
+        assert "n = 5, not the requested n = 8" in err
+
+    @pytest.mark.parametrize("source", [("--preset", "d5"), ("--seed", "3"),
+                                        ("--lambda", "2+1i,5")])
+    def test_phi_runs_at_the_given_tol(self, capsys, monkeypatch, source):
+        seen = []
+        real = cli.phi_check
+
+        def recording(lam):
+            seen.append(lam.tol)
+            return real(lam)
+        monkeypatch.setattr(cli, "phi_check", recording)
+        code, out, _ = run(capsys, "moduli", "5", "--phi", *source,
+                           "--tol", "1e-5")
+        assert code == 0 and "PASS" in out
+        assert seen == [1e-5]

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from orbstab.classifier import dihedral
+from orbstab.classifier import INFINITE, classify, dihedral
 from orbstab.errors import EnumerationBoundExceeded
 from orbstab.geometry import MobiusMap, chordal_distance, maps_equal, set_equal
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
+                            _normalize_to_lambda, _triple_search,
                             all_permutations, f_sigma, g_sigma,
                             g_sigma_closed, g_sigma_definitional, phi_check,
                             preset_lambda, random_lambda, random_permutation,
                             stabilizer_G_lambda, tuple_deviation,
                             verify_group_law)
 from orbstab.oracle import identify_group, stabilizer
+from orbstab.witness import witness
 
 
 class TestPermutation:
@@ -194,6 +196,93 @@ class TestStabilizerOfLambda:
         lam = random_lambda(9, rng)
         with pytest.raises(EnumerationBoundExceeded):
             stabilizer_G_lambda(lam, method="direct")
+
+
+def _direct_reference(lam):
+    """The direct method before the triple search: all n! permutations."""
+    kept = []
+    for sigma in all_permutations(lam.n):
+        if tuple_deviation(g_sigma_closed(lam, sigma), lam.values) <= lam.tol:
+            kept.append(sigma)
+    return kept
+
+
+def _random_mobius(rng):
+    while True:
+        g = MobiusMap(*(complex(*rng.normal(size=2)) for _ in range(4)))
+        if abs(g.a * g.d - g.b * g.c) > 0.2:
+            return g
+
+
+def _witness_lambdas(n, moved):
+    """Each classify(n) witness, shuffled and normalized to a K_n point; with
+    ``moved``, also under a seeded random Mobius map first."""
+    rng = np.random.default_rng(n)
+    for entry in classify(n):
+        if entry.label.kind == INFINITE:
+            continue
+        points = list(witness(n, entry).points)
+        forms = [("shuffled", points)]
+        if moved:
+            g = _random_mobius(rng)
+            forms.append(("moved", [g.apply(p) for p in points]))
+        for form, pts in forms:
+            pts = [pts[t] for t in rng.permutation(n)]
+            yield f"{entry} {form}", _normalize_to_lambda([p.value() for p in pts])
+
+
+def _nudged(lam, index, shift):
+    """lam with one coordinate moved by a chordal distance of about shift."""
+    values = list(lam.values)
+    v = values[index]
+    values[index] = v + 0.5 * shift * (1.0 + abs(v) ** 2)
+    return LambdaTuple(tuple(values), tol=lam.tol)
+
+
+def _cluster(tol=1e-8):
+    """An n = 7 point whose four coordinates lie about 3 tol apart."""
+    base = 0.5 + 0.5j
+    step = 1.5 * tol * (1.0 + abs(base) ** 2)
+    return LambdaTuple(tuple(base + step * u for u in (0, 1, 1j, 1 + 1j)),
+                       tol=tol)
+
+
+class TestDirectSearch:
+    """The triple search returns exactly the list of the n! enumeration."""
+
+    def assert_equal_to_reference(self, name, lam):
+        got = stabilizer_G_lambda(lam, method="direct")
+        assert got == _direct_reference(lam), name
+        return got
+
+    def test_presets(self):
+        for name in ("generic", "d5", "z2"):
+            self.assert_equal_to_reference(name, preset_lambda(name))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random(self, n):
+        rng = np.random.default_rng(100 + n)
+        self.assert_equal_to_reference(f"random n={n}", random_lambda(n, rng))
+
+    @pytest.mark.parametrize("n, moved", [(5, True), (6, True), (7, False)])
+    def test_every_witness(self, n, moved):
+        orders = set()
+        for name, lam in _witness_lambdas(n, moved):
+            orders.add(len(self.assert_equal_to_reference(name, lam)))
+        assert len(orders) > 2
+
+    @pytest.mark.parametrize("shift", [0.5, 10.0])
+    def test_pentagon_nudged_inside_the_slack(self, shift):
+        lam = preset_lambda("d5")
+        for index in range(2):
+            self.assert_equal_to_reference(
+                f"d5 coordinate {index} moved by {shift} tol",
+                _nudged(lam, index, shift * lam.tol))
+
+    def test_slots_with_several_candidates(self):
+        lam = _cluster()
+        kept = self.assert_equal_to_reference("cluster", lam)
+        assert len(list(_triple_search(lam))) > 2 * len(kept)
 
 
 class TestPhiCheck:
