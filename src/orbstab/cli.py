@@ -264,6 +264,31 @@ def cmd_moduli(args, out: _Output) -> int:
     if args.n < 4:
         print("error: the action needs n >= 4", file=sys.stderr)
         return 2
+    if not (args.group_law or args.phi):
+        print("error: nothing to do; pass --group-law and/or --phi",
+              file=sys.stderr)
+        return 2
+    if args.phi:  # check the configuration before running anything
+        try:
+            if args.lambda_csv:
+                values = tuple(parse_complex(part)
+                               for part in args.lambda_csv.split(","))
+            elif args.preset:
+                values = preset_lambda(args.preset).values
+            else:
+                values = random_lambda(args.n,
+                                       np.random.default_rng(args.seed)).values
+            lam = LambdaTuple(values, tol=tol)
+        except ValueError as exc:  # unparsable, or not a point of K_n
+            print(f"error: bad configuration: {exc}", file=sys.stderr)
+            return 2
+        if lam.n != args.n:
+            print(f"error: the configuration has n = {lam.n}, not the "
+                  f"requested n = {args.n}", file=sys.stderr)
+            return 2
+        if lam.n < 5:
+            print("error: the isomorphism check needs n >= 5", file=sys.stderr)
+            return 2
     reports = {}
 
     def report(name, rep):
@@ -276,26 +301,7 @@ def cmd_moduli(args, out: _Output) -> int:
         report("group_law", verify_group_law(args.n, trials=args.trials,
                                              rng_seed=args.seed, tol=tol))
     if args.phi:
-        if args.lambda_csv:
-            values = tuple(parse_complex(part)
-                           for part in args.lambda_csv.split(","))
-        elif args.preset:
-            values = preset_lambda(args.preset).values
-        else:
-            values = random_lambda(args.n, np.random.default_rng(args.seed)).values
-        lam = LambdaTuple(values, tol=tol)
-        if lam.n != args.n:
-            print(f"error: the configuration has n = {lam.n}, not the "
-                  f"requested n = {args.n}", file=sys.stderr)
-            return 2
-        if lam.n < 5:
-            print("error: the isomorphism check needs n >= 5", file=sys.stderr)
-            return 2
         report("phi", phi_check(lam))
-    if not reports:
-        print("error: nothing to do; pass --group-law and/or --phi",
-              file=sys.stderr)
-        return 2
     if args.json:
         out.emit(json.dumps(
             {name: {**dataclasses.asdict(rep), "passed": rep.passed}

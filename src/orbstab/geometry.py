@@ -113,6 +113,15 @@ def chordal_distance(p: RiemannPoint, q: RiemannPoint) -> float:
     return 2.0 * cross / (p.norm() * q.norm())
 
 
+def chordal_distances(z1, w1, n1, z2, w2, n2):
+    """``chordal_distance`` on numpy arrays of homogeneous points.
+
+    Each point is given by its (z : w) pair and the norm of that pair; the
+    arguments broadcast against each other like any numpy expression.
+    """
+    return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
+
+
 def points_close(p: RiemannPoint, q: RiemannPoint, tol: float = DEFAULT_TOL) -> bool:
     return chordal_distance(p, q) <= tol
 
@@ -276,11 +285,10 @@ class PointSet:
     tolerance-ball matching against the set unambiguous.
     """
 
-    def __init__(self, points, tol: float = DEFAULT_TOL, _validate: bool = True):
+    def __init__(self, points, tol: float = DEFAULT_TOL):
         self.points: tuple[RiemannPoint, ...] = tuple(points)
         self.tol = float(tol)
-        if _validate:
-            self._check_separation()
+        self._check_separation()
 
     def _check_separation(self):
         n = len(self.points)
@@ -321,13 +329,11 @@ class PointSet:
 
     def distance_matrix(self, other: "PointSet") -> np.ndarray:
         z1, w1, n1 = self.arrays()
-        z2, w2, n2 = other.arrays()
-        cross = np.abs(z1[:, None] * w2[None, :] - z2[None, :] * w1[:, None])
-        return 2.0 * cross / (n1[:, None] * n2[None, :])
+        return chordal_distances(z1[:, None], w1[:, None], n1[:, None],
+                                 *other.arrays())
 
     def apply_map(self, f: MobiusMap) -> "PointSet":
-        return PointSet((f.apply(p) for p in self.points), tol=self.tol,
-                        _validate=False)
+        return PointSet((f.apply(p) for p in self.points), tol=self.tol)
 
     def index_of(self, p: RiemannPoint) -> int:
         """Index of the unique point within tol of p, or -1."""

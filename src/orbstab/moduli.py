@@ -7,12 +7,14 @@ infinity is recorded by the remaining n-3 coordinates, a tuple in
 
 Relabelling the marked points by a permutation and re-pinning the first
 three induces a birational self-map of K_n.  This module evaluates that
-action two independent ways -- directly from its definition via the
-re-pinning Mobius map, and through closed-form rational expressions
-obtained by splitting the permutation into a block part (which only
-permutes coordinates and applies one of the six anharmonic maps) and a
-coset representative built from at most three transpositions -- and
-cross-checks the two on every call.
+action two independent ways, and cross-checks the two on every call:
+directly from its definition via the re-pinning Mobius map, and in closed
+form.  The closed form splits the permutation into a block part, which
+permutes the coordinates and applies one of the six anharmonic maps, and
+a coset representative built from at most three transpositions.  The
+coset part is one Mobius map h_L whose coefficients, looked up in a table
+by the displaced pinned slots, are written out in the displaced values L;
+each displaced slot's coordinate is h_L at the value that slot pinned.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, EnumerationBoundExceeded
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distance, maps_equal, mobius_through_triple,
+                       chordal_distances, maps_equal, mobius_through_triple,
                        zero_one_inf_entries)
 from .oracle import stabilizer
 
@@ -42,16 +44,31 @@ ANHARMONIC_GROUP = (
 )
 
 # The anharmonic map realizing each permutation a of the pinned slots
-# (keyed by the images (a(1), a(2), a(3))): h sends the point in slot i
-# to the value pinned at slot a(i).
-_H_BY_SLOT_PERM = {
-    (1, 2, 3): lambda z: z,
-    (2, 1, 3): lambda z: 1.0 - z,
-    (3, 2, 1): lambda z: 1.0 / z,
-    (1, 3, 2): lambda z: z / (z - 1.0),
-    (3, 1, 2): lambda z: (z - 1.0) / z,
-    (2, 3, 1): lambda z: -1.0 / (z - 1.0),
+# (keyed by the images (a(1), a(2), a(3))): it sends the value pinned at
+# slot i to the value pinned at slot a(i).
+_ANHARMONIC_BY_SLOT_PERM = dict(zip(
+    [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (3, 1, 2), (2, 3, 1)],
+    ANHARMONIC_GROUP))
+
+# The coset part, keyed by the pinned slots whose points the coset
+# representative moves into the free coordinates: the entries (a, b, c, d)
+# of h_L(mu) = (a mu + b) / (c mu + d), written out in the values L[slot]
+# found at those points.
+_COSET_MAPS = {
+    (): lambda L: (1.0, 0.0, 0.0, 1.0),
+    (1,): lambda L: (1.0, -L[1], 0.0, 1.0 - L[1]),
+    (2,): lambda L: (1.0, 0.0, 0.0, L[2]),
+    (3,): lambda L: (1.0 - L[3], 0.0, 1.0, -L[3]),
+    (1, 2): lambda L: (1.0, -L[1], 0.0, L[2] - L[1]),
+    (2, 3): lambda L: (L[2] - L[3], 0.0, L[2], -L[2] * L[3]),
+    (1, 3): lambda L: (L[3] - 1.0, -(L[3] - 1.0) * L[1],
+                       L[1] - 1.0, -(L[1] - 1.0) * L[3]),
+    (1, 2, 3): lambda L: (L[2] - L[3], -(L[2] - L[3]) * L[1],
+                          L[2] - L[1], -(L[2] - L[1]) * L[3]),
 }
+
+# The value pinned at each slot, as a homogeneous pair: 0, 1, infinity.
+_PINNED = {1: (0.0, 1.0), 2: (1.0, 1.0), 3: (1.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -119,22 +136,11 @@ class LambdaTuple:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        values = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        pts = [RiemannPoint.from_value(v) for v in values]
-        fixed = [RiemannPoint.from_value(0.0), RiemannPoint.from_value(1.0),
-                 RiemannPoint.infinity()]
-        for i, p in enumerate(pts):
-            for q in fixed:
-                if chordal_distance(p, q) <= self.tol:
-                    raise ValueError(
-                        f"coordinate {i + 1} = {values[i]} collides with a "
-                        "pinned point (0, 1 or infinity)")
-            for j in range(i + 1, len(pts)):
-                if chordal_distance(p, pts[j]) <= self.tol:
-                    raise ValueError(
-                        f"coordinates {i + 1} and {j + 1} coincide within "
-                        "tolerance")
+        object.__setattr__(self, "values",
+                           tuple(complex(v) for v in self.values))
+        # the marked points must be a PointSet: pairwise more than 2*tol
+        # apart, or AmbiguousMatching
+        PointSet(self.marked_points(), tol=self.tol)
 
     @property
     def n(self) -> int:
@@ -160,10 +166,11 @@ class LambdaTuple:
 
 
 def tuple_deviation(a, b) -> float:
-    """Componentwise chordal distance between two coordinate tuples."""
-    return max(chordal_distance(RiemannPoint.from_value(x),
-                                RiemannPoint.from_value(y))
-               for x, y in zip(a, b))
+    """Largest componentwise chordal distance between two tuples of finite
+    coordinates; nan if either holds a non-finite one."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return float(chordal_distances(a, 1.0, np.hypot(1.0, abs(a)),
+                                   b, 1.0, np.hypot(1.0, abs(b))).max())
 
 
 def f_sigma(lam: LambdaTuple, sigma: Permutation) -> MobiusMap:
@@ -200,7 +207,7 @@ def _coset_split(sigma: Permutation):
     tau is a product of at most three disjoint transpositions (slot, big
     index), one for each pinned slot whose preimage lies beyond 3; such
     products form a complete set of coset representatives.  Returns
-    (slot_to_big, v).
+    (slot_to_big, v), slot_to_big keyed in slot order.
     """
     n = sigma.n
     inv = sigma.inverse()
@@ -213,91 +220,25 @@ def _coset_split(sigma: Permutation):
     return dict(zip(marked, bigs)), v
 
 
-def _apply_block_part(lam_values: tuple[complex, ...], v: Permutation):
-    """The action of a block permutation: coordinate shuffle then one
-    anharmonic map applied to every coordinate."""
-    a_key = (v(1), v(2), v(3))
-    h = _H_BY_SLOT_PERM[a_key]
-    v_inv = v.inverse()
-    return tuple(h(lam_values[v_inv(k + 3) - 4]) for k in range(1, len(lam_values) + 1))
-
-
-def _apply_coset_part(mu: tuple[complex, ...], slot_to_big: dict[int, int]):
-    """Closed forms for the coset representative tau on a tuple mu.
-
-    One case per family of representatives; within each, the coordinates
-    whose marked point moves into a pinned slot take their own expression.
-    """
-    m = len(mu)
-    marked = tuple(sorted(slot_to_big))
-    if not marked:
-        return mu
-    L = {s: mu[slot_to_big[s] - 4] for s in marked}
-    out = list(mu)
-    if marked == (1,):
-        lp = L[1]
-        for i in range(m):
-            out[i] = -lp / (1.0 - lp) if i == slot_to_big[1] - 4 \
-                else (mu[i] - lp) / (1.0 - lp)
-    elif marked == (2,):
-        lp = L[2]
-        for i in range(m):
-            out[i] = 1.0 / lp if i == slot_to_big[2] - 4 else mu[i] / lp
-    elif marked == (3,):
-        lp = L[3]
-        for i in range(m):
-            out[i] = 1.0 - lp if i == slot_to_big[3] - 4 \
-                else mu[i] * (1.0 - lp) / (mu[i] - lp)
-    elif marked == (1, 2):
-        lp, lq = L[1], L[2]
-        den = lq - lp
-        for i in range(m):
-            if i == slot_to_big[1] - 4:
-                out[i] = -lp / den
-            elif i == slot_to_big[2] - 4:
-                out[i] = (1.0 - lp) / den
-            else:
-                out[i] = (mu[i] - lp) / den
-    elif marked == (2, 3):
-        lp, lq = L[2], L[3]
-        num = lp - lq
-        for i in range(m):
-            if i == slot_to_big[2] - 4:
-                out[i] = num / (lp * (1.0 - lq))
-            elif i == slot_to_big[3] - 4:
-                out[i] = num / lp
-            else:
-                out[i] = num * mu[i] / (lp * (mu[i] - lq))
-    elif marked == (1, 3):
-        lq, lp = L[1], L[3]
-        for i in range(m):
-            if i == slot_to_big[3] - 4:
-                out[i] = (lp - 1.0) / (lq - 1.0)
-            elif i == slot_to_big[1] - 4:
-                out[i] = (lp - 1.0) * lq / ((lq - 1.0) * lp)
-            else:
-                out[i] = (lp - 1.0) * (mu[i] - lq) / ((lq - 1.0) * (mu[i] - lp))
-    else:  # marked == (1, 2, 3)
-        lp, lq, lr = L[1], L[2], L[3]
-        c = (lq - lr) / (lq - lp)
-        for i in range(m):
-            if i == slot_to_big[1] - 4:
-                out[i] = c * lp / lr
-            elif i == slot_to_big[2] - 4:
-                out[i] = c * (1.0 - lp) / (1.0 - lr)
-            elif i == slot_to_big[3] - 4:
-                out[i] = c
-            else:
-                out[i] = c * (mu[i] - lp) / (mu[i] - lr)
-    return tuple(out)
-
-
 def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
-    """The action via the closed forms: block part first, then the coset
-    representative's rational expressions."""
+    """The action via the closed forms: the block part's coordinate
+    shuffle and anharmonic map, then the coset part's map h_L.
+
+    Each displaced slot's coordinate is h_L at the value that slot pinned,
+    taken in homogeneous coordinates so that infinity needs no division.
+    """
     slot_to_big, v = _coset_split(sigma)
-    mu = _apply_block_part(lam.values, v)
-    return _apply_coset_part(mu, slot_to_big)
+    v_inv = v.inverse()
+    h = _ANHARMONIC_BY_SLOT_PERM[v(1), v(2), v(3)]
+    mu = np.array([lam.values[v_inv(slot) - 4] for slot in range(4, lam.n + 1)])
+    mu = (h.a * mu + h.b) / (h.c * mu + h.d)
+    a, b, c, d = _COSET_MAPS[tuple(slot_to_big)](
+        {slot: mu[big - 4] for slot, big in slot_to_big.items()})
+    z, w = a * mu + b, c * mu + d
+    for slot, big in slot_to_big.items():
+        p, q = _PINNED[slot]
+        z[big - 4], w[big - 4] = a * p + b * q, c * p + d * q
+    return tuple((z / w).tolist())
 
 
 def g_sigma(lam: LambdaTuple, sigma: Permutation,
@@ -308,7 +249,7 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     by_def = g_sigma_definitional(lam, sigma)
     by_form = g_sigma_closed(lam, sigma)
     dev = tuple_deviation(by_def, by_form)
-    if dev > 10.0 * tol:
+    if not dev <= 10.0 * tol:  # nan too
         raise ClosedFormMismatch(
             f"closed form and definition disagree by {dev} for sigma = {sigma}")
     return LambdaTuple(by_def, tol=lam.tol)
@@ -522,9 +463,10 @@ class PhiReport:
                 f"-> {'PASS' if self.passed else 'FAIL'}")
 
 
-def phi_check(lam: LambdaTuple, tol: float = 1e-7) -> PhiReport:
+def phi_check(lam: LambdaTuple) -> PhiReport:
     """Verify bijectivity and the homomorphism property of sigma -> f_sigma
-    between the two stabilizers of a configuration."""
+    between the two stabilizers of a configuration; maps are compared at
+    the configuration's tol."""
     from .geometry import set_equal
     n = lam.n
     G = stabilizer_G_lambda(lam)
@@ -540,10 +482,10 @@ def phi_check(lam: LambdaTuple, tol: float = 1e-7) -> PhiReport:
             hom_pairs += 1
             lhs = maps[pi.images].compose(maps[sigma.images])
             rhs = f_sigma(lam, pi.compose(sigma))
-            if maps_equal(lhs, rhs, tol=tol):
+            if maps_equal(lhs, rhs, tol=lam.tol):
                 hom_ok += 1
     onto = all(
-        any(maps_equal(f, g, tol=tol) for g in A.elements)
+        any(maps_equal(f, g, tol=lam.tol) for g in A.elements)
         for f in maps.values())
     return PhiReport(n=n, order_G=len(G), order_A=A.order,
                      stabilized=stabilized, hom_pairs=hom_pairs,

@@ -19,7 +19,8 @@ import numpy as np
 from . import classifier as cl
 from .errors import OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       format_complex, mobius_through_triple)
+                       chordal_distances, format_complex,
+                       mobius_through_triple)
 from .kernels import scan_stabilizer_triples
 
 
@@ -75,8 +76,7 @@ def _permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
     iz = f.a * z + f.b * w
     iw = f.c * z + f.d * w
     inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
-    cross = np.abs(iz[:, None] * w[None, :] - z[None, :] * iw[:, None])
-    dist = 2.0 * cross / (inrm[:, None] * nrm[None, :])
+    dist = chordal_distances(iz[:, None], iw[:, None], inrm[:, None], z, w, nrm)
     idx = dist.argmin(axis=1)
     if (dist[np.arange(ps.n), idx] > ps.tol).any():
         raise OrbitSizeMismatch("map does not permute the set within tolerance")
@@ -233,7 +233,6 @@ def stabilizer(ps: PointSet,
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
                          "infinite; the oracle handles only finite ones")
-    ps._check_separation()
     if base_triple is None:
         base_triple = _pick_base_triple(ps)
     base = list(base_triple)

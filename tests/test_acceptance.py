@@ -203,7 +203,7 @@ def test_criterion_6_moduli_action():
 def test_criterion_7_isomorphism_phi():
     with Timer() as t:
         for name, order in (("d5", 10), ("z2", 2), ("generic", 1)):
-            rep = phi_check(preset_lambda(name), tol=1e-7)
+            rep = phi_check(preset_lambda(name))
             assert rep.passed, rep.summary()
             assert rep.order_G == rep.order_A == order
             assert rep.hom_pairs_ok == rep.hom_pairs == order * order

@@ -185,6 +185,22 @@ class TestModuli:
         code, _, err = run(capsys, "moduli", "6")
         assert code == 2
 
+    def test_phi_compares_maps_at_the_given_tol(self, capsys):
+        # d5 with one coordinate moved by 2e-5: symmetric within 1e-4
+        code, out, _ = run(capsys, "moduli", "5", "--phi",
+                           "--lambda=-1.6180139887498948,-0.6180339887498949",
+                           "--tol", "1e-4")
+        assert code == 0
+        assert "homomorphism pairs 100/100" in out and "PASS" in out
+
+    @pytest.mark.parametrize("csv", ["0,2", "abc,2"])
+    def test_bad_lambda_is_exit_2(self, capsys, csv):
+        code, out, err = run(capsys, "moduli", "5", "--group-law", "--phi",
+                             "--lambda", csv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "moduli", "5", "--group-law", "--phi",
                            "--preset", "d5", "--trials", "20", "--json")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbstab.classifier import INFINITE, classify, dihedral
-from orbstab.errors import EnumerationBoundExceeded
+from orbstab.errors import AmbiguousMatching, EnumerationBoundExceeded
 from orbstab.geometry import MobiusMap, chordal_distance, maps_equal, set_equal
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
                             _normalize_to_lambda, _triple_search,
@@ -45,6 +45,11 @@ class TestLambdaTuple:
             LambdaTuple((2.0, 2.0))
         with pytest.raises(ValueError):
             LambdaTuple((1.0 + 1e-12, 2.0))
+        # 1.5 tol apart: the 2 tol rule of lam.point_set() applies
+        close = (2.0, 2.0 + 0.5 * 1.5e-8 * (1.0 + 2.0 ** 2))
+        assert 1.4e-8 < tuple_deviation(close[:1], close[1:]) < 1.6e-8
+        with pytest.raises(AmbiguousMatching):
+            LambdaTuple(close, tol=1e-8)
 
     def test_marked_points(self):
         lam = LambdaTuple((2.0, 3.0))
@@ -115,10 +120,12 @@ class TestGSigma:
         assert out[0] == pytest.approx(0.5)
         assert out[1] == pytest.approx(1.5)
 
-    def test_closed_form_matches_definition_exhaustively(self):
-        lam = LambdaTuple((2.0 + 1.0j, 5.0, -1.5 - 0.5j))  # n = 6
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_closed_form_matches_definition_exhaustively(self, n):
+        # every sigma: from n = 6 on, all 8 coset families x 6 block parts
+        lam = LambdaTuple((2.0 + 1.0j, 5.0, -1.5 - 0.5j, 0.3 - 2.0j)[:n - 3])
         worst = 0.0
-        for sigma in all_permutations(6):
+        for sigma in all_permutations(n):
             dev = tuple_deviation(g_sigma_closed(lam, sigma),
                                   g_sigma_definitional(lam, sigma))
             worst = max(worst, dev)
