@@ -278,6 +278,39 @@ def mobius_through_triple(src, dst, tol: float = DEFAULT_TOL) -> MobiusMap:
     return back.inverse().compose(fwd)
 
 
+def homogeneous_arrays(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``RiemannPoint.from_value`` on a sequence of complex numbers (inf
+    allowed): the normalized pairs as (z, w, norm) ndarrays.
+
+    Each pair is divided by its larger-modulus coordinate, so a coordinate
+    like 1e200 becomes (1 : 1e-200) without overflow.
+    """
+    z = np.array(values, dtype=complex).reshape(-1)
+    at_inf = np.isinf(z)
+    if np.isnan(z[~at_inf]).any():
+        raise ValueError("a NaN coordinate does not define a point of the sphere")
+    w = np.ones_like(z)
+    z[at_inf], w[at_inf] = 1.0, 0.0
+    pivot = np.where(np.abs(w) >= np.abs(z), w, z)
+    z, w = z / pivot, w / pivot
+    return z, w, np.sqrt(np.abs(z) ** 2 + np.abs(w) ** 2)
+
+
+def check_separation(z, w, nrm, tol: float):
+    """Raise AmbiguousMatching, naming a closest pair, unless the points
+    (z : w) with pair norms nrm are pairwise more than 2*tol apart."""
+    n = len(z)
+    if n < 2:
+        return
+    d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
+    d[np.diag_indices(n)] = 4.0
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    if d[i, j] <= 2.0 * tol:
+        p, q = (RiemannPoint(z[k], w[k]) for k in (i, j))
+        raise AmbiguousMatching(
+            f"points {p} and {q} are within 2*tol = {2.0 * tol} of each other")
+
+
 class PointSet:
     """A finite set of well-separated sphere points with a working tolerance.
 
@@ -291,16 +324,7 @@ class PointSet:
         self._check_separation()
 
     def _check_separation(self):
-        n = len(self.points)
-        if n < 2:
-            return
-        d = self.distance_matrix(self)
-        d = d + 4.0 * np.eye(n)
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        if d[i, j] <= 2.0 * self.tol:
-            raise AmbiguousMatching(
-                f"points {self.points[i]} and {self.points[j]} are within "
-                f"2*tol = {2.0 * self.tol} of each other")
+        check_separation(*self.arrays(), self.tol)
 
     @property
     def n(self) -> int:

@@ -15,6 +15,13 @@ a coset representative built from at most three transpositions.  The
 coset part is one Mobius map h_L whose coefficients, looked up in a table
 by the displaced pinned slots, are written out in the displaced values L;
 each displaced slot's coordinate is h_L at the value that slot pinned.
+
+A K_n point carries its n marked points, built once on construction, as
+normalized homogeneous (z, w) arrays.  Its separation check, the
+re-pinning map f_sigma, the definitional path and the triple search all
+read those arrays; permutations enter both paths as plain index lists.
+The closed form reads only the coordinates themselves, so the two paths
+share nothing that could hide an error in either.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import numpy as np
 
 from .errors import ClosedFormMismatch, EnumerationBoundExceeded
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distances, maps_equal, mobius_through_triple,
+                       check_separation, chordal_distances,
+                       homogeneous_arrays, maps_equal, mobius_through_triple,
                        zero_one_inf_entries)
 from .oracle import stabilizer
 
@@ -130,7 +138,12 @@ def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
 
 @dataclass(frozen=True)
 class LambdaTuple:
-    """A point of K_n: the free coordinates of a normalized configuration."""
+    """A point of K_n: the free coordinates of a normalized configuration.
+
+    Construction builds the marked points (0, 1, inf, l_1, ..., l_{n-3})
+    once, as read-only homogeneous arrays, and checks that they are
+    pairwise more than 2*tol apart (AmbiguousMatching otherwise).
+    """
 
     values: tuple[complex, ...]
     tol: float = DEFAULT_TOL
@@ -138,19 +151,24 @@ class LambdaTuple:
     def __post_init__(self):
         object.__setattr__(self, "values",
                            tuple(complex(v) for v in self.values))
-        # the marked points must be a PointSet: pairwise more than 2*tol
-        # apart, or AmbiguousMatching
-        PointSet(self.marked_points(), tol=self.tol)
+        arrays = homogeneous_arrays((0.0, 1.0, math.inf) + self.values)
+        for a in arrays:
+            a.flags.writeable = False
+        check_separation(*arrays, self.tol)
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def n(self) -> int:
         return len(self.values) + 3
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The marked points as (z, w, norm) ndarrays, slot order."""
+        return self._arrays
+
     def marked_points(self) -> list[RiemannPoint]:
         """The full configuration (0, 1, inf, l_1, ..., l_{n-3})."""
-        return ([RiemannPoint.from_value(0.0), RiemannPoint.from_value(1.0),
-                 RiemannPoint.infinity()]
-                + [RiemannPoint.from_value(v) for v in self.values])
+        z, w, _ = self._arrays
+        return [RiemannPoint(a, b) for a, b in zip(z.tolist(), w.tolist())]
 
     def point_set(self) -> PointSet:
         return PointSet(self.marked_points(), tol=self.tol)
@@ -166,58 +184,75 @@ class LambdaTuple:
 
 
 def tuple_deviation(a, b) -> float:
-    """Largest componentwise chordal distance between two tuples of finite
-    coordinates; nan if either holds a non-finite one."""
+    """Largest componentwise chordal distance between two equally long
+    tuples of finite coordinates; 0.0 for two empty tuples, nan if either
+    holds a non-finite coordinate."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot compare tuples of lengths {a.size} and {b.size}")
+    if a.size == 0:
+        return 0.0
     return float(chordal_distances(a, 1.0, np.hypot(1.0, abs(a)),
                                    b, 1.0, np.hypot(1.0, abs(b))).max())
+
+
+def _check_size(lam: LambdaTuple, sigma: Permutation):
+    if sigma.n != lam.n:
+        raise ValueError(f"sigma permutes {sigma.n} points, but the K_n "
+                         f"point has n = {lam.n}")
+
+
+def _preimages(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
+    """The index of the marked point that sigma sends to each slot 1..n."""
+    _check_size(lam, sigma)
+    return np.argsort(sigma.images)
+
+
+def _repinning(lam: LambdaTuple, i: int, j: int, k: int) -> MobiusMap:
+    """The map sending marked points i, j, k to 0, 1, infinity.
+
+    The LambdaTuple's own 2*tol check keeps the triple apart.
+    """
+    z, w, _ = lam.arrays()
+    return MobiusMap(*zero_one_inf_entries(z[i], w[i], z[j], w[j], z[k], w[k]))
 
 
 def f_sigma(lam: LambdaTuple, sigma: Permutation) -> MobiusMap:
     """The re-pinning map: sends the points in slots sigma^-1(1), (2), (3)
     of the configuration to 0, 1 and infinity."""
-    pts = lam.marked_points()
-    inv = sigma.inverse()
-    src = (pts[inv(1) - 1], pts[inv(2) - 1], pts[inv(3) - 1])
-    dst = (RiemannPoint.from_value(0.0), RiemannPoint.from_value(1.0),
-           RiemannPoint.infinity())
-    return mobius_through_triple(src, dst, tol=lam.tol)
+    return _repinning(lam, *_preimages(lam, sigma)[:3])
 
 
 def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
     """The action straight from its definition: apply the re-pinning map to
     the reordered configuration and read off the free coordinates."""
-    f = f_sigma(lam, sigma)
-    pts = lam.marked_points()
-    inv = sigma.inverse()
-    out = []
-    for slot in range(4, lam.n + 1):
-        q = f.apply(pts[inv(slot) - 1])
-        if abs(q.w) < 1e-14 * abs(q.z):
-            raise ValueError(
-                f"image coordinate for slot {slot} landed at infinity; "
-                "the input left the domain of the action")
-        out.append(q.value())
-    return tuple(out)
+    inv = _preimages(lam, sigma)
+    f = _repinning(lam, *inv[:3])
+    z, w, _ = lam.arrays()
+    z, w = z[inv[3:]], w[inv[3:]]
+    z, w = f.a * z + f.b * w, f.c * z + f.d * w
+    at_inf = np.abs(w) < 1e-14 * np.abs(z)
+    if at_inf.any():
+        raise ValueError(
+            f"image coordinate for slot {4 + int(np.argmax(at_inf))} landed "
+            "at infinity; the input left the domain of the action")
+    return tuple((z / w).tolist())
 
 
-def _coset_split(sigma: Permutation):
-    """Split sigma as tau * v with v preserving {1,2,3} and {4..n}.
+def _coset_split(images: tuple[int, ...]):
+    """Split the permutation with these images as tau * v with v
+    preserving {1,2,3} and {4..n}.
 
     tau is a product of at most three disjoint transpositions (slot, big
     index), one for each pinned slot whose preimage lies beyond 3; such
     products form a complete set of coset representatives.  Returns
-    (slot_to_big, v), slot_to_big keyed in slot order.
+    (slot_to_big, images of v), slot_to_big keyed in slot order.
     """
-    n = sigma.n
-    inv = sigma.inverse()
-    marked = [i for i in (1, 2, 3) if inv(i) > 3]
-    bigs = sorted(sigma(i) for i in (1, 2, 3) if sigma(i) > 3)
-    tau = Permutation.identity(n)
-    for slot, big in zip(marked, bigs):
-        tau = tau.compose(Permutation.transposition(n, slot, big))
-    v = tau.compose(sigma)  # tau is an involution, so tau^-1 sigma == tau sigma
-    return dict(zip(marked, bigs)), v
+    marked = [slot for slot in (1, 2, 3) if slot not in images[:3]]
+    bigs = sorted(t for t in images[:3] if t > 3)
+    swap = dict(zip(marked, bigs)) | dict(zip(bigs, marked))
+    # tau is an involution, so tau^-1 sigma == tau sigma
+    return dict(zip(marked, bigs)), [swap.get(t, t) for t in images]
 
 
 def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
@@ -227,10 +262,11 @@ def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
     Each displaced slot's coordinate is h_L at the value that slot pinned,
     taken in homogeneous coordinates so that infinity needs no division.
     """
-    slot_to_big, v = _coset_split(sigma)
-    v_inv = v.inverse()
-    h = _ANHARMONIC_BY_SLOT_PERM[v(1), v(2), v(3)]
-    mu = np.array([lam.values[v_inv(slot) - 4] for slot in range(4, lam.n + 1)])
+    _check_size(lam, sigma)
+    slot_to_big, v = _coset_split(sigma.images)
+    h = _ANHARMONIC_BY_SLOT_PERM[tuple(v[:3])]
+    mu = np.empty(lam.n - 3, dtype=complex)
+    mu[np.array(v[3:], dtype=np.intp) - 4] = lam.values  # slot v(i) gets l_{i-3}
     mu = (h.a * mu + h.b) / (h.c * mu + h.d)
     a, b, c, d = _COSET_MAPS[tuple(slot_to_big)](
         {slot: mu[big - 4] for slot, big in slot_to_big.items()})
@@ -363,9 +399,7 @@ def _triple_search(lam: LambdaTuple):
     within the slack of that slot's coordinate.
     """
     n = lam.n
-    pts = lam.marked_points()
-    z = np.array([p.z for p in pts])
-    w = np.array([p.w for p in pts])
+    z, w, _ = lam.arrays()
     tri = _ordered_triples(n)
     i, j, k = tri.T
     a, b, c, d = (e[:, None] for e in

@@ -1,12 +1,16 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from orbstab.classifier import INFINITE, classify, dihedral
-from orbstab.errors import AmbiguousMatching, EnumerationBoundExceeded
-from orbstab.geometry import MobiusMap, chordal_distance, maps_equal, set_equal
+from orbstab import moduli
+from orbstab.errors import (AmbiguousMatching, ClosedFormMismatch,
+                            EnumerationBoundExceeded)
+from orbstab.geometry import (MobiusMap, RiemannPoint, chordal_distance,
+                              maps_equal, set_equal)
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
                             _normalize_to_lambda, _triple_search,
                             all_permutations, f_sigma, g_sigma,
@@ -57,6 +61,27 @@ class TestLambdaTuple:
         assert [str(p) for p in pts[:3]] == ["0.0+0.0i", "1.0+0.0i", "inf"]
         assert lam.n == 5
 
+    def test_arrays_normalize_like_riemann_points(self):
+        values = (2.0 + 1.0j, 0.25, -3e5, 1e-7j)
+        z, w, nrm = LambdaTuple(values).arrays()
+        assert not z.flags.writeable
+        for k, v in enumerate((0.0, 1.0, complex("inf")) + values):
+            p = RiemannPoint.from_value(v)
+            assert abs(z[k] - p.z) + abs(w[k] - p.w) < 1e-15
+            assert max(abs(z[k]), abs(w[k])) == pytest.approx(1.0, abs=1e-15)
+            assert nrm[k] == pytest.approx(p.norm(), rel=1e-15)
+
+    def test_huge_coordinate_is_infinity_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AmbiguousMatching, match="inf"):
+                LambdaTuple((1e200, 2.0))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN") as err:
+            LambdaTuple((2.0, complex(float("nan"), 1.0)))
+        assert not isinstance(err.value, AmbiguousMatching)
+
     def test_json_round_trip(self):
         lam = LambdaTuple((2.0 + 1.0j, 5.0))
         again = LambdaTuple.from_json(lam.to_json())
@@ -80,19 +105,30 @@ class TestFSigma:
         f = f_sigma(lam, Permutation.transposition(5, 1, 2))
         assert maps_equal(f, MobiusMap(-1.0, 1.0, 0.0, 1.0), tol=1e-12)
 
-    def test_marked_point_equivariance(self):
+    @staticmethod
+    def assert_equivariant(lam, sigma):
         # f_sigma sends the k-th marked point to slot sigma(k) of the image
+        f = f_sigma(lam, sigma)
+        src = lam.marked_points()
+        dst = g_sigma(lam, sigma).marked_points()
+        for k in range(1, lam.n + 1):
+            assert chordal_distance(f.apply(src[k - 1]),
+                                    dst[sigma(k) - 1]) < 1e-9, (sigma, k)
+
+    def test_marked_point_equivariance(self):
         rng = np.random.default_rng(8)
-        for n in (5, 6, 7):
-            lam = random_lambda(n, rng)
-            sigma = random_permutation(n, rng)
-            f = f_sigma(lam, sigma)
-            image = g_sigma(lam, sigma)
-            src = lam.marked_points()
-            dst = image.marked_points()
-            for k in range(1, n + 1):
-                assert chordal_distance(f.apply(src[k - 1]),
-                                        dst[sigma(k) - 1]) < 1e-9
+        for n in range(5, 11):
+            self.assert_equivariant(random_lambda(n, rng),
+                                    random_permutation(n, rng))
+
+    def test_equivariance_at_mixed_scales(self):
+        # coordinate moduli near 1e4 and 1e-4 next to ones near 1; some
+        # images bring two points within 2e-8, hence the smaller tol
+        lam = LambdaTuple((1.2e4 + 3e3j, -2e-4 + 1e-4j, 0.7e4j, 3e-4, 2.0 - 1.0j),
+                          tol=1e-12)
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            self.assert_equivariant(lam, random_permutation(lam.n, rng))
 
     def test_set_level_equivariance(self):
         rng = np.random.default_rng(9)
@@ -138,12 +174,63 @@ class TestGSigma:
             sigma = random_permutation(6, rng)
             g_sigma(lam, sigma)  # constructor re-checks membership
 
+    def test_closed_form_matches_definition_at_mixed_scales(self):
+        lam = LambdaTuple((1.2e4 + 3e3j, -2e-4 + 1e-4j, 3e-4))
+        worst = max(tuple_deviation(g_sigma_closed(lam, sigma),
+                                    g_sigma_definitional(lam, sigma))
+                    for sigma in all_permutations(6))
+        assert worst < 1e-12
+
+    def test_empty_configuration(self):
+        lam = LambdaTuple(())
+        for sigma in all_permutations(3):
+            assert g_sigma(lam, sigma) == lam
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_sigma_of_the_wrong_size_rejected(self, m):
+        lam = LambdaTuple((2.0 + 1.0j, 5.0))
+        sigma = Permutation.identity(m)
+        for action in (f_sigma, g_sigma_definitional, g_sigma_closed, g_sigma):
+            with pytest.raises(ValueError, match=f"{m} points.* n = 5"):
+                action(lam, sigma)
+
+    def test_image_at_infinity_names_its_slot(self):
+        # slot 4 holds 2, slot 5 a point a few ulps away; sending 2 to
+        # infinity sends its neighbour there too
+        lam = LambdaTuple((2.0, 2.0 + 1e-15), tol=1e-17)
+        sigma = Permutation.transposition(5, 3, 4)
+        for action in (g_sigma_definitional, g_sigma):
+            with pytest.raises(ValueError, match="slot 5 landed at infinity"):
+                action(lam, sigma)
+
+    def test_mismatch_between_the_paths_raises(self, monkeypatch):
+        closed = moduli.g_sigma_closed
+
+        def perturbed(lam, sigma):
+            out = list(closed(lam, sigma))
+            out[1] += 1e-6
+            return tuple(out)
+
+        monkeypatch.setattr(moduli, "g_sigma_closed", perturbed)
+        lam = LambdaTuple((2.0 + 1.0j, 5.0, -1.5 - 0.5j))
+        with pytest.raises(ClosedFormMismatch):
+            g_sigma(lam, Permutation((4, 2, 6, 1, 3, 5)))
+
     def test_block_permutations_act_by_anharmonic_maps(self):
         # a permutation fixing {1,2,3} pointwise just shuffles coordinates
         lam = LambdaTuple((2.0, 3.0, 5.0))
         sigma = Permutation((1, 2, 3, 5, 6, 4))
         out = g_sigma(lam, sigma).values
         assert tuple_deviation(out, (5.0, 2.0, 3.0)) < 1e-12
+
+
+class TestTupleDeviation:
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="lengths 1 and 2"):
+            tuple_deviation((1.0,), (1.0, 5.0))
+
+    def test_empty_tuples_agree(self):
+        assert tuple_deviation((), ()) == 0.0
 
 
 class TestGroupLaw:
