@@ -223,7 +223,10 @@ def cardinality_of(entry: ClassificationEntry) -> int:
 def _entries(label: GroupLabel, n: int) -> list[ClassificationEntry]:
     """The entries of classify(n) with the given label, special slots in
     lexicographic order: solve n = sum(size * count) for the generic count
-    under each choice of special counts, and keep the realizable indices."""
+    under each choice of special counts, and keep the realizable indices.
+    Raises InvalidCardinality for n < 1."""
+    if n < 1:
+        raise InvalidCardinality(f"cardinality must be >= 1, got {n}")
     if label.kind in _BARE:
         return [ClassificationEntry(label, ())] if _BARE[label.kind](n) else []
     *special, generic = label.orbit_sizes()
@@ -253,8 +256,6 @@ def classify(n: int) -> list[ClassificationEntry]:
     K4, cyclic labels with p from n down to 2, and finally the trivial
     entry (present iff n >= 5).
     """
-    if n < 1:
-        raise InvalidCardinality(f"cardinality must be >= 1, got {n}")
     ps = _rotation_orders(n)
     labels = [LABEL_INFINITE, LABEL_A5, LABEL_S4, LABEL_A4,
               *map(dihedral, ps), *map(cyclic, ps), LABEL_TRIVIAL]

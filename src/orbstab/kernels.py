@@ -165,7 +165,11 @@ def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames (..., 3 axes, 3) with first axis a, b in the first two."""
     v = b - (a * b).sum(axis=-1, keepdims=True) * a
     v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    return np.stack([a, v, np.cross(a, v)], axis=-2)
+    # a x v written out: np.cross costs more in call overhead at small n
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    c = np.stack([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0], axis=-1)
+    return np.stack([a, v, c], axis=-2)
 
 
 class _Grid:
@@ -230,9 +234,9 @@ def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return grid.lookup(Y)
 
 
-def _passes_chordal_test(Z, W, nrm, base, rows, tol) -> np.ndarray:
-    """Whether the Mobius map sending the base triple to its images in each
-    row sends every point within tol of its partner (one bool per row)."""
+def base_triple_maps(Z, W, base, rows):
+    """Entries (a, b, c, d), one array each and not normalized, of the
+    Mobius map sending the base triple to its images in each row."""
     b0, b1, b2 = base
     kap = Z[b1] * W[b2] - Z[b2] * W[b1]
     mu = Z[b1] * W[b0] - Z[b0] * W[b1]
@@ -243,8 +247,13 @@ def _passes_chordal_test(Z, W, nrm, base, rows, tol) -> np.ndarray:
     mu = Z[j] * W[i] - Z[i] * W[j]
     # adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf),
     # composed with m: f sends the base triple to (i, j, k)
-    f = _mul((-mu * Z[k], kap * Z[i], -mu * W[k], kap * W[i]), m)
-    f = [e[:, None] for e in f]
+    return _mul((-mu * Z[k], kap * Z[i], -mu * W[k], kap * W[i]), m)
+
+
+def _passes_chordal_test(Z, W, nrm, base, rows, tol) -> np.ndarray:
+    """Whether the Mobius map sending the base triple to its images in each
+    row sends every point within tol of its partner (one bool per row)."""
+    f = [e[:, None] for e in base_triple_maps(Z, W, base, rows)]
     iz = f[0] * Z + f[1] * W
     iw = f[2] * Z + f[3] * W
     inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)

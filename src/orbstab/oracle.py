@@ -1,11 +1,15 @@
 """Computation of the full Mobius stabilizer of a point set.
 
 The kernel centers the set conformally and finds every rotation of the
-centered cloud that permutes it (see ``kernels``); each permutation is
-turned back into the Mobius map through a fixed base triple.  The maps
-are identified by their (order, maximal element order) signature, which
-separates all finite Mobius groups, and the component index is recovered
-from the orbit partition.
+centered cloud that permutes it (see ``kernels``), as integer permutation
+rows.  The rest works on those rows in a few numpy passes, with no Python
+arithmetic per element: one vectorized solve through a fixed base triple
+gives every element's map; an element's order is the length of the cycle
+through the first base point it moves, confirmed by f^k being the
+identity; closure is checked exactly from the identity and a few
+generators.  The group is identified by its (order, maximal element
+order) signature, which separates all finite Mobius groups, and the
+component index is recovered from the orbit partition.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import numpy as np
 from . import classifier as cl
 from .errors import OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distances, format_complex,
-                       mobius_through_triple)
-from .kernels import scan_stabilizer_triples
+                       chordal_distances, format_complex)
+from .kernels import (_mul, _row_blocks, base_triple_maps,
+                      scan_stabilizer_triples)
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,21 @@ def _pick_base_triple(ps: PointSet) -> tuple[int, int, int]:
     return int(i), int(j), int(k)
 
 
-def _canonical_key(f: MobiusMap) -> tuple[float, ...]:
-    return tuple(round(x, 9) for v in (f.a, f.b, f.c, f.d)
-                 for x in (v.real, v.imag))
+def _canonical_order(f) -> np.ndarray:
+    """The order that sorts maps, with entries (a, b, c, d) given as
+    arrays, by their canonical keys.
+
+    A key is the eight real and imaginary parts, rounded to 9 decimals,
+    of the entries divided by the first one whose modulus is within 1e-9
+    of the largest; taking the first of nearly equal moduli keeps rounding
+    from choosing the scalar.
+    """
+    e = np.stack(f, axis=1)
+    mod = abs(e)
+    pivot = (mod >= (1.0 - 1e-9) * mod.max(axis=1, keepdims=True)).argmax(axis=1)
+    e = e / e[np.arange(len(e)), pivot, None]
+    key = np.round(np.stack([e.real, e.imag], axis=2), 9).reshape(len(e), 8)
+    return np.lexsort(key.T[::-1])
 
 
 def _permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
@@ -106,25 +122,20 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
 
 
 #: The (order, maximal element order) signatures that are neither cyclic
-#: (N == m) nor dihedral of rotation order at least 3 (N == 2m, m >= 3).
-_SIGNATURES = {(60, 5): cl.LABEL_A5, (24, 4): cl.LABEL_S4, (12, 3): cl.LABEL_A4,
-               (4, 2): cl.LABEL_K4}
+#: of order at least 2 (N == m) nor dihedral of rotation order at least 3
+#: (N == 2m, m >= 3).
+_SIGNATURES = {(1, 1): cl.LABEL_TRIVIAL, (60, 5): cl.LABEL_A5,
+               (24, 4): cl.LABEL_S4, (12, 3): cl.LABEL_A4, (4, 2): cl.LABEL_K4}
 
 
-def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
-    """Identify a finite Mobius group from its element list.
+def _label_of(n: int, m: int) -> cl.GroupLabel:
+    """The finite Mobius group of order n whose largest element order is m.
 
-    Uses the (order N, maximal element order m) signature: the polyhedral
-    groups are (60, 5), (24, 4), (12, 3); N == m is cyclic; N == 2m with
-    m >= 3 is dihedral; (4, 2) is the Klein four-group.  These cases are
-    exhaustive and mutually exclusive for finite Mobius groups.
+    The polyhedral groups are (60, 5), (24, 4), (12, 3); N == m is cyclic;
+    N == 2m with m >= 3 is dihedral; (4, 2) is the Klein four-group.
+    These cases are exhaustive and mutually exclusive for finite Mobius
+    groups.
     """
-    elements = list(elements)
-    n = len(elements)
-    if n == 1:
-        return cl.LABEL_TRIVIAL
-    cap = max(n, 60)
-    m = max(projective_order(f, cap=cap, tol=tol) for f in elements)
     if (n, m) in _SIGNATURES:
         return _SIGNATURES[n, m]
     if n == m:
@@ -134,6 +145,86 @@ def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
     raise UnrecognizedGroup(
         f"(order, max element order) = ({n}, {m}) matches no finite Mobius "
         "group; closure check or tolerance failure")
+
+
+def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
+    """Identify a finite Mobius group from its element list, by the
+    signature of ``_label_of``."""
+    elements = list(elements)
+    cap = max(len(elements), 60)
+    return _label_of(len(elements), max(projective_order(f, cap=cap, tol=tol)
+                                        for f in elements))
+
+
+def _row_orders(rows: np.ndarray, base) -> np.ndarray:
+    """The order of each row's map, read from its permutation row.
+
+    A Mobius map of finite order k other than the identity fixes two
+    points of the sphere and moves every other point around a cycle of
+    length k, so k is the cycle length of the first base point the row
+    moves.  A map fixing the three base points is the identity.  The
+    cycles are walked for all rows at once, and a row drops out when its
+    cycle closes.
+    """
+    base = np.asarray(base)
+    moved = rows[:, base] != base
+    fixed = ~moved.any(axis=1)
+    if (rows[fixed] != np.arange(rows.shape[1])).any():
+        raise UnrecognizedGroup("a stabilizer row fixes the base triple but "
+                                "is not the identity")
+    orders = np.ones(len(rows), dtype=np.int64)
+    if fixed.all():
+        return orders
+    flat = rows.ravel()
+    live = np.flatnonzero(~fixed)
+    start = base[moved[live].argmax(axis=1)]
+    offset = live * rows.shape[1]
+    point = flat[offset + start]
+    length = 1
+    while len(live):
+        closed = point == start
+        if closed.any():
+            orders[live[closed]] = length
+            live, start, offset, point = (x[~closed]
+                                          for x in (live, start, offset, point))
+        point = flat[offset + point]
+        length += 1
+    return orders
+
+
+def _normalized(f):
+    """Map entries (a, b, c, d), one array each, divided by their largest
+    modulus."""
+    scale = np.maximum(np.maximum(abs(f[0]), abs(f[1])),
+                       np.maximum(abs(f[2]), abs(f[3])))
+    return tuple(e / scale for e in f)
+
+
+def _check_finite_orders(f, orders: np.ndarray, tol: float) -> None:
+    """Raise UnrecognizedGroup unless f^k is the identity within 10 tol for
+    every map f, with entries given as arrays, and its order k.
+
+    Binary exponentiation over every map at once, as ``MobiusMap.power``
+    does for one, followed by ``MobiusMap.is_identity``'s test.  Rows of
+    order 1 are the identity row, whose map is the identity by
+    construction.
+    """
+    moving = orders > 1
+    if not moving.any():
+        return
+    power = f = _normalized(tuple(e[moving] for e in f))
+    k = orders[moving] - 1
+    while k.any():
+        odd = (k & 1) == 1
+        power = _normalized(tuple(np.where(odd, x, y)
+                                  for x, y in zip(_mul(power, f), power)))
+        f = _normalized(_mul(f, f))
+        k = k >> 1
+    a, b, c, d = power
+    bound = 10.0 * tol * np.maximum(abs(a), abs(d))
+    if not ((abs(b) <= bound) & (abs(c) <= bound) & (abs(a - d) <= bound)).all():
+        raise UnrecognizedGroup("an element's map does not have the order of "
+                                "its permutation; not part of a finite group")
 
 
 def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
@@ -191,44 +282,81 @@ def _component_index_and_orbits(ps, elements, label, perms=None):
     return index, orbits
 
 
-def _check_closure(perms: np.ndarray, pair_budget: int = 5000) -> None:
-    """Group axioms in the faithful permutation representation.
+def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
+    """Raise UnrecognizedGroup unless the (m, n) permutation rows are a group.
 
-    All pairs are checked when the group is small; above the budget a
-    seeded sample of pairs is used (large groups here are cyclic/dihedral,
-    where the identity and inverse checks already catch scan failures).
+    The check is exact and costs O(k m n) for k generators (Seress,
+    *Permutation Group Algorithms*, CUP 2003).  A row is looked up by its
+    images of the base triple and then compared in full.  The identity
+    must be a row.  Each generator s is the element of largest order not
+    yet reached, and s G must lie in G; a breadth-first search from the
+    identity along those products then reaches the group the generators
+    generate.  Each generator at least doubles that group, so k <= log2 m,
+    and once it is all of G, G is closed, inverses included.
     """
-    rows = np.ascontiguousarray(perms, dtype=np.int64)
-    keys = {row.tobytes() for row in rows}
-    n = rows.shape[1]
-    identity = np.arange(n, dtype=np.int64)
-    if identity.tobytes() not in keys:
+    m, n = rows.shape
+    # _row_orders has checked that the rows of order 1 are the identity
+    identities = np.flatnonzero(orders == 1)
+    if not len(identities):
         raise UnrecognizedGroup("stabilizer scan did not recover the identity")
-    for p in rows:
-        inv = np.empty(n, dtype=np.int64)
-        inv[p] = identity
-        if inv.tobytes() not in keys:
-            raise UnrecognizedGroup("stabilizer elements not closed under inverse")
-    m = len(rows)
-    if m * m <= pair_budget:
-        pairs = ((p, q) for p in rows for q in rows)
-    else:
-        rng = np.random.default_rng(0)
-        pairs = ((rows[i], rows[j])
-                 for i, j in rng.integers(0, m, size=(pair_budget, 2)))
-    for p, q in pairs:
-        if p[q].tobytes() not in keys:
+    if m == 1:
+        return
+    base = list(base)
+
+    def key(images):
+        return (images[:, 0] * n + images[:, 1]) * n + images[:, 2]
+
+    keys = key(rows[:, base])
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    if (keys[1:] == keys[:-1]).any():
+        raise UnrecognizedGroup("two stabilizer rows agree on the base triple")
+
+    def find(images):
+        """Row index of each base-triple image, or -1."""
+        wanted = key(images)
+        pos = np.minimum(np.searchsorted(keys, wanted), m - 1)
+        return np.where(keys[pos] == wanted, by_key[pos], -1)
+
+    identity = int(identities[0])
+    products: list[list[int]] = []  # products[j][g]: the row of s_j g
+    reached = _reached(identity, products, m)
+    for s in np.argsort(-orders, kind="stable").tolist():
+        if reached[s]:
+            continue
+        row = rows[s]
+        image = find(row[rows[:, base]])
+        if (image < 0).any() or any((rows[image[blk]] != row[rows[blk]]).any()
+                                    for blk in _row_blocks(m, n)):
             raise UnrecognizedGroup("stabilizer elements not closed under "
                                     "composition")
+        products.append(image.tolist())
+        reached = _reached(identity, products, m)
+
+
+def _reached(start: int, products: list[list[int]], m: int) -> list[bool]:
+    """Which of m rows a breadth-first search from ``start`` reaches along
+    the generator products."""
+    seen = [False] * m
+    seen[start] = True
+    queue = [start]
+    for g in queue:
+        for image in products:
+            h = image[g]
+            if not seen[h]:
+                seen[h] = True
+                queue.append(h)
+    return seen
 
 
 def stabilizer(ps: PointSet,
                base_triple: tuple[int, int, int] | None = None) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
-    Finds every permutation of the set induced by a Mobius map, rebuilds
-    each map through a maximally-separated base triple, and returns them
-    with the group identification and orbit decomposition.
+    Finds every permutation of the set induced by a Mobius map, reads each
+    element's order from its row, checks closure on the rows, rebuilds the
+    maps through a maximally-separated base triple, and returns them with
+    the group identification and orbit decomposition.
     """
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
@@ -236,20 +364,18 @@ def stabilizer(ps: PointSet,
     if base_triple is None:
         base_triple = _pick_base_triple(ps)
     base = list(base_triple)
-    src = [ps.points[b] for b in base]
     z, w, nrm = ps.arrays()
     perms = scan_stabilizer_triples(z, w, nrm, tuple(base), ps.tol)
-    # distinct rows differ on the base triple, so their maps are distinct
-    elements = [mobius_through_triple(src, [ps.points[t] for t in row[base]],
-                                      tol=ps.tol)
-                for row in perms]
-    order = sorted(range(len(elements)), key=lambda r: _canonical_key(elements[r]))
-    elements = [elements[r] for r in order]
-    perms = perms[order]
     # n >= 3 points make the action faithful, so permutation closure is
     # equivalent to group closure of the maps themselves
-    _check_closure(perms)
-    label = identify_group(elements, tol=ps.tol)
+    orders = _row_orders(perms, base)
+    _check_closure(perms, orders, base)
+    maps = base_triple_maps(z, w, base, perms)
+    _check_finite_orders(maps, orders, ps.tol)
+    # the orbits below do not depend on the order of the rows
+    order = _canonical_order(maps) if len(perms) > 1 else [0]
+    elements = [MobiusMap(*e) for e in zip(*(x[order].tolist() for x in maps))]
+    label = _label_of(len(elements), int(orders.max()))
     index, orbits = _component_index_and_orbits(ps, elements, label, perms)
     if sum(len(o) for o in orbits) != ps.n:
         raise OrbitSizeMismatch("orbit sizes do not add up to the set size")

@@ -360,7 +360,8 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
     """
     if retry_bound < 1:
         raise ValueError("retry_bound must be >= 1")
-    if entry not in cl.classify(n):
+    # the entry's own label block, not all of classify(n)
+    if entry not in cl._entries(entry.label, n):
         raise ValueError(f"entry {entry} is not in the classification of n = {n}")
     kind = entry.label.kind
     if kind == cl.INFINITE:

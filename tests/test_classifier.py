@@ -205,6 +205,25 @@ class TestSmallCases:
             classify(-3)
 
 
+#: Every label up to rotation order 62, most of them missing from any one
+#: classify(n).
+ALL_LABELS = [cl.LABEL_INFINITE, cl.LABEL_A5, cl.LABEL_S4, cl.LABEL_A4,
+              cl.LABEL_K4, cl.LABEL_TRIVIAL,
+              *(dihedral(p) for p in range(3, 63)),
+              *(cyclic(p) for p in range(2, 63))]
+
+
+def test_label_blocks_are_the_classify_entries_of_their_label():
+    # witness() checks membership against its entry's label block alone
+    for n in range(1, 61):
+        listed = classify(n)
+        for label in ALL_LABELS:
+            assert cl._entries(label, n) == [e for e in listed if e.label == label]
+    for label in ALL_LABELS:
+        with pytest.raises(InvalidCardinality):
+            cl._entries(label, 0)
+
+
 class TestCardinality:
     def test_a5_full_index(self):
         assert cardinality_of(ClassificationEntry(cl.LABEL_A5, (1, 1, 1, 0))) == 62

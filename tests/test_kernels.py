@@ -195,6 +195,19 @@ def test_survivor_count_equals_group_order():
     assert rows.shape == (24, 8)
 
 
+def test_frame_matches_numpy_cross():
+    # the written-out cross product gives bit-identical frames
+    rng = np.random.default_rng(17)
+    for shape in ((), (1,), (40,), (6, 5)):
+        a = rng.normal(size=(*shape, 3))
+        a /= np.sqrt((a * a).sum(axis=-1, keepdims=True))
+        b = rng.normal(size=(*shape, 3))
+        v = b - (a * b).sum(axis=-1, keepdims=True) * a
+        v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        expected = np.stack([a, v, np.cross(a, v)], axis=-2)
+        assert np.array_equal(kernels._frame(a, b), expected)
+
+
 def test_active_backend_reports():
     assert active_backend() == "numpy"
 

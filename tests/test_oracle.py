@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from orbstab import classifier as cl
+from orbstab import classifier as cl, geometry, oracle
 from orbstab.classifier import classify, cyclic, dihedral
 from orbstab.errors import AmbiguousMatching, UnrecognizedGroup
-from orbstab.geometry import MobiusMap, PointSet, RiemannPoint, maps_equal
+from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, maps_equal,
+                              mobius_through_triple)
+from orbstab.kernels import scan_stabilizer_triples
 from orbstab.moduli import ANHARMONIC_GROUP
-from orbstab.oracle import (_orbit_partition, component_index, identify_group,
-                            projective_order, stabilizer)
-from orbstab.witness import polyhedral_orbit, witness
+from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
+                            _orbit_partition, _pick_base_triple, _row_orders,
+                            component_index, identify_group, projective_order,
+                            stabilizer)
+from orbstab.witness import dihedral_witness, polyhedral_orbit, witness
 
 
 def values(*vs):
@@ -238,3 +242,108 @@ def test_orbit_partition_matches_union_find(n):
         perms = np.array([[ps.index_of(f.apply(p)) for p in ps.points]
                           for f in res.elements])
         assert _orbit_partition(perms) == _orbit_partition_reference(perms, ps.n)
+
+
+def scan(ps):
+    """The base triple and the kernel's permutation rows for ps."""
+    base = _pick_base_triple(ps)
+    return list(base), scan_stabilizer_triples(*ps.arrays(), base, ps.tol)
+
+
+def triple_maps(ps, base, rows):
+    """Each row's map through the base triple, one scalar solve per row."""
+    src = [ps.points[b] for b in base]
+    return [mobius_through_triple(src, [ps.points[t] for t in row[base]],
+                                  tol=ps.tol) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def witness_rows():
+    """(set, base, rows, scalar maps) for every classify(n) witness, n = 5..40."""
+    out = []
+    for n in range(5, 41):
+        for entry in classify(n):
+            ps = witness(n, entry)
+            base, rows = scan(ps)
+            out.append((ps, base, rows, triple_maps(ps, base, rows)))
+    return out
+
+
+def test_row_orders_are_the_projective_orders(witness_rows):
+    for ps, base, rows, maps in witness_rows:
+        cap = max(len(maps), 60)
+        assert _row_orders(rows, base).tolist() == [
+            projective_order(f, cap=cap, tol=ps.tol) for f in maps]
+
+
+def test_elements_are_the_triple_maps_in_canonical_order(witness_rows):
+    for ps, base, rows, maps in witness_rows:
+        elements = stabilizer(ps).elements
+        reference = [maps[i] for i in _canonical_order(entries_of(*maps))]
+        assert len(elements) == len(reference)
+        for f, g in zip(elements, reference):
+            assert maps_equal(f, g, tol=1e-12)
+
+
+def test_exact_closure_rejects_one_foreign_row():
+    ps = dihedral_witness(40, (0, 0, 1))
+    base, rows = scan(ps)
+    assert rows.shape == (80, 80)
+    orders = _row_orders(rows, base)
+    _check_closure(rows, orders, base)
+    # a rotation row with two points off the base triple swapped: it keeps
+    # the row's base-triple images, so only the full-row comparison sees it
+    r = int(np.flatnonzero(orders == 40)[0])
+    u, v = [t for t in range(ps.n) if t not in base][:2]
+    bad = rows.copy()
+    bad[r, [u, v]] = bad[r, [v, u]]
+    with pytest.raises(UnrecognizedGroup, match="not closed"):
+        _check_closure(bad, _row_orders(bad, base), base)
+    # a random permutation in place of the rotation
+    bad[r] = np.random.default_rng(40).permutation(ps.n)
+    with pytest.raises(UnrecognizedGroup):
+        _check_closure(bad, _row_orders(bad, base), base)
+
+
+def entries_of(*maps):
+    """The (a, b, c, d) entry arrays of a list of maps."""
+    return tuple(np.array([getattr(f, x) for f in maps]) for x in "abcd")
+
+
+def test_finite_order_check():
+    rot7 = MobiusMap(cmath.exp(2j * math.pi / 7), 0, 0, 1)
+    _check_finite_orders(entries_of(MobiusMap.identity(), rot7, rot7.power(3)),
+                         np.array([1, 7, 7]), tol=1e-8)
+    # the loxodromic and near-elliptic maps of TestProjectiveOrder
+    for f in (MobiusMap(2.0, 0, 0, 1),
+              MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1)):
+        with pytest.raises(UnrecognizedGroup):
+            _check_finite_orders(entries_of(rot7, f), np.array([7, 7]), tol=1e-8)
+
+
+def test_row_fixing_the_base_triple_must_be_the_identity():
+    rows = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 4, 3, 5]])
+    with pytest.raises(UnrecognizedGroup, match="fixes the base triple"):
+        _row_orders(rows, [0, 1, 2])
+    assert _row_orders(rows, [3, 1, 2]).tolist() == [1, 2]
+
+
+def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "projective_order",
+                        counted("projective_order", projective_order))
+    monkeypatch.setattr(MobiusMap, "power", counted("power", MobiusMap.power))
+    through = counted("mobius_through_triple", mobius_through_triple)
+    monkeypatch.setattr(geometry, "mobius_through_triple", through)
+    monkeypatch.setattr(oracle, "mobius_through_triple", through, raising=False)
+    d30 = stabilizer(dihedral_witness(30, (0, 0, 1)))
+    a5 = stabilizer(polyhedral_orbit(cl.A5, "V12"))
+    assert (d30.label, a5.label) == (dihedral(30), cl.LABEL_A5)
+    assert calls == []

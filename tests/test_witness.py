@@ -198,6 +198,10 @@ class TestWitnessDispatcher:
     def test_entry_not_in_classification(self):
         with pytest.raises(ValueError):
             witness(5, ClassificationEntry(cl.LABEL_A5, (1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="not in the classification"):
+            witness(7, ClassificationEntry(dihedral(4), (1, 0, 1)))
+        with pytest.raises(InvalidCardinality):
+            witness(0, ClassificationEntry(cl.LABEL_INFINITE, ()))
 
     @pytest.mark.parametrize("n", [8, 10, 14])
     def test_round_trip(self, n):
