@@ -64,6 +64,15 @@ class RiemannPoint:
     def infinity(cls) -> "RiemannPoint":
         return cls(1.0, 0.0)
 
+    @classmethod
+    def _of_normalized(cls, z: complex, w: complex) -> "RiemannPoint":
+        """A point from a pair already normalized as ``__post_init__``
+        would, stored as is: normalizing twice can move the last bit."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "z", z)
+        object.__setattr__(p, "w", w)
+        return p
+
     def is_infinity(self, tol: float = DEFAULT_TOL) -> bool:
         return chordal_distance(self, _INF) <= tol
 
@@ -139,6 +148,42 @@ def snap_point(p: RiemannPoint, eps: float = 1e-12) -> RiemannPoint:
                        0.0 if abs(c.imag) < eps * m else c.imag)
 
     return RiemannPoint(clean(p.z), clean(p.w))
+
+
+def snap_arrays(z, w, eps: float = 1e-12):
+    """``snap_point`` on arrays of homogeneous pairs, bit for bit: the
+    snapped pairs renormalized, as (z, w, norm) ndarrays."""
+    bound = eps * np.maximum(np.hypot(z.real, z.imag), np.hypot(w.real, w.imag))
+
+    def clean(c):
+        c = c.copy()
+        c.real[np.abs(c.real) < bound] = 0.0
+        c.imag[np.abs(c.imag) < bound] = 0.0
+        return c
+
+    return _with_norms(*_normalized_pairs(clean(z), clean(w)))
+
+
+def _normalized_pairs(z, w, exact: bool = True):
+    """Arrays of nonzero finite pairs, each divided by its larger-modulus
+    coordinate (w on a tie).
+
+    With ``exact`` this is ``RiemannPoint``'s normalization bit for bit:
+    the moduli are Python's and so is the complex division, which rounds
+    differently from numpy's.  Without, numpy divides, which costs about
+    half as much and may differ in the last bit.
+    """
+    if not exact:
+        pivot = np.where(np.abs(w) >= np.abs(z), w, z)
+        return z / pivot, w / pivot
+    zo, wo = z.astype(object), w.astype(object)
+    pivot = np.where(np.hypot(w.real, w.imag) >= np.hypot(z.real, z.imag), wo, zo)
+    return (zo / pivot).astype(complex), (wo / pivot).astype(complex)
+
+
+def _with_norms(z, w):
+    """(z, w, norm) with the Euclidean norm of each pair."""
+    return z, w, np.sqrt(np.abs(z) ** 2 + np.abs(w) ** 2)
 
 
 @dataclass(frozen=True)
@@ -278,22 +323,23 @@ def mobius_through_triple(src, dst, tol: float = DEFAULT_TOL) -> MobiusMap:
     return back.inverse().compose(fwd)
 
 
-def homogeneous_arrays(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def homogeneous_arrays(values, exact: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``RiemannPoint.from_value`` on a sequence of complex numbers (inf
     allowed): the normalized pairs as (z, w, norm) ndarrays.
 
     Each pair is divided by its larger-modulus coordinate, so a coordinate
-    like 1e200 becomes (1 : 1e-200) without overflow.
+    like 1e200 becomes (1 : 1e-200) without overflow.  With ``exact`` the
+    arrays equal the points' own coordinates bit for bit; without, they
+    may differ in the last bit and cost less (see ``_normalized_pairs``).
     """
     z = np.array(values, dtype=complex).reshape(-1)
     at_inf = np.isinf(z)
-    if np.isnan(z[~at_inf]).any():
+    if (np.isnan(z) & ~at_inf).any():
         raise ValueError("a NaN coordinate does not define a point of the sphere")
     w = np.ones_like(z)
     z[at_inf], w[at_inf] = 1.0, 0.0
-    pivot = np.where(np.abs(w) >= np.abs(z), w, z)
-    z, w = z / pivot, w / pivot
-    return z, w, np.sqrt(np.abs(z) ** 2 + np.abs(w) ** 2)
+    return _with_norms(*_normalized_pairs(z, w, exact))
 
 
 def check_separation(z, w, nrm, tol: float):
@@ -315,23 +361,50 @@ class PointSet:
     """A finite set of well-separated sphere points with a working tolerance.
 
     All pairwise chordal distances must exceed 2*tol, which makes
-    tolerance-ball matching against the set unambiguous.
+    tolerance-ball matching against the set unambiguous; construction
+    checks this.  The homogeneous coordinates, as read-only (z, w, norm)
+    arrays, are the set's state: ``PointSet(points, tol)`` takes them from
+    the points, ``from_values`` and ``from_arrays`` build no point at all,
+    and ``points`` makes the ``RiemannPoint`` objects on first read.
     """
 
     def __init__(self, points, tol: float = DEFAULT_TOL):
-        self.points: tuple[RiemannPoint, ...] = tuple(points)
+        self.points = tuple(points)
+        z = np.array([p.z for p in self.points], dtype=complex)
+        w = np.array([p.w for p in self.points], dtype=complex)
+        self._init(*_with_norms(z, w), tol)
+
+    def _init(self, z, w, nrm, tol: float):
+        for a in (z, w, nrm):
+            a.flags.writeable = False
+        self._arrays = (z, w, nrm)
         self.tol = float(tol)
         self._check_separation()
 
+    @classmethod
+    def from_arrays(cls, z, w, nrm, tol: float = DEFAULT_TOL) -> "PointSet":
+        """The set of the pairs (z : w) with norms nrm, normalized as
+        ``RiemannPoint`` normalizes them (``homogeneous_arrays`` and
+        ``snap_arrays`` make such arrays).  Takes ownership of the arrays."""
+        ps = cls.__new__(cls)
+        ps._init(z, w, nrm, tol)
+        return ps
+
+    @cached_property
+    def points(self) -> tuple[RiemannPoint, ...]:
+        z, w, _ = self._arrays
+        return tuple(RiemannPoint._of_normalized(a, b)
+                     for a, b in zip(z.tolist(), w.tolist()))
+
     def _check_separation(self):
-        check_separation(*self.arrays(), self.tol)
+        check_separation(*self._arrays, self.tol)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._arrays[0])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.n
 
     def __iter__(self):
         return iter(self.points)
@@ -339,13 +412,6 @@ class PointSet:
     def __repr__(self) -> str:
         inner = ", ".join(point_to_str(p) for p in self.points)
         return f"PointSet({{{inner}}}, tol={self.tol})"
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = np.array([p.z for p in self.points], dtype=complex)
-        w = np.array([p.w for p in self.points], dtype=complex)
-        nrm = np.sqrt(np.abs(z) ** 2 + np.abs(w) ** 2)
-        return z, w, nrm
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Homogeneous coordinates as (z, w, norm) ndarrays."""
@@ -368,7 +434,7 @@ class PointSet:
 
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_TOL) -> "PointSet":
-        return cls((RiemannPoint.from_value(v) for v in values), tol=tol)
+        return cls.from_arrays(*homogeneous_arrays(values), tol=tol)
 
     def to_json(self) -> list[str]:
         return [point_to_str(p) for p in self.points]

@@ -95,6 +95,11 @@ def _newton_direction(M: np.ndarray, c: np.ndarray) -> tuple[float, float, float
             (ad[2] * x + ad[4] * y + ad[5] * z) / det)
 
 
+def _second_moment(X: np.ndarray) -> np.ndarray:
+    """The mean of x x^T over the rows x of X, a 3x3 array."""
+    return np.einsum("ni,nj->ij", X, X) / len(X)
+
+
 def _boost(u, length: float):
     """The Mobius map pushing the sphere away from unit u by hyperbolic ``length``."""
     ch, sh = math.cosh(length / 2.0), -math.sinh(length / 2.0)
@@ -125,7 +130,7 @@ def _center(Z: np.ndarray, W: np.ndarray):
     steps = 0
     while r > CENTERING_RESIDUAL and steps < CENTERING_STEPS:
         steps += 1
-        d = _newton_direction((X[:, :, None] * X[:, None, :]).mean(axis=0), c)
+        d = _newton_direction(_second_moment(X), c)
         length = math.hypot(*d)
         u = [x / length for x in d]
         t = min(length, _MAX_STEP)
@@ -140,7 +145,7 @@ def _center(Z: np.ndarray, W: np.ndarray):
             t /= 2.0
         else:
             break
-    shift = math.hypot(*_newton_direction((X[:, :, None] * X[:, None, :]).mean(axis=0), c))
+    shift = math.hypot(*_newton_direction(_second_moment(X), c))
     # H has determinant 1, so it stretches chordal distances at p by |p|^2 / |H p|^2
     hz, hw = H[0] * Z + H[1] * W, H[2] * Z + H[3] * W
     stretch = float(((np.abs(Z) ** 2 + np.abs(W) ** 2)
@@ -195,7 +200,11 @@ class _Grid:
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
         self.owner = np.nonzero(new)[1][order]
-        self.depth = int(np.unique(self.keys, return_counts=True)[1].max())
+        # the longest run of equal keys
+        edge = np.ones(1, dtype=bool)
+        bounds = np.flatnonzero(np.concatenate(
+            (edge, self.keys[1:] != self.keys[:-1], edge)))
+        self.depth = int(np.diff(bounds).max())
 
     def _index(self, y):
         return np.floor((y + 2.0) / self.h).astype(np.int64)
@@ -321,8 +330,11 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
         r, s = np.nonzero(near)
         pairs.append(np.stack([images_a[blk][r], s], axis=1))
     pairs = np.concatenate(pairs)
-    frames = _frame(X[pairs[:, 0]], X[pairs[:, 1]])
-    coords = (X[:, None, :] * _frame(X[a], X[b])[None, :, :]).sum(axis=2)
+    # the anchor's frame first, then one per candidate pair
+    frames = _frame(X[np.concatenate(([a], pairs[:, 0]))],
+                    X[np.concatenate(([b], pairs[:, 1]))])
+    coords = (X[:, None, :] * frames[0][None, :, :]).sum(axis=2)
+    frames = frames[1:]
 
     grid = _Grid(X, slack)
     kept = [np.empty((0, n), dtype=np.int64)]

@@ -151,7 +151,10 @@ class LambdaTuple:
     def __post_init__(self):
         object.__setattr__(self, "values",
                            tuple(complex(v) for v in self.values))
-        arrays = homogeneous_arrays((0.0, 1.0, math.inf) + self.values)
+        # one per g_sigma call, so numpy's cheaper division; marked_points()
+        # normalizes each point exactly
+        arrays = homogeneous_arrays((0.0, 1.0, math.inf) + self.values,
+                                    exact=False)
         for a in arrays:
             a.flags.writeable = False
         check_separation(*arrays, self.tol)
@@ -437,8 +440,8 @@ def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
     whose closed-form action fixes the point within tol; cost
     n(n-1)(n-2) * n numpy work plus one closed-form test per proposal,
     guarded by ``enumeration_bound``), "oracle" (compute the Mobius
-    stabilizer of the underlying point set and pull each element back to
-    the permutation it induces on the marked points), or "auto".
+    stabilizer of the underlying point set and read each element's
+    permutation of the marked points from the oracle's rows), or "auto".
     """
     n = lam.n
     if method == "auto":
@@ -454,19 +457,9 @@ def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
         return sorted(kept, key=lambda s: s.images)
     if method != "oracle":
         raise ValueError(f"unknown method {method!r}")
-    ps = lam.point_set()
-    result = stabilizer(ps)
-    kept = []
-    for f in result.elements:
-        images = []
-        for p in ps.points:
-            j = ps.index_of(f.apply(p))
-            if j < 0:
-                raise RuntimeError("stabilizer element does not permute the "
-                                   "marked points; tolerance failure")
-            images.append(j + 1)
-        kept.append(Permutation(tuple(images)))
-    return sorted(kept, key=lambda s: s.images)
+    rows = stabilizer(lam.point_set()).rows + 1
+    return sorted((Permutation(tuple(images)) for images in rows.tolist()),
+                  key=lambda s: s.images)
 
 
 @dataclass
@@ -500,7 +493,12 @@ class PhiReport:
 def phi_check(lam: LambdaTuple) -> PhiReport:
     """Verify bijectivity and the homomorphism property of sigma -> f_sigma
     between the two stabilizers of a configuration; maps are compared at
-    the configuration's tol."""
+    the configuration's tol.
+
+    f_sigma sends the marked point in slot t to the one in slot sigma(t)
+    whenever sigma fixes the configuration, so it lies in the Mobius
+    stabilizer A exactly when sigma's images, less one, are a row of A.
+    """
     from .geometry import set_equal
     n = lam.n
     G = stabilizer_G_lambda(lam)
@@ -518,9 +516,8 @@ def phi_check(lam: LambdaTuple) -> PhiReport:
             rhs = f_sigma(lam, pi.compose(sigma))
             if maps_equal(lhs, rhs, tol=lam.tol):
                 hom_ok += 1
-    onto = all(
-        any(maps_equal(f, g, tol=lam.tol) for g in A.elements)
-        for f in maps.values())
+    rows = set(map(tuple, (A.rows + 1).tolist()))
+    onto = all(sigma.images in rows for sigma in G)
     return PhiReport(n=n, order_G=len(G), order_A=A.order,
                      stabilized=stabilized, hom_pairs=hom_pairs,
                      hom_pairs_ok=hom_ok, onto_ok=onto)

@@ -16,37 +16,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import math
 
 import numpy as np
 
 from . import classifier as cl
-from .errors import OrbitSizeMismatch, UnrecognizedGroup
-from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distances, format_complex)
-from .kernels import (_mul, _row_blocks, base_triple_maps,
-                      scan_stabilizer_triples)
+from .errors import DegenerateMap, OrbitSizeMismatch, UnrecognizedGroup
+from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
+                       RiemannPoint, chordal_distances, format_complex)
+from .kernels import _row_blocks, base_triple_maps, scan_stabilizer_triples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class StabilizerResult:
-    """The stabilizer of a point set: its elements, identification, and
-    the orbit decomposition of the set."""
+    """The stabilizer of a point set: its identification, its elements and
+    the orbit decomposition of the set.
 
-    elements: tuple[MobiusMap, ...]
+    The oracle's own arrays are kept as they are: ``maps`` holds the
+    entries (a, b, c, d) of every element's matrix, one array each and not
+    normalized; ``rows`` is the (order, n) int64 array of the permutations
+    they induce (row[t] is the index of the image of point t), row i
+    belonging to entry i; ``orbit_indices`` lists the point indices of
+    each orbit.  ``elements`` (``MobiusMap`` objects in canonical order)
+    and ``orbits`` (tuples of ``RiemannPoint``) are built on first read.
+    Equality and hashing compare the elements, label, index and orbits.
+    """
+
     label: cl.GroupLabel
     index: tuple[int, ...]
-    orbits: tuple[tuple[RiemannPoint, ...], ...]
+    maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray
+    orbit_indices: tuple[tuple[int, ...], ...]
+    point_set: PointSet
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> tuple[MobiusMap, ...]:
+        order = _canonical_order(self.maps) if self.order > 1 else [0]
+        return tuple(MobiusMap(*e)
+                     for e in zip(*(x[order].tolist() for x in self.maps)))
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[RiemannPoint, ...], ...]:
+        points = self.point_set.points
+        return tuple(tuple(points[i] for i in orbit)
+                     for orbit in self.orbit_indices)
 
     def entry(self) -> cl.ClassificationEntry:
         return cl.ClassificationEntry(self.label, self.index)
 
     def orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
+        return tuple(len(o) for o in self.orbit_indices)
 
     def to_json(self) -> dict:
         entry = self.entry().to_json()
@@ -58,15 +82,37 @@ class StabilizerResult:
         ]
         return out
 
+    def _key(self) -> tuple:
+        return (self.elements, self.label, self.index, self.orbits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"StabilizerResult({self.entry().to_line()}, order={self.order})"
+
 
 def _pick_base_triple(ps: PointSet) -> tuple[int, int, int]:
-    """Greedy max-min-separation triple, for well-conditioned candidates."""
-    d = ps.distance_matrix(ps)
-    i, j = np.unravel_index(np.argmax(d), d.shape)
-    rest = np.minimum(d[i], d[j])
+    """A well-separated base triple in O(n): the point farthest from point
+    0, the point farthest from that one, then the point whose smaller
+    distance to those two is largest."""
+    z, w, nrm = ps.arrays()
+
+    def distances(i):
+        return chordal_distances(z[i], w[i], nrm[i], z, w, nrm)
+
+    i = int(np.argmax(distances(0)))
+    to_i = distances(i)
+    j = int(np.argmax(to_i))
+    rest = np.minimum(to_i, distances(j))
     rest[[i, j]] = -1.0
-    k = int(np.argmax(rest))
-    return int(i), int(j), int(k)
+    # the pair in index order, as the dense search over i < j found it
+    return min(i, j), max(i, j), int(np.argmax(rest))
 
 
 def _canonical_order(f) -> np.ndarray:
@@ -192,37 +238,62 @@ def _row_orders(rows: np.ndarray, base) -> np.ndarray:
     return orders
 
 
-def _normalized(f):
-    """Map entries (a, b, c, d), one array each, divided by their largest
-    modulus."""
+def _check_nondegenerate(f):
+    """Raise DegenerateMap unless every map, with entries (a, b, c, d)
+    given as arrays, passes ``MobiusMap``'s test: a finite nonzero largest
+    entry, and a determinant of at least DET_FLOOR once the entries are
+    divided by it.  Returns the entries so divided."""
     scale = np.maximum(np.maximum(abs(f[0]), abs(f[1])),
                        np.maximum(abs(f[2]), abs(f[3])))
-    return tuple(e / scale for e in f)
+    if not (np.isfinite(scale) & (scale > 0.0)).all():
+        raise DegenerateMap("matrix has no usable pivot entry")
+    a, b, c, d = (e / scale for e in f)
+    det = a * d - b * c
+    low = abs(det) < DET_FLOOR
+    if low.any():
+        raise DegenerateMap(f"determinant {det[low][0]} below floor")
+    return a, b, c, d
 
 
 def _check_finite_orders(f, orders: np.ndarray, tol: float) -> None:
     """Raise UnrecognizedGroup unless f^k is the identity within 10 tol for
-    every map f, with entries given as arrays, and its order k.
+    every map f, with entries of moderate size given as arrays and a
+    nonzero determinant, and its order k.
 
-    Binary exponentiation over every map at once, as ``MobiusMap.power``
-    does for one, followed by ``MobiusMap.is_identity``'s test.  Rows of
-    order 1 are the identity row, whose map is the identity by
-    construction.
+    f^k is evaluated in closed form, in a fixed number of array passes.
+    With g = f / sqrt(det f) and t = tr(g) / 2, Cayley-Hamilton gives
+    g^k = U_{k-1}(t) g - U_{k-2}(t) I for the Chebyshev polynomials U of
+    the second kind.  g has eigenvalues 1/mu and mu = t -+ r, where
+    r^2 = (t - 1)(t + 1), and U_{k-1}(t) = (mu^-k - mu^k) / (1/mu - mu).
+    (Taking r^2 from the entries instead, as ((a - d)/2)^2 + b c, squares
+    their rounding on maps conjugated far from rotations, such as those of
+    a set squeezed into a small cap.)  Scaled by (1/mu - mu) mu^k,
+    with |mu| <= 1 so that nothing overflows, the power is
+    (1 - mu^2k) g - (mu - mu^(2k-1)) I, on which ``MobiusMap.is_identity``'s
+    test runs.  A map of order k rotates by a multiple of 2 pi / k, so
+    |r| >= sin(pi / k); a row whose map lies nearer +-I than half that
+    fails, which also keeps the scale factor away from 0.  Rows of order 1
+    are the identity row, whose map is the identity by construction.
     """
     moving = orders > 1
     if not moving.any():
         return
-    power = f = _normalized(tuple(e[moving] for e in f))
-    k = orders[moving] - 1
-    while k.any():
-        odd = (k & 1) == 1
-        power = _normalized(tuple(np.where(odd, x, y)
-                                  for x, y in zip(_mul(power, f), power)))
-        f = _normalized(_mul(f, f))
-        k = k >> 1
-    a, b, c, d = power
-    bound = 10.0 * tol * np.maximum(abs(a), abs(d))
-    if not ((abs(b) <= bound) & (abs(c) <= bound) & (abs(a - d) <= bound)).all():
+    a, b, c, d = (e[moving] for e in f)
+    k = orders[moving]
+    root = np.sqrt(a * d - b * c)
+    a, b, c, d = a / root, b / root, c / root, d / root
+    t = (a + d) / 2.0
+    r = np.sqrt((t - 1.0) * (t + 1.0))
+    mu = np.where(abs(t - r) <= abs(t + r), t - r, t + r)
+    odd = mu ** (2 * k - 1)
+    lead, shift = 1.0 - odd * mu, mu - odd
+    pa, pd = lead * a - shift, lead * d - shift
+    bound = 10.0 * tol * np.maximum(abs(pa), abs(pd))
+    lead = abs(lead)
+    ok = ((abs(r) >= 0.5 * np.sin(np.pi / k))
+          & (lead * abs(b) <= bound) & (lead * abs(c) <= bound)
+          & (lead * abs(a - d) <= bound))
+    if not ok.all():
         raise UnrecognizedGroup("an element's map does not have the order of "
                                 "its permutation; not part of a finite group")
 
@@ -236,27 +307,28 @@ def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
     """
     labels = perms.min(axis=0)
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return [part.tolist() for part in np.split(order, cuts)]
+    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    flat = order.tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(flat)])]
 
 
-def component_index(ps: PointSet, elements, label: cl.GroupLabel,
-                    _perms: np.ndarray | None = None) -> tuple[int, ...]:
+def component_index(ps: PointSet, elements, label: cl.GroupLabel) -> tuple[int, ...]:
     """Component index of a set under a group that stabilizes it.
 
     Counts the orbits of each size and fills the slots of the label's
     orbit-size table; the generic (full-size) orbit count comes last.
     """
-    index, _ = _component_index_and_orbits(ps, elements, label, _perms)
-    return index
-
-
-def _component_index_and_orbits(ps, elements, label, perms=None):
-    elements = list(elements)
-    if perms is None:
-        perms = np.array([_permutation_of(ps, f) for f in elements])
     if label.kind == cl.TRIVIAL:
-        return (), tuple((p,) for p in ps.points)
+        return ()
+    perms = np.array([_permutation_of(ps, f) for f in elements])
+    return _component_index(perms, label)[0]
+
+
+def _component_index(perms: np.ndarray, label: cl.GroupLabel):
+    """The component index and the orbits, as point index tuples, of the
+    group whose every element has a row in perms."""
+    if label.kind == cl.TRIVIAL:
+        return (), tuple((i,) for i in range(perms.shape[1]))
     orbit_idx = _orbit_partition(perms)
     sizes = label.orbit_sizes()
     counts = [0] * len(sizes)
@@ -278,8 +350,7 @@ def _component_index_and_orbits(ps, elements, label, perms=None):
         cl.validate_index(label, index)
     except ValueError as exc:
         raise OrbitSizeMismatch(str(exc)) from exc
-    orbits = tuple(tuple(ps.points[i] for i in orbit) for orbit in orbit_idx)
-    return index, orbits
+    return index, tuple(tuple(orbit) for orbit in orbit_idx)
 
 
 def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
@@ -354,9 +425,11 @@ def stabilizer(ps: PointSet,
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
     Finds every permutation of the set induced by a Mobius map, reads each
-    element's order from its row, checks closure on the rows, rebuilds the
-    maps through a maximally-separated base triple, and returns them with
-    the group identification and orbit decomposition.
+    element's order from its row, checks closure on the rows, solves for
+    the maps through a maximally-separated base triple and checks them,
+    and returns them with the group identification and orbit
+    decomposition.  Builds no ``MobiusMap`` or ``RiemannPoint``; the result
+    does so when its elements or orbits are read.
     """
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
@@ -371,12 +444,11 @@ def stabilizer(ps: PointSet,
     orders = _row_orders(perms, base)
     _check_closure(perms, orders, base)
     maps = base_triple_maps(z, w, base, perms)
-    _check_finite_orders(maps, orders, ps.tol)
-    # the orbits below do not depend on the order of the rows
-    order = _canonical_order(maps) if len(perms) > 1 else [0]
-    elements = [MobiusMap(*e) for e in zip(*(x[order].tolist() for x in maps))]
-    label = _label_of(len(elements), int(orders.max()))
-    index, orbits = _component_index_and_orbits(ps, elements, label, perms)
+    _check_finite_orders(_check_nondegenerate(maps), orders, ps.tol)
+    label = _label_of(len(perms), int(orders.max()))
+    index, orbits = _component_index(perms, label)
     if sum(len(o) for o in orbits) != ps.n:
         raise OrbitSizeMismatch("orbit sizes do not add up to the set size")
-    return StabilizerResult(tuple(elements), label, index, orbits)
+    for a in (*maps, perms):
+        a.flags.writeable = False
+    return StabilizerResult(label, index, maps, perms, orbits, ps)

@@ -21,8 +21,8 @@ from . import classifier as cl
 from .errors import (InvalidCardinality, SeedOnSpecialLocus,
                      UnrealizableIndex, WitnessSearchExhausted)
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distance, maps_equal, mobius_through_triple,
-                       snap_point)
+                       chordal_distance, homogeneous_arrays, maps_equal,
+                       mobius_through_triple, snap_arrays, snap_point)
 from .oracle import stabilizer
 
 #: Conjugators carrying the standard dihedral orbit families to the two
@@ -190,9 +190,10 @@ def polyhedral_orbit(kind: str, tag_or_seed, tol: float = DEFAULT_TOL) -> PointS
 # Dihedral / cyclic / trivial constructions on the unit circle.
 
 def _pointset(values, tol: float) -> PointSet:
-    """Points from complex values, with float dust snapped off."""
-    return PointSet((snap_point(RiemannPoint.from_value(v)) for v in values),
-                    tol=tol)
+    """Points from complex values, with float dust snapped off; no
+    ``RiemannPoint`` is built until the set's points are read."""
+    z, w, _ = homogeneous_arrays(values)
+    return PointSet.from_arrays(*snap_arrays(z, w), tol=tol)
 
 
 def _unit(angle_turns: float) -> complex:

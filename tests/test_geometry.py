@@ -6,10 +6,11 @@ import pytest
 from orbstab.errors import (AmbiguousMatching, DegenerateMap,
                             NearDegenerateTriple)
 from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                              chordal_distance, format_complex, maps_equal,
+                              chordal_distance, format_complex,
+                              homogeneous_arrays, maps_equal,
                               mobius_through_triple, parse_complex,
                               point_from_str, point_to_str, set_equal,
-                              snap_point)
+                              snap_arrays, snap_point)
 
 INF = RiemannPoint.infinity()
 
@@ -242,3 +243,62 @@ def test_snap_point():
     assert p.value() == 0.0
     q = snap_point(RiemannPoint(1.0, 1e-14))
     assert q.is_infinity()
+
+
+def bits(values):
+    """Bit patterns of complex numbers, so that -0.0 differs from 0.0."""
+    return np.array(values, dtype=complex).view(np.int64).tolist()
+
+
+def awkward_values(rng):
+    """Complex values of every size, with signed zeros, ties |z| == 1,
+    infinity and float dust near the axes."""
+    values = list(rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, size=300)
+                  + 1j * rng.normal(size=300))
+    values += [np.exp(2j * np.pi * k / 7) for k in range(7)]
+    values += [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               -1.0, 1j, -1j, 1.0 + 1e-17j, -3.0 - 1e-14j, 1e-13 + 2.0j,
+               complex("inf"), float("inf"), 2, -7.5]
+    return values
+
+
+class TestArraysMatchPoints:
+    """The array paths give the points' own coordinates, bit for bit."""
+
+    def test_homogeneous_arrays_are_from_value(self):
+        values = awkward_values(np.random.default_rng(1))
+        z, w, nrm = homogeneous_arrays(values)
+        points = [RiemannPoint.from_value(v) for v in values]
+        assert bits(z) == bits([p.z for p in points])
+        assert bits(w) == bits([p.w for p in points])
+        np.testing.assert_allclose(nrm, [p.norm() for p in points], rtol=1e-15)
+
+    def test_snap_arrays_are_snap_point(self):
+        values = awkward_values(np.random.default_rng(2))
+        z, w, _ = homogeneous_arrays(values)
+        sz, sw, nrm = snap_arrays(z, w)
+        points = [snap_point(RiemannPoint.from_value(v)) for v in values]
+        assert bits(sz) == bits([p.z for p in points])
+        assert bits(sw) == bits([p.w for p in points])
+        assert sz[values.index(1.0 + 1e-17j)] == 1.0
+
+    def test_from_values_equals_the_point_constructor(self):
+        rng = np.random.default_rng(3)
+        values = [complex(*xy) for xy in rng.normal(size=(40, 2)) * 3.0]
+        values += [0.0, float("inf")]
+        lazy = PointSet.from_values(values)
+        eager = PointSet([RiemannPoint.from_value(v) for v in values])
+        assert "points" not in vars(lazy)
+        assert lazy.n == len(lazy) == 42
+        for a, b in zip(lazy.arrays(), eager.arrays()):
+            assert bits(a) == bits(b)
+            assert not a.flags.writeable
+        assert lazy.points == eager.points
+        assert bits([c for p in lazy.points for c in (p.z, p.w)]) == \
+            bits([c for p in eager.points for c in (p.z, p.w)])
+        assert lazy.to_json() == eager.to_json()
+
+    def test_from_arrays_checks_separation(self):
+        z, w, nrm = homogeneous_arrays([0.0, 1.0, 1.0 + 1e-12])
+        with pytest.raises(AmbiguousMatching):
+            PointSet.from_arrays(z, w, nrm)

@@ -208,6 +208,35 @@ def test_frame_matches_numpy_cross():
         assert np.array_equal(kernels._frame(a, b), expected)
 
 
+def test_frames_in_one_call_equal_separate_calls():
+    # the anchor's frame rides along with the candidates' in the kernel
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(30, 3))
+    X /= np.sqrt((X * X).sum(axis=1, keepdims=True))
+    pairs = rng.integers(0, 30, size=(12, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    both = kernels._frame(X[np.concatenate(([4], pairs[:, 0]))],
+                          X[np.concatenate(([7], pairs[:, 1]))])
+    assert np.array_equal(both[0], kernels._frame(X[4], X[7]))
+    assert np.array_equal(both[1:], kernels._frame(X[pairs[:, 0]], X[pairs[:, 1]]))
+
+
+@pytest.mark.parametrize("slack", [0.01, 0.1, 0.6])
+def test_grid_depth_is_the_largest_cell_count(slack):
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(50, 3))
+    X /= np.sqrt((X * X).sum(axis=1, keepdims=True))
+    grid = kernels._Grid(X, slack)
+    assert grid.depth == np.unique(grid.keys, return_counts=True)[1].max()
+
+
+def test_second_moment_is_the_mean_outer_product():
+    X = np.random.default_rng(20).normal(size=(25, 3))
+    np.testing.assert_allclose(kernels._second_moment(X),
+                               (X[:, :, None] * X[:, None, :]).mean(axis=0),
+                               rtol=1e-14, atol=1e-15)
+
+
 def test_active_backend_reports():
     assert active_backend() == "numpy"
 

@@ -379,6 +379,68 @@ class TestDirectSearch:
         assert len(list(_triple_search(lam))) > 2 * len(kept)
 
 
+def _oracle_sigmas_by_lookup(lam):
+    """stabilizer_G_lambda(method="oracle") before it read the oracle's
+    rows: each element applied to every marked point and looked up."""
+    ps = lam.point_set()
+    kept = []
+    for f in stabilizer(ps).elements:
+        images = [ps.index_of(f.apply(p)) + 1 for p in ps.points]
+        assert min(images) > 0
+        kept.append(Permutation(tuple(images)))
+    return sorted(kept, key=lambda s: s.images)
+
+
+def _onto_by_maps(lam, G):
+    """phi_check's onto test before it read the oracle's rows: each f_sigma
+    is one of the oracle's maps."""
+    A = stabilizer(lam.point_set())
+    return all(any(maps_equal(f_sigma(lam, sigma), g, tol=lam.tol)
+                   for g in A.elements) for sigma in G)
+
+
+def _row_cases():
+    for name in ("generic", "d5", "z2"):
+        yield name, preset_lambda(name)
+    for n in (5, 6, 7, 8):
+        yield from _witness_lambdas(n, moved=True)
+
+
+class TestOracleRows:
+    """Both moduli readers of the oracle's rows equal the lookups they
+    replaced."""
+
+    def test_sigmas_from_rows(self):
+        orders = set()
+        for name, lam in _row_cases():
+            got = stabilizer_G_lambda(lam, method="oracle")
+            assert got == _oracle_sigmas_by_lookup(lam), name
+            if lam.n <= 8:
+                assert got == stabilizer_G_lambda(lam, method="direct"), name
+            orders.add(len(got))
+        assert len(orders) > 4
+
+    def test_onto_from_rows(self):
+        for name, lam in _row_cases():
+            rep = phi_check(lam)
+            assert rep.onto_ok == _onto_by_maps(lam, stabilizer_G_lambda(lam))
+            assert rep.passed, name
+
+    def test_onto_fails_for_a_sigma_outside_the_stabilizer(self, monkeypatch):
+        lam = preset_lambda("d5")
+        G = stabilizer_G_lambda(lam)
+        # (1 4) moves a pinned slot, so f_sigma is no symmetry; (4 5) keeps
+        # f_sigma the identity, which only the row test tells from sigma
+        for a, b, old_onto in ((1, 4, False), (4, 5, True)):
+            extra = Permutation.transposition(lam.n, a, b)
+            assert extra not in G
+            monkeypatch.setattr(moduli, "stabilizer_G_lambda",
+                                lambda lam: G + [extra])
+            rep = phi_check(lam)
+            assert not rep.onto_ok and not rep.passed
+            assert _onto_by_maps(lam, G + [extra]) == old_onto
+
+
 class TestPhiCheck:
     def test_generic(self):
         rep = phi_check(preset_lambda("generic"))

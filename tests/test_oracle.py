@@ -1,20 +1,23 @@
 import cmath
+import contextlib
+import importlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from orbstab import classifier as cl, geometry, oracle
+from orbstab import classifier as cl, cli, geometry, oracle
 from orbstab.classifier import classify, cyclic, dihedral
-from orbstab.errors import AmbiguousMatching, UnrecognizedGroup
-from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, maps_equal,
-                              mobius_through_triple)
-from orbstab.kernels import scan_stabilizer_triples
+from orbstab.errors import AmbiguousMatching, DegenerateMap, UnrecognizedGroup
+from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, format_complex,
+                              maps_equal, mobius_through_triple)
+from orbstab.kernels import _mul, base_triple_maps, scan_stabilizer_triples
 from orbstab.moduli import ANHARMONIC_GROUP
 from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
-                            _orbit_partition, _pick_base_triple, _row_orders,
-                            component_index, identify_group, projective_order,
-                            stabilizer)
+                            _check_nondegenerate, _label_of, _orbit_partition,
+                            _pick_base_triple, _row_orders, component_index,
+                            identify_group, projective_order, stabilizer)
 from orbstab.witness import dihedral_witness, polyhedral_orbit, witness
 
 
@@ -310,15 +313,94 @@ def entries_of(*maps):
     return tuple(np.array([getattr(f, x) for f in maps]) for x in "abcd")
 
 
+def _normalized(f):
+    scale = np.maximum(np.maximum(abs(f[0]), abs(f[1])),
+                       np.maximum(abs(f[2]), abs(f[3])))
+    return tuple(e / scale for e in f)
+
+
+def finite_orders_by_squaring(f, orders, tol):
+    """The finite-order test before the closed form, one bool per map:
+    f^k by binary exponentiation over every map at once, then
+    ``MobiusMap.is_identity``'s test at 10 tol."""
+    power = f = _normalized(f)
+    k = np.asarray(orders) - 1
+    while k.any():
+        odd = (k & 1) == 1
+        power = _normalized(tuple(np.where(odd, x, y)
+                                  for x, y in zip(_mul(power, f), power)))
+        f = _normalized(_mul(f, f))
+        k = k >> 1
+    a, b, c, d = power
+    bound = 10.0 * tol * np.maximum(abs(a), abs(d))
+    return (abs(b) <= bound) & (abs(c) <= bound) & (abs(a - d) <= bound)
+
+
+def closed_form_accepts(f, order, tol=1e-8):
+    try:
+        _check_finite_orders(_check_nondegenerate(f), np.array([order]), tol)
+    except UnrecognizedGroup:
+        return False
+    return True
+
+
+ROT7 = MobiusMap(cmath.exp(2j * math.pi / 7), 0, 0, 1)
+#: the loxodromic and near-elliptic maps of TestProjectiveOrder
+NOT_OF_ORDER_7 = (MobiusMap(2.0, 0, 0, 1),
+                  MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1))
+
+
 def test_finite_order_check():
-    rot7 = MobiusMap(cmath.exp(2j * math.pi / 7), 0, 0, 1)
-    _check_finite_orders(entries_of(MobiusMap.identity(), rot7, rot7.power(3)),
+    _check_finite_orders(entries_of(MobiusMap.identity(), ROT7, ROT7.power(3)),
                          np.array([1, 7, 7]), tol=1e-8)
-    # the loxodromic and near-elliptic maps of TestProjectiveOrder
-    for f in (MobiusMap(2.0, 0, 0, 1),
-              MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1)):
+    for f in NOT_OF_ORDER_7:
         with pytest.raises(UnrecognizedGroup):
-            _check_finite_orders(entries_of(rot7, f), np.array([7, 7]), tol=1e-8)
+            _check_finite_orders(entries_of(ROT7, f), np.array([7, 7]), tol=1e-8)
+        assert not finite_orders_by_squaring(entries_of(f), [7], 1e-8).any()
+
+
+def test_finite_order_closed_form_agrees_with_squaring():
+    """Rotations of order k up to 4036 (D_2018's), conjugated by a random
+    map, and the same rotations nudged off their order."""
+    rng = np.random.default_rng(9)
+    accepted = 0
+    for _ in range(600):
+        k = int(rng.choice([2, 3, 4, 5, 7, 12, 30, 97, 1009, 2018, 4036]))
+        j = next(j for j in rng.permutation(range(1, k + 1)).tolist()
+                 if math.gcd(j, k) == 1)
+        angle = 2.0 * math.pi * j / k
+        nudge = rng.choice([0.0, 1e-4, 1e-9, 1e-12])
+        scale = 1.0 + rng.choice([0.0, 1e-3, 1e-9, 1e-13])
+        g = np.array([[complex(*rng.normal(size=2)) for _ in range(2)]
+                      for _ in range(2)])
+        f = g @ np.diag([scale * cmath.exp(1j * angle * (1.0 + nudge)), 1.0]) \
+            @ np.linalg.inv(g)
+        f = tuple(np.array([e]) for e in f.ravel())
+        expected = bool(finite_orders_by_squaring(f, [k], 1e-8)[0])
+        assert closed_form_accepts(f, k) == expected, (k, j, nudge, scale)
+        accepted += expected
+    assert 100 < accepted < 500
+
+
+def test_finite_order_closed_form_agrees_on_every_witness(witness_rows):
+    for ps, base, rows, maps in witness_rows:
+        f = entries_of(*maps)
+        orders = _row_orders(rows, base)
+        moving = orders > 1
+        assert finite_orders_by_squaring(
+            tuple(e[moving] for e in f), orders[moving], ps.tol).all()
+        _check_finite_orders(_check_nondegenerate(f), orders, ps.tol)
+
+
+@pytest.mark.parametrize("f", [(1, 0, 0, 1), (-1, 0, 0, -1), (1j, 0, 0, 1j),
+                               (cmath.exp(1e-12j), 0, 0, 1), (1, 1e-14, 0, 1),
+                               (1, 1, 0, 1)],
+                         ids=["I", "-I", "iI", "rotation near I",
+                              "parabolic near I", "parabolic"])
+def test_rows_near_plus_minus_identity_fail_without_warning(f):
+    # a row of order 7 whose map is (near) a scalar or parabolic; the
+    # squaring test accepts the exact scalars, the closed form must not
+    assert not closed_form_accepts(tuple(np.array([complex(e)]) for e in f), 7)
 
 
 def test_row_fixing_the_base_triple_must_be_the_identity():
@@ -347,3 +429,166 @@ def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
     a5 = stabilizer(polyhedral_orbit(cl.A5, "V12"))
     assert (d30.label, a5.label) == (dihedral(30), cl.LABEL_A5)
     assert calls == []
+
+
+def eager_result(ps):
+    """The stabilizer's elements, orbits and JSON built eagerly, the way
+    ``stabilizer()`` built them before its result kept arrays: the
+    reference for the properties built on read."""
+    base = list(_pick_base_triple(ps))
+    z, w, nrm = ps.arrays()
+    rows = scan_stabilizer_triples(z, w, nrm, tuple(base), ps.tol)
+    maps = base_triple_maps(z, w, base, rows)
+    order = _canonical_order(maps) if len(rows) > 1 else [0]
+    elements = tuple(MobiusMap(*e) for e in zip(*(x[order].tolist() for x in maps)))
+    label = _label_of(len(rows), int(_row_orders(rows, base).max()))
+    if label.kind == cl.TRIVIAL:
+        orbits = tuple((p,) for p in ps.points)
+    else:
+        orbits = tuple(tuple(ps.points[i] for i in orbit)
+                       for orbit in _orbit_partition(rows))
+    index = component_index(ps, elements, label)
+    entry = cl.ClassificationEntry(label, index).to_json()
+    as_json = {"order": len(elements), "label": entry.pop("group"), **entry,
+               "orbit_sizes": sorted((len(o) for o in orbits), reverse=True),
+               "elements": [[format_complex(v) for v in (f.a, f.b, f.c, f.d)]
+                            for f in elements]}
+    return elements, orbits, as_json
+
+
+def bits(values):
+    """The bit patterns of complex numbers, so that -0.0 differs from 0.0."""
+    return np.array(values, dtype=complex).view(np.int64).tolist()
+
+
+def test_properties_built_on_read_equal_the_eager_construction(witness_rows):
+    for ps, *_ in witness_rows:
+        res = stabilizer(ps)
+        assert "elements" not in vars(res) and "orbits" not in vars(res)
+        elements, orbits, as_json = eager_result(ps)
+        assert res.to_json() == as_json
+        assert res.elements == elements
+        assert bits([e for f in res.elements for e in (f.a, f.b, f.c, f.d)]) == \
+            bits([e for f in elements for e in (f.a, f.b, f.c, f.d)])
+        assert res.orbits == orbits
+        assert bits([c for o in res.orbits for p in o for c in (p.z, p.w)]) == \
+            bits([c for o in orbits for p in o for c in (p.z, p.w)])
+        assert res.order == len(elements) == len(res.rows)
+        again = stabilizer(ps)
+        assert again == res and hash(again) == hash(res)
+
+
+def test_result_arrays_are_read_only():
+    res = stabilizer(dihedral_witness(5, (0, 0, 1)))
+    for a in (*res.maps, res.rows):
+        assert not a.flags.writeable
+    assert res.rows.shape == (10, 10)
+    assert sorted(len(o) for o in res.orbit_indices) == [10]
+
+
+@pytest.mark.parametrize("entries", [(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0),
+                                     (complex("nan"), 0.0, 0.0, 1.0)],
+                         ids=["zero determinant", "zero matrix", "nan entry"])
+@pytest.mark.parametrize("ps", [dihedral_witness(5, (0, 0, 1)),
+                                PointSet.from_values([1, 1j, -1, -1j, 2])],
+                         ids=["D_5", "trivial"])
+def test_degenerate_maps_raise_at_call_time(monkeypatch, entries, ps):
+    def degenerate(Z, W, base, rows):
+        return tuple(np.full(len(rows), e, dtype=complex) for e in entries)
+
+    monkeypatch.setattr(oracle, "base_triple_maps", degenerate)
+    with pytest.raises(DegenerateMap):
+        stabilizer(ps)
+
+
+def test_nondegenerate_check_follows_the_mobius_map_rule():
+    # largest entry 2, so the normalized determinant is d / 2 against 1e-12
+    for d, ok in ((2e-12, True), (1.9e-12, False)):
+        f = tuple(np.array([e]) for e in (2.0, 0.0, 0.0, d))
+        for build in (lambda: _check_nondegenerate(f),
+                      lambda: MobiusMap(2.0, 0.0, 0.0, d)):
+            if ok:
+                build()
+            else:
+                with pytest.raises(DegenerateMap):
+                    build()
+
+
+def test_verify_builds_no_objects_inside_the_oracle(monkeypatch):
+    inside = []
+    built = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            if inside:
+                built.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return stabilizer(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MobiusMap, "__post_init__",
+                        counted("MobiusMap", MobiusMap.__post_init__))
+    monkeypatch.setattr(RiemannPoint, "__post_init__",
+                        counted("RiemannPoint", RiemannPoint.__post_init__))
+    monkeypatch.setattr(RiemannPoint, "_of_normalized", classmethod(counted(
+        "RiemannPoint", RiemannPoint._of_normalized.__func__)))
+    calls = []
+
+    def oracle_call(*args, **kwargs):
+        calls.append(1)
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stabilizer", oracle_call)
+    monkeypatch.setattr(importlib.import_module("orbstab.witness"), "stabilizer",
+                        oracle_call)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", "5", "12"]) == 0
+    assert out.getvalue().endswith("PASS\n")
+    assert len(calls) > 100
+    assert built == []
+    # the counters are live: reading a result's elements and orbits builds
+    # maps and points
+    inside.append(True)
+    res = stabilizer(dihedral_witness(5, (0, 0, 1)))
+    assert built == []
+    assert res.elements and res.orbits
+    assert set(built) == {"MobiusMap", "RiemannPoint"}
+
+
+def dense_base_triple(ps):
+    """The base triple before it was O(n): the farthest pair of the whole
+    n x n distance matrix, then the point farthest from both."""
+    d = ps.distance_matrix(ps)
+    i, j = np.unravel_index(np.argmax(d), d.shape)
+    rest = np.minimum(d[i], d[j])
+    rest[[i, j]] = -1.0
+    return int(i), int(j), int(np.argmax(rest))
+
+
+def triple_separation(ps, triple):
+    d = ps.distance_matrix(ps)
+    i, j, k = triple
+    return min(d[i, j], d[i, k], d[j, k])
+
+
+def test_base_triple_is_nearly_as_separated_as_the_dense_choice(witness_rows):
+    rng = np.random.default_rng(12)
+    sets = [ps for ps, *_ in witness_rows]
+    for _ in range(80):
+        n = int(rng.integers(5, 81))
+        xyz = rng.normal(size=(n, 3))
+        xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+        sets.append(PointSet([RiemannPoint.from_sphere(*row) for row in xyz]))
+    worst = 1.0
+    for ps in sets:
+        triple = _pick_base_triple(ps)
+        assert len(set(triple)) == 3
+        worst = min(worst, triple_separation(ps, triple)
+                    / triple_separation(ps, dense_base_triple(ps)))
+    assert worst >= 0.5
