@@ -342,12 +342,16 @@ def homogeneous_arrays(values, exact: bool = True
     return _with_norms(*_normalized_pairs(z, w, exact))
 
 
-def check_separation(z, w, nrm, tol: float):
-    """Raise AmbiguousMatching, naming a closest pair, unless the points
-    (z : w) with pair norms nrm are pairwise more than 2*tol apart."""
+def check_separation(z, w, nrm, tol: float) -> float:
+    """The smallest pairwise chordal distance of the points (z : w) with
+    pair norms nrm; inf below two points.
+
+    Raises AmbiguousMatching, naming a closest pair, unless that distance
+    exceeds 2*tol.
+    """
     n = len(z)
     if n < 2:
-        return
+        return math.inf
     d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
     d[np.diag_indices(n)] = 4.0
     i, j = np.unravel_index(np.argmin(d), d.shape)
@@ -355,6 +359,7 @@ def check_separation(z, w, nrm, tol: float):
         p, q = (RiemannPoint(z[k], w[k]) for k in (i, j))
         raise AmbiguousMatching(
             f"points {p} and {q} are within 2*tol = {2.0 * tol} of each other")
+    return float(d[i, j])
 
 
 class PointSet:
@@ -362,10 +367,11 @@ class PointSet:
 
     All pairwise chordal distances must exceed 2*tol, which makes
     tolerance-ball matching against the set unambiguous; construction
-    checks this.  The homogeneous coordinates, as read-only (z, w, norm)
-    arrays, are the set's state: ``PointSet(points, tol)`` takes them from
-    the points, ``from_values`` and ``from_arrays`` build no point at all,
-    and ``points`` makes the ``RiemannPoint`` objects on first read.
+    checks this and keeps the smallest distance it found as
+    ``min_separation``.  The homogeneous coordinates, as read-only (z, w,
+    norm) arrays, are the set's state: ``PointSet(points, tol)`` takes them
+    from the points, ``from_values`` and ``from_arrays`` build no point at
+    all, and ``points`` makes the ``RiemannPoint`` objects on first read.
     """
 
     def __init__(self, points, tol: float = DEFAULT_TOL):
@@ -379,7 +385,7 @@ class PointSet:
             a.flags.writeable = False
         self._arrays = (z, w, nrm)
         self.tol = float(tol)
-        self._check_separation()
+        self._min_separation = check_separation(z, w, nrm, self.tol)
 
     @classmethod
     def from_arrays(cls, z, w, nrm, tol: float = DEFAULT_TOL) -> "PointSet":
@@ -396,8 +402,12 @@ class PointSet:
         return tuple(RiemannPoint._of_normalized(a, b)
                      for a, b in zip(z.tolist(), w.tolist()))
 
-    def _check_separation(self):
-        check_separation(*self._arrays, self.tol)
+    @property
+    def min_separation(self) -> float:
+        """The smallest pairwise chordal distance, from the construction
+        check; inf below two points.  Divided by tol, it is how close the
+        set came to its tolerance."""
+        return self._min_separation
 
     @property
     def n(self) -> int:

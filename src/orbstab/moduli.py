@@ -16,12 +16,15 @@ coset part is one Mobius map h_L whose coefficients, looked up in a table
 by the displaced pinned slots, are written out in the displaced values L;
 each displaced slot's coordinate is h_L at the value that slot pinned.
 
-A K_n point carries its n marked points, built once on construction, as
-normalized homogeneous (z, w) arrays.  Its separation check, the
-re-pinning map f_sigma, the definitional path and the triple search all
-read those arrays; permutations enter both paths as plain index lists.
-The closed form reads only the coordinates themselves, so the two paths
-share nothing that could hide an error in either.
+A K_n point carries its n marked points as normalized homogeneous (z, w)
+arrays, built at most once.  Its separation check, the re-pinning map
+f_sigma, the definitional path and the triple search all read those
+arrays; permutations enter both paths as plain index lists.  The closed
+form reads only the coordinates themselves, so the two paths share
+nothing that could hide an error in either.  The output of the action, a
+Mobius image of a point already checked, carries a proven bound on its
+separation in place of a check, and builds its arrays only when they are
+read.
 """
 
 from __future__ import annotations
@@ -141,31 +144,59 @@ class LambdaTuple:
     """A point of K_n: the free coordinates of a normalized configuration.
 
     Construction builds the marked points (0, 1, inf, l_1, ..., l_{n-3})
-    once, as read-only homogeneous arrays, and checks that they are
-    pairwise more than 2*tol apart (AmbiguousMatching otherwise).
+    as read-only homogeneous arrays, checks that they are pairwise more
+    than 2*tol apart (AmbiguousMatching otherwise), and keeps the smallest
+    distance found as a lower bound on the point's separation.  The
+    coordinates are also kept as a read-only array, which the closed form
+    reads.
+
+    ``g_sigma`` builds its output through ``_certified`` when it can prove
+    the output separated: that stores the proven bound in place of the
+    check, and the homogeneous arrays are made on the first ``arrays()`` or
+    ``marked_points()`` read, bit for bit as construction would make them.
     """
 
     values: tuple[complex, ...]
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(complex(v) for v in self.values))
+        values = tuple(complex(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_coords",
+                           _read_only(np.array(values, dtype=complex)))
+        object.__setattr__(self, "_separation_bound",
+                           check_separation(*self._arrays, self.tol))
+
+    @classmethod
+    def _certified(cls, coords: np.ndarray, tol: float,
+                   separation_bound: float) -> "LambdaTuple":
+        """The K_n point with these coordinates, whose marked points the
+        caller has proven to lie more than ``separation_bound`` > 2*tol
+        apart; checks nothing and builds no homogeneous array."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "values", tuple(coords.tolist()))
+        object.__setattr__(lam, "tol", tol)
+        object.__setattr__(lam, "_coords", _read_only(coords))
+        object.__setattr__(lam, "_separation_bound", separation_bound)
+        return lam
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # one per g_sigma call, so numpy's cheaper division; marked_points()
         # normalizes each point exactly
         arrays = homogeneous_arrays((0.0, 1.0, math.inf) + self.values,
                                     exact=False)
         for a in arrays:
-            a.flags.writeable = False
-        check_separation(*arrays, self.tol)
-        object.__setattr__(self, "_arrays", arrays)
+            _read_only(a)
+        return arrays
 
     @property
     def n(self) -> int:
         return len(self.values) + 3
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The marked points as (z, w, norm) ndarrays, slot order."""
+        """The marked points as read-only (z, w, norm) ndarrays, slot
+        order."""
         return self._arrays
 
     def marked_points(self) -> list[RiemannPoint]:
@@ -184,6 +215,11 @@ class LambdaTuple:
     def from_json(cls, data: dict) -> "LambdaTuple":
         from .geometry import parse_complex
         return cls(tuple(parse_complex(s) for s in data["values"]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def tuple_deviation(a, b) -> float:
@@ -211,26 +247,34 @@ def _preimages(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     return np.argsort(sigma.images)
 
 
-def _repinning(lam: LambdaTuple, i: int, j: int, k: int) -> MobiusMap:
-    """The map sending marked points i, j, k to 0, 1, infinity.
+def _pinned_triple(lam: LambdaTuple, sigma: Permutation) -> list[int]:
+    """The indices of the marked points that sigma sends to slots 1, 2, 3."""
+    _check_size(lam, sigma)
+    return [sigma.images.index(slot) for slot in (1, 2, 3)]
+
+
+def _repinning_entries(lam: LambdaTuple, triple):
+    """The entries (a, b, c, d), unnormalized, of the map sending the marked
+    points of the index triple to 0, 1 and infinity.
 
     The LambdaTuple's own 2*tol check keeps the triple apart.
     """
     z, w, _ = lam.arrays()
-    return MobiusMap(*zero_one_inf_entries(z[i], w[i], z[j], w[j], z[k], w[k]))
+    (z1, z2, z3), (w1, w2, w3) = z[triple].tolist(), w[triple].tolist()
+    return zero_one_inf_entries(z1, w1, z2, w2, z3, w3)
 
 
 def f_sigma(lam: LambdaTuple, sigma: Permutation) -> MobiusMap:
     """The re-pinning map: sends the points in slots sigma^-1(1), (2), (3)
     of the configuration to 0, 1 and infinity."""
-    return _repinning(lam, *_preimages(lam, sigma)[:3])
+    return MobiusMap(*_repinning_entries(lam, _pinned_triple(lam, sigma)))
 
 
-def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
+def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The action straight from its definition: apply the re-pinning map to
     the reordered configuration and read off the free coordinates."""
     inv = _preimages(lam, sigma)
-    f = _repinning(lam, *inv[:3])
+    f = MobiusMap(*_repinning_entries(lam, inv[:3]))
     z, w, _ = lam.arrays()
     z, w = z[inv[3:]], w[inv[3:]]
     z, w = f.a * z + f.b * w, f.c * z + f.d * w
@@ -239,7 +283,7 @@ def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> tuple[complex,
         raise ValueError(
             f"image coordinate for slot {4 + int(np.argmax(at_inf))} landed "
             "at infinity; the input left the domain of the action")
-    return tuple((z / w).tolist())
+    return z / w
 
 
 def _coset_split(images: tuple[int, ...]):
@@ -258,18 +302,19 @@ def _coset_split(images: tuple[int, ...]):
     return dict(zip(marked, bigs)), [swap.get(t, t) for t in images]
 
 
-def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
+def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The action via the closed forms: the block part's coordinate
     shuffle and anharmonic map, then the coset part's map h_L.
 
     Each displaced slot's coordinate is h_L at the value that slot pinned,
     taken in homogeneous coordinates so that infinity needs no division.
+    Reads the coordinates alone, never the marked points' arrays.
     """
     _check_size(lam, sigma)
     slot_to_big, v = _coset_split(sigma.images)
     h = _ANHARMONIC_BY_SLOT_PERM[tuple(v[:3])]
     mu = np.empty(lam.n - 3, dtype=complex)
-    mu[np.array(v[3:], dtype=np.intp) - 4] = lam.values  # slot v(i) gets l_{i-3}
+    mu[np.array(v[3:], dtype=np.intp) - 4] = lam._coords  # slot v(i) gets l_{i-3}
     mu = (h.a * mu + h.b) / (h.c * mu + h.d)
     a, b, c, d = _COSET_MAPS[tuple(slot_to_big)](
         {slot: mu[big - 4] for slot, big in slot_to_big.items()})
@@ -277,13 +322,55 @@ def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> tuple[complex, ...]:
     for slot, big in slot_to_big.items():
         p, q = _PINNED[slot]
         z[big - 4], w[big - 4] = a * p + b * q, c * p + d * q
-    return tuple((z / w).tolist())
+    return z / w
+
+
+#: The rounding margin of the separation bound in ``g_sigma``: relative,
+#: and absolute in units of the re-pinning map's condition number.  The
+#: images and the re-normalized output move each point by a few ulps times
+#: that number, so both margins leave a wide factor.
+_BOUND_RELATIVE_MARGIN = 1e-9
+_BOUND_ABSOLUTE_MARGIN = 1e-13
+
+
+def _image_separation(lam: LambdaTuple, entries) -> float:
+    """A lower bound on the pairwise chordal distances of the images of
+    lam's marked points under the matrix with these entries, as the
+    output arrays of g_sigma will hold them.
+
+    For a matrix A, chordal(Ap, Aq) >= chordal(p, q) / kappa with
+    kappa = |A|_F^2 / |det A|, since the cross product of Ap and Aq is
+    det A times that of p and q, and |Ap| <= |A|_F |p|.  kappa does not
+    depend on A's scale, so A need not be normalized.
+    """
+    a, b, c, d = entries
+    kappa = ((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+             / abs(a * d - b * c))
+    return (lam._separation_bound / kappa * (1.0 - _BOUND_RELATIVE_MARGIN)
+            - _BOUND_ABSOLUTE_MARGIN * kappa)
 
 
 def g_sigma(lam: LambdaTuple, sigma: Permutation,
             tol: float | None = None) -> LambdaTuple:
     """Evaluate the action of sigma on a K_n point, both ways, and fail
-    loudly if the definitional and closed-form paths disagree."""
+    loudly if the definitional and closed-form paths disagree.
+
+    The output is the definitional path's, a Mobius image of the input,
+    and its separation is bounded without an O(n^2) check: by the input's
+    bound divided by the condition number kappa = |A|_F^2 / |det A| of the
+    re-pinning map A = f_sigma (kappa does not depend on A's scale, so it
+    is that of the normalized map), less a relative margin of 1e-9
+    and an absolute one of 1e-13 * kappa for rounding.  When that bound
+    exceeds 2*tol the output keeps it and builds its homogeneous arrays
+    only when they are read; otherwise the output goes through the public
+    constructor's full check, which raises AmbiguousMatching as before.
+
+    The action is not closed on K_n at a fixed tol, because chordal
+    distance is not Mobius-invariant: a valid point can have images with
+    two marked points within 2*tol.  For the n = 8 point (1.2e4+3e3j,
+    -2e-4+1e-4j, 0.7e4j, 3e-4, 2-1j) at tol = 1e-8, 3120 of the 40320 sigma
+    raise AmbiguousMatching.
+    """
     tol = lam.tol if tol is None else tol
     by_def = g_sigma_definitional(lam, sigma)
     by_form = g_sigma_closed(lam, sigma)
@@ -291,7 +378,11 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     if not dev <= 10.0 * tol:  # nan too
         raise ClosedFormMismatch(
             f"closed form and definition disagree by {dev} for sigma = {sigma}")
-    return LambdaTuple(by_def, tol=lam.tol)
+    bound = _image_separation(
+        lam, _repinning_entries(lam, _pinned_triple(lam, sigma)))
+    if bound > 2.0 * lam.tol:
+        return LambdaTuple._certified(by_def, lam.tol, bound)
+    return LambdaTuple(by_def.tolist(), tol=lam.tol)
 
 
 def random_lambda(n: int, rng: np.random.Generator,
@@ -452,7 +543,7 @@ def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
                 f"direct enumeration of S_{n} exceeds the bound "
                 f"{enumeration_bound}")
         kept = [sigma for sigma in _triple_search(lam)
-                if tuple_deviation(g_sigma_closed(lam, sigma), lam.values)
+                if tuple_deviation(g_sigma_closed(lam, sigma), lam._coords)
                 <= lam.tol]
         return sorted(kept, key=lambda s: s.images)
     if method != "oracle":

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+import itertools
 import math
 
 import numpy as np
@@ -361,9 +362,10 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
     images of the base triple and then compared in full.  The identity
     must be a row.  Each generator s is the element of largest order not
     yet reached, and s G must lie in G; a breadth-first search from the
-    identity along those products then reaches the group the generators
-    generate.  Each generator at least doubles that group, so k <= log2 m,
-    and once it is all of G, G is closed, inverses included.
+    identity along those products, continued from the rows it has reached
+    as each generator is added, reaches the group the generators generate.
+    Each generator at least doubles that group, so k <= log2 m, and once
+    it is all of G, G is closed, inverses included.
     """
     m, n = rows.shape
     # _row_orders has checked that the rows of order 1 are the identity
@@ -391,7 +393,9 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
 
     identity = int(identities[0])
     products: list[list[int]] = []  # products[j][g]: the row of s_j g
-    reached = _reached(identity, products, m)
+    reached = [False] * m
+    reached[identity] = True
+    queue = [identity]
     for s in np.argsort(-orders, kind="stable").tolist():
         if reached[s]:
             continue
@@ -402,22 +406,30 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
             raise UnrecognizedGroup("stabilizer elements not closed under "
                                     "composition")
         products.append(image.tolist())
-        reached = _reached(identity, products, m)
+        _reach(reached, queue, products)
 
 
-def _reached(start: int, products: list[list[int]], m: int) -> list[bool]:
-    """Which of m rows a breadth-first search from ``start`` reaches along
-    the generator products."""
-    seen = [False] * m
-    seen[start] = True
-    queue = [start]
-    for g in queue:
+def _reach(seen: list[bool], queue: list[int], products: list[list[int]]):
+    """Continue a breadth-first search along the generator products.
+
+    ``queue`` lists the rows reached so far, in the order they were
+    reached, and ``seen`` marks them; both grow in place.  The search has
+    already followed every product but the last from each queued row, so
+    the new product is followed from those rows, and every product from
+    the rows it reaches.
+    """
+    new, done = products[-1], len(queue)
+    for g in queue[:done]:
+        h = new[g]
+        if not seen[h]:
+            seen[h] = True
+            queue.append(h)
+    for g in itertools.islice(queue, done, None):
         for image in products:
             h = image[g]
             if not seen[h]:
                 seen[h] = True
                 queue.append(h)
-    return seen
 
 
 def stabilizer(ps: PointSet,

@@ -6,7 +6,8 @@ import pytest
 from orbstab.errors import (AmbiguousMatching, DegenerateMap,
                             NearDegenerateTriple)
 from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                              chordal_distance, format_complex,
+                              check_separation, chordal_distance,
+                              format_complex,
                               homogeneous_arrays, maps_equal,
                               mobius_through_triple, parse_complex,
                               point_from_str, point_to_str, set_equal,
@@ -179,6 +180,23 @@ class TestPointSet:
     def test_separation_enforced(self):
         with pytest.raises(AmbiguousMatching):
             PointSet.from_values([0.0, 1e-12, 1.0])
+
+    def test_min_separation_is_the_dense_minimum(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 17, 60):
+            ps = PointSet(random_points(rng, n))
+            dense = min(chordal_distance(p, q) for i, p in enumerate(ps.points)
+                        for q in ps.points[i + 1:])
+            assert ps.min_separation == pytest.approx(dense, rel=1e-12)
+            with pytest.raises(AttributeError):
+                ps.min_separation = 1.0
+        pair = PointSet.from_values([0.0, 1.0, 1.0 + 3e-8])
+        assert pair.min_separation / pair.tol == pytest.approx(3.0, rel=1e-6)
+
+    def test_check_separation_below_two_points(self):
+        for values in ([], [2.0]):
+            assert check_separation(*homogeneous_arrays(values), 1.0) == math.inf
+            assert PointSet.from_values(values).min_separation == math.inf
 
     def test_set_equal_order_independent(self):
         a = PointSet.from_values([0, 1, float("inf")])

@@ -10,7 +10,7 @@ from orbstab import moduli
 from orbstab.errors import (AmbiguousMatching, ClosedFormMismatch,
                             EnumerationBoundExceeded)
 from orbstab.geometry import (MobiusMap, RiemannPoint, chordal_distance,
-                              maps_equal, set_equal)
+                              chordal_distances, maps_equal, set_equal)
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
                             _normalize_to_lambda, _triple_search,
                             all_permutations, f_sigma, g_sigma,
@@ -222,6 +222,85 @@ class TestGSigma:
         sigma = Permutation((1, 2, 3, 5, 6, 4))
         out = g_sigma(lam, sigma).values
         assert tuple_deviation(out, (5.0, 2.0, 3.0)) < 1e-12
+
+
+def _dense_min_separation(z, w, nrm):
+    d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
+    return d[~np.eye(len(z), dtype=bool)].min()
+
+
+def _g_sigma_checked_in_full(lam, sigma):
+    """g_sigma's output before it bounded the output's separation: the
+    definitional values through the public constructor's full check."""
+    return LambdaTuple(tuple(g_sigma_definitional(lam, sigma).tolist()),
+                       tol=lam.tol)
+
+
+def _outcome(action, lam, sigma):
+    """The output's values, or the type of the error the action raised."""
+    try:
+        return action(lam, sigma).values
+    except (AmbiguousMatching, ValueError) as err:
+        return type(err)
+
+
+class TestSeparationBound:
+    """g_sigma skips the output's O(n^2) check only where the input's
+    separation and f_sigma's conditioning prove it would pass."""
+
+    def test_certified_outputs_match_the_full_construction(self):
+        rng = np.random.default_rng(31)
+        certified = total = 0
+        for n in range(5, 33):
+            for _ in range(4):
+                lam = random_lambda(n, rng)
+                for _ in range(2):
+                    lam = g_sigma(lam, random_permutation(n, rng))
+                    total += 1
+                    if "_arrays" in vars(lam):
+                        continue
+                    certified += 1
+                    full = LambdaTuple(lam.values, tol=lam.tol)
+                    for got, want in zip(lam.arrays(), full.arrays()):
+                        assert got.tobytes() == want.tobytes()
+                        assert not got.flags.writeable
+                    assert lam._separation_bound <= _dense_min_separation(
+                        *full.arrays())
+                    assert lam._separation_bound > 2.0 * lam.tol
+        assert certified > 0.9 * total
+
+    @pytest.mark.parametrize("values, raised", [
+        # the moduli of the n = 8 point that the action cannot keep in K_n
+        ((1.2e4 + 3e3j, -2e-4 + 1e-4j, 0.7e4j, 3e-4), True),
+        # four coordinates 2.6 to 7.3 tol apart: no image can be certified
+        (tuple(0.5 + 0.5j + 0.5e-8 * (1.0 + abs(0.5 + 0.5j) ** 2) * u
+               for u in (0, 2.6, 1.3 + 5j, 7 + 2j)), False)])
+    def test_same_rejections_as_the_full_check(self, values, raised):
+        lam = LambdaTuple(values, tol=1e-8)
+        outcomes = [(_outcome(g_sigma, lam, sigma),
+                     _outcome(_g_sigma_checked_in_full, lam, sigma))
+                    for sigma in all_permutations(7)]
+        assert all(got == want for got, want in outcomes)
+        assert any(got is AmbiguousMatching for got, _ in outcomes) == raised
+
+    def test_no_check_and_no_arrays_until_read(self, monkeypatch):
+        lam = random_lambda(32, np.random.default_rng(32))
+        calls = {"check_separation": 0, "homogeneous_arrays": 0}
+
+        def counted(name):
+            original = getattr(moduli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(moduli, name, counted(name))
+        out = g_sigma(lam, random_permutation(32, np.random.default_rng(33)))
+        assert calls == {"check_separation": 0, "homogeneous_arrays": 0}
+        assert len(out.marked_points()) == len(out.arrays()[0]) == 32
+        assert calls == {"check_separation": 0, "homogeneous_arrays": 1}
 
 
 class TestTupleDeviation:

@@ -16,7 +16,8 @@ from orbstab.kernels import _mul, base_triple_maps, scan_stabilizer_triples
 from orbstab.moduli import ANHARMONIC_GROUP
 from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
                             _check_nondegenerate, _label_of, _orbit_partition,
-                            _pick_base_triple, _row_orders, component_index,
+                            _pick_base_triple, _reach, _row_orders,
+                            component_index,
                             identify_group, projective_order, stabilizer)
 from orbstab.witness import dihedral_witness, polyhedral_orbit, witness
 
@@ -306,6 +307,37 @@ def test_exact_closure_rejects_one_foreign_row():
     bad[r] = np.random.default_rng(40).permutation(ps.n)
     with pytest.raises(UnrecognizedGroup):
         _check_closure(bad, _row_orders(bad, base), base)
+
+
+def _reached_afresh(start, products, m):
+    """The closure search before it continued: a breadth-first search from
+    ``start`` along every product, run again after each generator."""
+    seen = [False] * m
+    seen[start] = True
+    queue = [start]
+    for g in queue:
+        for image in products:
+            h = image[g]
+            if not seen[h]:
+                seen[h] = True
+                queue.append(h)
+    return seen
+
+
+def test_continued_search_reaches_what_a_fresh_one_does():
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 7, 60, 240):
+        for _ in range(5):
+            seen, queue, products = [False] * m, [0], []
+            seen[0] = True
+            for _ in range(4):
+                # any map of the rows to themselves, not only a permutation
+                products.append(rng.integers(0, m, size=m).tolist()
+                                if rng.random() < 0.3 else
+                                rng.permutation(m).tolist())
+                _reach(seen, queue, products)
+                assert seen == _reached_afresh(0, products, m)
+                assert sorted(queue) == [g for g in range(m) if seen[g]]
 
 
 def entries_of(*maps):

@@ -2,8 +2,7 @@
 how a witness set is given, neither on the order of its points nor on a
 Mobius map of bounded stretch applied to all of them.
 
-Hypothesis runs under a derandomized profile without an example
-database, so every run draws the same examples.
+Hypothesis runs under the derandomized profile of conftest.py.
 """
 
 import cmath
@@ -17,8 +16,6 @@ from orbstab.geometry import MobiusMap, PointSet
 from orbstab.oracle import stabilizer
 from orbstab.witness import witness
 
-settings.register_profile("derandomized", derandomize=True, database=None,
-                          deadline=None, max_examples=100)
 DERANDOMIZED = settings.get_profile("derandomized")
 
 #: every finite entry of classify(n) for n <= 12
