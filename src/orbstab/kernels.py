@@ -20,14 +20,24 @@ separation, wide enough to survive the stretching of centering, unless
 the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
-Matching only proposes permutations.  A row is kept when the Mobius map
-through the base triple and its images sends every point within ``tol`` of
-its partner, in the input's homogeneous coordinates: the chordal test of
-the brute-force triple scan that the tests keep as the reference.  The
-profiles cost ``O(n^2 log n)`` and each candidate ``O(n log n)``; memory
-stays at ``O(n)`` per candidate block, and no candidates-by-n-by-n array
-is built.  The kernel makes no BLAS or LAPACK call: the 3x3 solve uses
-the adjugate.
+Matching only proposes permutations.  The distinct ones that are
+bijections are solved, in one pass, for the Mobius map through the base
+triple and its images, and a row is kept when that map sends every point
+within ``tol`` of its partner, in the input's homogeneous coordinates: the
+chordal test of the brute-force triple scan that the tests keep as the
+reference.  The kept maps go to the caller, so they are solved once.
+
+Each quantity is one numpy pass over all points, candidates or rows, and
+nothing is derived twice: the stretch of centering comes from the pair
+norms of its accepted step; distances are summed axis by axis over (3, n)
+coordinate rows, the same sums in the same order as a reduction over a
+length-3 axis, at a fraction of its cost; the rotated points of all
+candidates come out of one product per frame axis, as (3, candidates, n)
+arrays, which a grid lookup compares with the listed points one pass per
+cell depth.  The profiles cost ``O(n^2 log n)`` and each candidate
+``O(n log n)``; memory stays at ``O(n)`` per candidate block, and no
+candidates-by-n-by-n array is built.  The kernel makes no BLAS or LAPACK
+call: the 3x3 solve uses the adjugate.
 """
 
 from __future__ import annotations
@@ -64,17 +74,44 @@ _ANCHORS = 8
 #: Grid cells per axis at most, so a cell key fits in int64.
 _CELLS = 1 << 20
 
+#: A cell's key is (x * _CELLS + y) * _CELLS + z: its index times these weights.
+_KEY_WEIGHTS = np.array([_CELLS * _CELLS, _CELLS, 1], dtype=np.int64)
+
+#: _UPPER[q, j]: corner q of a slack ball takes the upper cell on axis j
+#: (bit j of q is set).
+_UPPER = (np.arange(8)[:, None] >> np.arange(3)) & 1
+#: _LOWER[j]: the corners that take the lower cell on axis j, a column.
+_LOWER = (_UPPER == 0).T[:, :, None]
+
+#: The signs of a slack ball's lower and upper corners.
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
+
+_EYE = np.eye(3)
+
 
 def active_backend() -> str:
     """The scan implementation in use; there is one."""
     return "numpy"
 
 
-def _sphere(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Inverse stereographic images of (Z : W) as an (n, 3) array."""
-    zz, ww = np.abs(Z) ** 2, np.abs(W) ** 2
-    zw = 2.0 * Z * W.conj()
-    return np.stack([zw.real, zw.imag, zz - ww], axis=1) / (zz + ww)[:, None]
+def _sphere(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse stereographic images of the points P = (Z : W), stacked as
+    (2, n), as an (n, 3) array, and the squared pair norms |Z|^2 + |W|^2
+    they were divided by."""
+    size = np.abs(P) ** 2
+    zw = 2.0 * P[0] * P[1].conj()
+    norm2 = size[0] + size[1]
+    X = np.empty((len(norm2), 3))
+    np.divide(zw.real, norm2, out=X[:, 0])
+    np.divide(zw.imag, norm2, out=X[:, 1])
+    np.divide(size[0] - size[1], norm2, out=X[:, 2])
+    return X, norm2
+
+
+def _moved_sphere(H, P: np.ndarray):
+    """``_sphere`` of the points H P, for H given as an (a, b, c, d) tuple."""
+    H = np.array(H).reshape(2, 2, 1)
+    return _sphere(H[:, 0] * P[0] + H[:, 1] * P[1])
 
 
 def _mul(g, h):
@@ -85,7 +122,7 @@ def _mul(g, h):
 
 def _newton_direction(M: np.ndarray, c: np.ndarray) -> tuple[float, float, float]:
     """(I - M)^-1 c for a symmetric 3x3 M, by the adjugate."""
-    (a, b, e), (_, d, f), (_, _, g) = (np.eye(3) - M).tolist()
+    (a, b, e), (_, d, f), (_, _, g) = (_EYE - M).tolist()
     x, y, z = c.tolist()
     ad = (d * g - f * f, e * f - b * g, b * f - e * d,
           a * g - e * e, b * e - a * f, a * d - b * b)
@@ -98,6 +135,11 @@ def _newton_direction(M: np.ndarray, c: np.ndarray) -> tuple[float, float, float
 def _second_moment(X: np.ndarray) -> np.ndarray:
     """The mean of x x^T over the rows x of X, a 3x3 array."""
     return np.einsum("ni,nj->ij", X, X) / len(X)
+
+
+def _centroid(X: np.ndarray) -> np.ndarray:
+    """The mean of the rows of X (``X.mean(axis=0)`` without its wrapper)."""
+    return np.add.reduce(X, axis=0) / len(X)
 
 
 def _boost(u, length: float):
@@ -113,10 +155,11 @@ def _center(Z: np.ndarray, W: np.ndarray):
     Each Newton step solves (I - M) d = c, with c the centroid and M the
     mean of x x^T, and moves the points away from d by hyperbolic length
     |d|, halving the step until the centroid shrinks.  The steps compose
-    into one matrix H applied to the input, so rounding does not pile up.
-    Centering stops at CENTERING_RESIDUAL, after CENTERING_STEPS steps, or
-    when no halving shrinks the centroid, which is where rounding stops a
-    set squeezed into a small cap.
+    into one matrix H applied to the input, so rounding does not pile up;
+    each trial H is applied to the input once.  Centering stops at
+    CENTERING_RESIDUAL, after CENTERING_STEPS steps, or when no halving
+    shrinks the centroid, which is where rounding stops a set squeezed
+    into a small cap.
 
     Returns the centered cloud, the largest stretch of chordal distances
     by H at a point, the length of the Newton step still to go (about how
@@ -124,9 +167,11 @@ def _center(Z: np.ndarray, W: np.ndarray):
     steps taken.
     """
     H = (1.0, 0.0, 0.0, 1.0)
-    X = _sphere(Z, W)
-    c = X.mean(axis=0)
-    r = math.hypot(*c)
+    P = np.array((Z, W))
+    X, norm2_in = _sphere(P)
+    norm2 = norm2_in
+    c = _centroid(X)
+    r = math.hypot(*c.tolist())
     steps = 0
     while r > CENTERING_RESIDUAL and steps < CENTERING_STEPS:
         steps += 1
@@ -136,45 +181,62 @@ def _center(Z: np.ndarray, W: np.ndarray):
         t = min(length, _MAX_STEP)
         for _ in range(_HALVINGS):
             trial = _mul(_boost(u, t), H)
-            Xt = _sphere(trial[0] * Z + trial[1] * W, trial[2] * Z + trial[3] * W)
-            ct = Xt.mean(axis=0)
-            rt = math.hypot(*ct)
+            Xt, norm2_t = _moved_sphere(trial, P)
+            ct = _centroid(Xt)
+            rt = math.hypot(*ct.tolist())
             if rt < r:
-                H, X, c, r = trial, Xt, ct, rt
+                H, X, norm2, c, r = trial, Xt, norm2_t, ct, rt
                 break
             t /= 2.0
         else:
             break
     shift = math.hypot(*_newton_direction(_second_moment(X), c))
-    # H has determinant 1, so it stretches chordal distances at p by |p|^2 / |H p|^2
-    hz, hw = H[0] * Z + H[1] * W, H[2] * Z + H[3] * W
-    stretch = float(((np.abs(Z) ** 2 + np.abs(W) ** 2)
-                     / (np.abs(hz) ** 2 + np.abs(hw) ** 2)).max())
+    # H has determinant 1, so it stretches chordal distances at p by
+    # |p|^2 / |H p|^2, both pair norms already at hand (1 when no step)
+    stretch = float(np.maximum.reduce(norm2_in / norm2))
     return X, stretch, shift, r, steps
 
 
-def _distances(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|X[r] - X[s]| for r in rows and every s: a (len(rows), n) array."""
-    diff = X[rows, None, :] - X[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """|r - s| for every point r with coordinates R (3, k) and s with
+    coordinates C (3, n): a (k, n) array.  The squares are summed axis by
+    axis, in order, as a reduction over a length-3 axis would sum them."""
+    d2 = R[0][:, None] - C[0]
+    d2 *= d2
+    for j in (1, 2):
+        d = R[j][:, None] - C[j]
+        d *= d
+        d2 += d
+    return np.sqrt(d2, out=d2)
 
 
 def _row_blocks(count: int, width: int):
-    """Consecutive index blocks of ``count`` rows, ``width`` entries per row."""
+    """Consecutive slices of ``count`` rows, ``width`` entries per row."""
     step = max(1, _BLOCK // max(width, 1))
-    for lo in range(0, count, step):
-        yield np.arange(lo, min(count, lo + step))
+    return map(slice, range(0, count, step), range(step, count + step, step))
+
+
+#: Components (1, 2, 0) and (2, 0, 1): a x v = a[R1] v[R2] - a[R2] v[R1].
+_ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames (..., 3 axes, 3) with first axis a, b in the first two."""
-    v = b - (a * b).sum(axis=-1, keepdims=True) * a
-    v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    # a x v written out: np.cross costs more in call overhead at small n
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    c = np.stack([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0], axis=-1)
-    return np.stack([a, v, c], axis=-2)
+    F = np.empty((*a.shape[:-1], 3, 3))
+    F[..., 0, :] = a
+    v = np.subtract(b, _dot(a, b) * a, out=F[..., 1, :])
+    v /= np.sqrt(_dot(v, v))
+    # a x v by rolled components: np.cross costs more in call overhead
+    np.subtract(a.take(_ROLL1, axis=-1) * v.take(_ROLL2, axis=-1),
+                a.take(_ROLL2, axis=-1) * v.take(_ROLL1, axis=-1),
+                out=F[..., 2, :])
+    return F
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, kept as a length-1 axis."""
+    p = a * b
+    return p[..., 0:1] + p[..., 1:2] + p[..., 2:3]
 
 
 class _Grid:
@@ -183,120 +245,152 @@ class _Grid:
     Each point is listed under every cell its slack ball meets, so a query
     needs only the cell it falls in.  Cells have side ``2 * slack``
     (coarser only when that would overflow the keys); with slack a quarter
-    of the separation a cell lists only a few points.
+    of the separation a cell lists only a few points.  ``keys`` are the
+    sorted cell keys of the listings, ``owner`` the point of each, and
+    ``depth`` the most points listed under one cell.
     """
 
     def __init__(self, X: np.ndarray, slack: float):
-        self.cols = [np.ascontiguousarray(X[:, j]) for j in range(3)]
         self.slack = slack
         self.h = max(2.0 * slack, 4.0 / _CELLS)
-        lo = self._index(X.T - slack)
-        hi = self._index(X.T + slack)
-        # corner q takes the upper cell on axis j when bit j of q is set; a
-        # ball inside one cell along an axis meets no second cell there
-        upper = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
-        new = (~upper[:, :, None] | (hi != lo)).all(axis=1)
-        keys = self._combine(np.where(upper[:, :, None], hi, lo).transpose(1, 0, 2))[new]
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.owner = np.nonzero(new)[1][order]
-        # the longest run of equal keys
-        edge = np.ones(1, dtype=bool)
-        bounds = np.flatnonzero(np.concatenate(
-            (edge, self.keys[1:] != self.keys[:-1], edge)))
-        self.depth = int(np.diff(bounds).max())
+        # the cells of the lower and the upper corners of the slack balls,
+        # weighted by axis: a key is their sum over the axes
+        lo, hi = cells = self._index(X.T + _SIDES * slack)
+        cells *= _KEY_WEIGHTS[:, None]
+        # corner q takes the upper cell on axis j when bit j of q is set,
+        # and is listed when its ball crosses into that cell on each such axis
+        moved = hi != lo
+        new = ((_LOWER[0] | moved[0]) & (_LOWER[1] | moved[1])
+               & (_LOWER[2] | moved[2]))
+        keys = (cells[:, 0].take(_UPPER[:, 0], axis=0)
+                + cells[:, 1].take(_UPPER[:, 1], axis=0)
+                + cells[:, 2].take(_UPPER[:, 2], axis=0))[new]
+        order = keys.argsort(kind="stable")
+        self.keys = keys.take(order)
+        self.owner = new.nonzero()[1].take(order)
+        # each listing's coordinates, in key order, one row per axis
+        self.points = X.T.take(self.owner, axis=1)
+        # the longest run of equal keys: at a run's start, the run's length
+        ends = self.keys.searchsorted(self.keys, side="right")
+        self.depth = int(np.maximum.reduce(ends - np.arange(len(ends))))
 
     def _index(self, y):
         return np.floor((y + 2.0) / self.h).astype(np.int64)
 
-    @staticmethod
-    def _combine(cell):
-        return (cell[0] * _CELLS + cell[1]) * _CELLS + cell[2]
-
-    def lookup(self, Y) -> np.ndarray:
+    def lookup(self, Y: np.ndarray) -> np.ndarray:
         """Index of the nearest cloud point within slack of each query
-        point, or -1.
+        point (the last listed of equally near ones), or -1.
 
-        ``Y`` holds the three coordinate arrays of the queries.
+        ``Y`` holds the queries' coordinates along its first axis.  One
+        pass per depth compares every query with the next point listed
+        under its cell.
         """
-        key = self._combine(self._index(np.stack(Y)))
-        pos = np.searchsorted(self.keys, key)
-        last = len(self.keys) - 1
-        found = np.full(key.shape, -1, dtype=np.int64)
-        best = np.full(key.shape, self.slack ** 2)
+        key = self._index(Y)
+        key *= _KEY_WEIGHTS.reshape(3, *[1] * (key.ndim - 1))
+        key = key[0] + key[1] + key[2]
+        # the points listed under a query's cell follow keys[pos]; past the
+        # listings the index is clipped, which repeats the last listing
+        pos = self.keys.searchsorted(key)
+        found, best = -1, self.slack ** 2
         for k in range(self.depth):
-            at = np.minimum(pos + k, last)
-            cand = self.owner[at]
-            d2 = sum((y - c[cand]) ** 2 for y, c in zip(Y, self.cols))
-            hit = (self.keys[at] == key) & (d2 <= best)
-            found = np.where(hit, cand, found)
+            at = pos + k
+            diff = Y - self.points.take(at, axis=1, mode="clip")
+            diff *= diff
+            d2 = diff[0] + diff[1] + diff[2]
+            hit = (self.keys.take(at, mode="clip") == key) & (d2 <= best)
+            found = np.where(hit, self.owner.take(at, mode="clip"), found)
             best = np.where(hit, d2, best)
         return found
 
 
 def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Cloud indices of the points with frame coordinates ``coords``
-    placed in each candidate frame: a (candidates, points) array, -1 for
-    a point with no partner."""
-    Y = [sum(coords[:, i] * frames[:, i, j, None] for i in range(3))
-         for j in range(3)]
-    return grid.lookup(Y)
+    """Cloud indices of the points with frame coordinates ``coords`` (3,
+    n) placed in each candidate frame: a (candidates, points) array, -1
+    for a point with no partner."""
+    # F[i, j]: coordinate j of frame axis i, one entry per candidate
+    F = frames.transpose(1, 2, 0)[..., None]
+    return grid.lookup(F[0] * coords[0] + F[1] * coords[1] + F[2] * coords[2])
 
 
-def base_triple_maps(Z, W, base, rows):
-    """Entries (a, b, c, d), one array each and not normalized, of the
-    Mobius map sending the base triple to its images in each row."""
+def base_triple_maps(Z, W, base, rows) -> np.ndarray:
+    """Entries (a, b, c, d), as the rows of one (4, len(rows)) array and
+    not normalized, of the Mobius map sending the base triple to its images
+    in each row."""
     b0, b1, b2 = base
     kap = Z[b1] * W[b2] - Z[b2] * W[b1]
     mu = Z[b1] * W[b0] - Z[b0] * W[b1]
     # the matrix sending the base triple to (0, 1, inf)
     m = (kap * W[b0], -kap * Z[b0], mu * W[b2], -mu * Z[b2])
-    i, j, k = rows[:, b0], rows[:, b1], rows[:, b2]
-    kap = Z[j] * W[k] - Z[k] * W[j]
-    mu = Z[j] * W[i] - Z[i] * W[j]
+    # P[:, s]: the (Z, W) of the images (i, j, k) of the base triple, one
+    # entry per map
+    P = np.array((Z, W)).take(rows.take(base, axis=1).T, axis=1)
+    zi, zj, zk = P[0]
+    wi, wj, wk = P[1]
+    kap = zj * wk - zk * wj
+    mu = zj * wi - zi * wj
     # adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf),
     # composed with m: f sends the base triple to (i, j, k)
-    return _mul((-mu * Z[k], kap * Z[i], -mu * W[k], kap * W[i]), m)
+    left, right = (-mu * P[:, 2])[:, None], (kap * P[:, 0])[:, None]
+    m = np.array(m).reshape(2, 2, 1)
+    return (left * m[0] + right * m[1]).reshape(4, -1)
 
 
-def _passes_chordal_test(Z, W, nrm, base, rows, tol) -> np.ndarray:
-    """Whether the Mobius map sending the base triple to its images in each
-    row sends every point within tol of its partner (one bool per row)."""
-    f = [e[:, None] for e in base_triple_maps(Z, W, base, rows)]
-    iz = f[0] * Z + f[1] * W
-    iw = f[2] * Z + f[3] * W
-    inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
-    cross = np.abs(iz * W[rows] - Z[rows] * iw)
-    return (2.0 * cross <= tol * inrm * nrm[rows]).all(axis=1)
+def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
+    """Whether the maps with entries f, one per row, send every point
+    (ZW = (Z, W) stacked) within tol of its partner in the row (one bool
+    per row)."""
+    f = f.reshape(2, 2, -1, 1)
+    # (iz, iw) = (a Z + b W, c Z + d W), and (Z, W) of the partners
+    image = f[:, 0] * ZW[0] + f[:, 1] * ZW[1]
+    size = np.abs(image) ** 2
+    inrm = np.sqrt(size[0] + size[1])
+    partner = ZW.take(rows, axis=1)
+    cross = np.abs(image[0] * partner[1] - partner[0] * image[1])
+    return (2.0 * cross <= tol * inrm * nrm.take(rows)).all(axis=1)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, each where it first occurs."""
+    keys = np.ascontiguousarray(rows).view(f"V{rows.itemsize * rows.shape[1]}")
+    keys = keys.ravel().tolist()
+    # the last write of a key wins, so the reversed pass keeps its first index
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return rows[sorted(first.values())]
 
 
 def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
-                            base: tuple[int, int, int], tol: float) -> np.ndarray:
+                            base: tuple[int, int, int], tol: float,
+                            maps: list | None = None) -> np.ndarray:
     """The permutations of the point set induced by its Mobius stabilizer.
 
     ``(Z : W)`` are the points' homogeneous coordinates and ``nrm`` their
-    norms; ``base`` is the triple through which each kept map is rebuilt
+    norms; ``base`` is the triple through which each kept map is solved
     for the chordal test.  Returns an (m, n) int64 array of distinct rows,
-    one per map: row[t] is the index of the image of point t.  Raises
-    CenteringFailed if the set cannot be centered.
+    one per map: row[t] is the index of the image of point t.  When
+    ``maps`` is a list, the kept maps' entries are appended to it as one
+    (4, m) array (see ``base_triple_maps``).  Raises CenteringFailed if
+    the set cannot be centered.
     """
     Z = np.ascontiguousarray(Z, dtype=np.complex128)
     W = np.ascontiguousarray(W, dtype=np.complex128)
     nrm = np.ascontiguousarray(nrm, dtype=np.float64)
     n = Z.shape[0]
     X, stretch, shift, residual, steps = _center(Z, W)
+    C = np.ascontiguousarray(X.T)
 
     # distance profiles: every point's sorted distances to the cloud,
     # compared with those of a few anchor options spread over the indices
     options = np.array(sorted({i * (n - 1) // (_ANCHORS - 1) for i in range(_ANCHORS)}))
-    dist = _distances(X, options)
+    dist = _distances(C, C.take(options, axis=1))
     profiles = np.sort(dist, axis=1)
     deviation = np.empty((len(options), n))
     sep = np.inf
     for blk in _row_blocks(n, n * len(options)):
-        sorted_rows = np.sort(_distances(X, blk), axis=1)
-        sep = min(sep, float(sorted_rows[:, 1].min()))
-        deviation[:, blk] = np.abs(sorted_rows - profiles[:, None, :]).max(axis=2)
+        sorted_rows = _distances(C, C[:, blk])
+        sorted_rows.sort(axis=1)
+        sep = min(sep, float(np.minimum.reduce(sorted_rows[:, 1])))
+        gap = sorted_rows - profiles[:, None, :]
+        np.maximum.reduce(np.abs(gap, out=gap), axis=2, out=deviation[:, blk])
     if not shift <= CENTERING_SHIFT * sep:  # also when it is NaN
         raise CenteringFailed(
             f"centering residual {residual:.3g} leaves a shift of {shift:.3g}, "
@@ -312,41 +406,46 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     off_line = np.sqrt(np.maximum(0.0, 1.0 - (1.0 - dist * dist / 2.0) ** 2))
     crowd = np.empty(dist.shape, dtype=np.int64)
     for blk in _row_blocks(n, n * len(options)):
-        near = np.abs(dist[:, blk, None] - dist[:, None, :]) <= slack
-        crowd[:, blk] = near.sum(axis=2)
-    far = off_line >= 0.5 * off_line.max(axis=1, keepdims=True)
+        gap = dist[:, blk, None] - dist[:, None, :]
+        np.add.reduce(np.abs(gap, out=gap) <= slack, axis=2, out=crowd[:, blk])
+    far = off_line >= 0.5 * np.maximum.reduce(off_line, axis=1, keepdims=True)
     partner = np.where(far, crowd - 0.5 * off_line, np.inf).argmin(axis=1)
     # the option whose candidate pairs (a', b') are fewest
     option = np.arange(len(options))
-    k = int((matched.sum(axis=1) * crowd[option, partner]).argmin())
+    k = int((np.add.reduce(matched, axis=1) * crowd[option, partner]).argmin())
     a, b = int(options[k]), int(partner[k])
-    images_a = np.flatnonzero(matched[k])
+    images_a = matched[k].nonzero()[0]
     dab = dist[k, b]
 
-    pairs = []
+    # candidate pairs (a', b'), after the anchor's own pair (a, b)
+    ends = [np.array([a]), np.array([b])]
     for blk in _row_blocks(len(images_a), n):
-        near = np.abs(_distances(X, images_a[blk]) - dab) <= slack
-        near[np.arange(len(blk)), images_a[blk]] = False  # a wide slack meets a' itself
-        r, s = np.nonzero(near)
-        pairs.append(np.stack([images_a[blk][r], s], axis=1))
-    pairs = np.concatenate(pairs)
-    # the anchor's frame first, then one per candidate pair
-    frames = _frame(X[np.concatenate(([a], pairs[:, 0]))],
-                    X[np.concatenate(([b], pairs[:, 1]))])
-    coords = (X[:, None, :] * frames[0][None, :, :]).sum(axis=2)
+        near = _distances(C, C.take(images_a[blk], axis=1)) - dab
+        near = np.abs(near, out=near) <= slack
+        r = np.arange(len(near))
+        near[r, images_a[blk]] = False  # a wide slack meets a' itself
+        r, s = near.nonzero()
+        ends += [images_a[blk][r], s]
+    frames = _frame(X.take(np.concatenate(ends[::2]), axis=0),
+                    X.take(np.concatenate(ends[1::2]), axis=0))
+    # the cloud in the anchor's frame, one row per frame axis
+    axes = frames[0][:, :, None]
+    coords = axes[:, 0] * C[0] + axes[:, 1] * C[1] + axes[:, 2] * C[2]
     frames = frames[1:]
 
     grid = _Grid(X, slack)
-    kept = [np.empty((0, n), dtype=np.int64)]
-    for blk in _row_blocks(len(pairs), n):
+    bijective = [np.empty((0, n), dtype=np.int64)]
+    for blk in _row_blocks(len(frames), n):
         rows = _match(grid, frames[blk], coords)
-        rows = rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)]
-        if len(rows):
-            kept.append(rows[_passes_chordal_test(Z, W, nrm, base, rows, tol)])
-    # a slightly-off candidate rotation can snap onto a true permutation;
-    # bytes keys, since np.unique(axis=0) maps ~650 KB more numpy code
-    rows = np.concatenate(kept)
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(rows):
-        first.setdefault(row.tobytes(), i)
-    return rows[list(first.values())]
+        bijective.append(rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)])
+    # a slightly-off candidate rotation can snap onto a true permutation,
+    # so each distinct row is solved and tested once
+    rows = _distinct(np.concatenate(bijective))
+    f = base_triple_maps(Z, W, base, rows)
+    ZW = np.array((Z, W))
+    kept = np.ones(len(rows), dtype=bool)
+    for blk in _row_blocks(len(rows), n):
+        kept[blk] = _passes_chordal_test(ZW, nrm, f[:, blk], rows[blk], tol)
+    if maps is not None:
+        maps.append(f[:, kept])
+    return rows[kept]

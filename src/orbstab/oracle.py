@@ -2,14 +2,15 @@
 
 The kernel centers the set conformally and finds every rotation of the
 centered cloud that permutes it (see ``kernels``), as integer permutation
-rows.  The rest works on those rows in a few numpy passes, with no Python
-arithmetic per element: one vectorized solve through a fixed base triple
-gives every element's map; an element's order is the length of the cycle
-through the first base point it moves, confirmed by f^k being the
-identity; closure is checked exactly from the identity and a few
-generators.  The group is identified by its (order, maximal element
-order) signature, which separates all finite Mobius groups, and the
-component index is recovered from the orbit partition.
+rows, with the maps it solved through a fixed base triple for its chordal
+test.  The rest works on those rows and maps in a few numpy passes, with
+no Python arithmetic per element: an element's order is the length of the
+cycle through the first base point it moves, walked for all rows at once
+and confirmed by f^k being the identity; closure is checked exactly from
+the identity and a few generators.  The group is identified by its
+(order, maximal element order) signature, which separates all finite
+Mobius groups, and the component index is recovered from the orbit
+partition.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import classifier as cl
 from .errors import DegenerateMap, OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
                        RiemannPoint, chordal_distances, format_complex)
-from .kernels import _row_blocks, base_triple_maps, scan_stabilizer_triples
+from .kernels import _row_blocks, scan_stabilizer_triples
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -34,19 +35,20 @@ class StabilizerResult:
     """The stabilizer of a point set: its identification, its elements and
     the orbit decomposition of the set.
 
-    The oracle's own arrays are kept as they are: ``maps`` holds the
-    entries (a, b, c, d) of every element's matrix, one array each and not
-    normalized; ``rows`` is the (order, n) int64 array of the permutations
-    they induce (row[t] is the index of the image of point t), row i
-    belonging to entry i; ``orbit_indices`` lists the point indices of
-    each orbit.  ``elements`` (``MobiusMap`` objects in canonical order)
-    and ``orbits`` (tuples of ``RiemannPoint``) are built on first read.
+    The oracle's own arrays are kept as they are: ``maps`` is the (4,
+    order) array whose rows hold the entries (a, b, c, d) of every
+    element's matrix, not normalized; ``rows`` is the (order, n) int64
+    array of the permutations they induce (row[t] is the index of the
+    image of point t), row i belonging to entry i; ``orbit_indices``
+    lists the point indices of each orbit.  ``elements`` (``MobiusMap``
+    objects in canonical order) and ``orbits`` (tuples of
+    ``RiemannPoint``) are built on first read.
     Equality and hashing compare the elements, label, index and orbits.
     """
 
     label: cl.GroupLabel
     index: tuple[int, ...]
-    maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    maps: np.ndarray
     rows: np.ndarray
     orbit_indices: tuple[tuple[int, ...], ...]
     point_set: PointSet
@@ -168,6 +170,12 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
         f"element has no order dividing {cap}; not part of a finite group")
 
 
+#: Steps in the first batch of ``_row_orders``' cycle walk; each later
+#: batch doubles, up to _LAST_BATCH, so a small order costs one batch and
+#: a trail holds at most _LAST_BATCH steps per row.
+_FIRST_BATCH = 8
+_LAST_BATCH = 64
+
 #: The (order, maximal element order) signatures that are neither cyclic
 #: of order at least 2 (N == m) nor dihedral of rotation order at least 3
 #: (N == 2m, m >= 3).
@@ -209,57 +217,62 @@ def _row_orders(rows: np.ndarray, base) -> np.ndarray:
     A Mobius map of finite order k other than the identity fixes two
     points of the sphere and moves every other point around a cycle of
     length k, so k is the cycle length of the first base point the row
-    moves.  A map fixing the three base points is the identity.  The
-    cycles are walked for all rows at once, and a row drops out when its
-    cycle closes.
+    moves (the identity's rows close after one step).  A map fixing the
+    three base points is the identity.  The cycles are walked for all rows
+    at once, a batch of steps at a time with one numpy pass per step; a
+    batch's trail is then searched for the first return, and the rows
+    whose cycle closed drop out.
     """
     base = np.asarray(base)
-    moved = rows[:, base] != base
-    fixed = ~moved.any(axis=1)
-    if (rows[fixed] != np.arange(rows.shape[1])).any():
+    m, n = rows.shape
+    moved = rows.take(base, axis=1) != base
+    if (rows[~moved.any(axis=1)] != np.arange(n)).any():
         raise UnrecognizedGroup("a stabilizer row fixes the base triple but "
                                 "is not the identity")
-    orders = np.ones(len(rows), dtype=np.int64)
-    if fixed.all():
-        return orders
+    orders = np.empty(m, dtype=np.int64)
+    live = np.arange(m)
     flat = rows.ravel()
-    live = np.flatnonzero(~fixed)
-    start = base[moved[live].argmax(axis=1)]
-    offset = live * rows.shape[1]
-    point = flat[offset + start]
-    length = 1
-    while len(live):
-        closed = point == start
-        if closed.any():
-            orders[live[closed]] = length
-            live, start, offset, point = (x[~closed]
-                                          for x in (live, start, offset, point))
-        point = flat[offset + point]
-        length += 1
-    return orders
+    offset = live * n
+    start = point = base.take(moved.argmax(axis=1))
+    walked, batch = 0, _FIRST_BATCH
+    while True:
+        trail = np.empty((batch, len(live)), dtype=np.int64)
+        for step in trail:
+            point = flat.take(offset + point, out=step)
+        back = trail == start
+        # rows still open get their order from a later batch
+        orders[live] = walked + 1 + back.argmax(axis=0)
+        closed = back.any(axis=0)
+        if closed.all():
+            return orders
+        walked += batch
+        batch = min(2 * batch, _LAST_BATCH)
+        going = ~closed
+        live, offset, start, point = (live[going], offset[going], start[going],
+                                      point[going])
 
 
-def _check_nondegenerate(f):
-    """Raise DegenerateMap unless every map, with entries (a, b, c, d)
-    given as arrays, passes ``MobiusMap``'s test: a finite nonzero largest
+def _check_nondegenerate(f: np.ndarray):
+    """Raise DegenerateMap unless every map, with entries (a, b, c, d) as
+    the rows of f, passes ``MobiusMap``'s test: a finite nonzero largest
     entry, and a determinant of at least DET_FLOOR once the entries are
-    divided by it.  Returns the entries so divided."""
-    scale = np.maximum(np.maximum(abs(f[0]), abs(f[1])),
-                       np.maximum(abs(f[2]), abs(f[3])))
-    if not (np.isfinite(scale) & (scale > 0.0)).all():
+    divided by it.  Returns the entries so divided and their determinants."""
+    scale = np.abs(f).max(axis=0)
+    if not (np.isfinite(scale).all() and scale.all()):
         raise DegenerateMap("matrix has no usable pivot entry")
-    a, b, c, d = (e / scale for e in f)
-    det = a * d - b * c
+    g = f / scale
+    det = g[0] * g[3] - g[1] * g[2]
     low = abs(det) < DET_FLOOR
     if low.any():
         raise DegenerateMap(f"determinant {det[low][0]} below floor")
-    return a, b, c, d
+    return g, det
 
 
-def _check_finite_orders(f, orders: np.ndarray, tol: float) -> None:
+def _check_finite_orders(normalized, orders: np.ndarray, tol: float) -> None:
     """Raise UnrecognizedGroup unless f^k is the identity within 10 tol for
-    every map f, with entries of moderate size given as arrays and a
-    nonzero determinant, and its order k.
+    every map f and its order k.  ``normalized`` is what
+    ``_check_nondegenerate`` returns: the maps' entries, of moderate size,
+    as the rows of one array, and their nonzero determinants.
 
     f^k is evaluated in closed form, in a fixed number of array passes.
     With g = f / sqrt(det f) and t = tr(g) / 2, Cayley-Hamilton gives
@@ -279,17 +292,16 @@ def _check_finite_orders(f, orders: np.ndarray, tol: float) -> None:
     moving = orders > 1
     if not moving.any():
         return
-    a, b, c, d = (e[moving] for e in f)
+    g, det = normalized
+    a, b, c, d = g[:, moving] / np.sqrt(det[moving])
     k = orders[moving]
-    root = np.sqrt(a * d - b * c)
-    a, b, c, d = a / root, b / root, c / root, d / root
     t = (a + d) / 2.0
     r = np.sqrt((t - 1.0) * (t + 1.0))
-    mu = np.where(abs(t - r) <= abs(t + r), t - r, t + r)
+    below, above = t - r, t + r
+    mu = np.where(abs(below) <= abs(above), below, above)
     odd = mu ** (2 * k - 1)
     lead, shift = 1.0 - odd * mu, mu - odd
-    pa, pd = lead * a - shift, lead * d - shift
-    bound = 10.0 * tol * np.maximum(abs(pa), abs(pd))
+    bound = 10.0 * tol * np.maximum(abs(lead * a - shift), abs(lead * d - shift))
     lead = abs(lead)
     ok = ((abs(r) >= 0.5 * np.sin(np.pi / k))
           & (lead * abs(b) <= bound) & (lead * abs(c) <= bound)
@@ -307,8 +319,9 @@ def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
     of point t and its minimum labels the orbit.
     """
     labels = perms.min(axis=0)
-    order = np.argsort(labels, kind="stable")
-    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    order = labels.argsort(kind="stable")
+    labels = labels[order]
+    cuts = ((labels[1:] != labels[:-1]).nonzero()[0] + 1).tolist()
     flat = order.tolist()
     return [flat[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(flat)])]
 
@@ -359,52 +372,48 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
 
     The check is exact and costs O(k m n) for k generators (Seress,
     *Permutation Group Algorithms*, CUP 2003).  A row is looked up by its
-    images of the base triple and then compared in full.  The identity
-    must be a row.  Each generator s is the element of largest order not
-    yet reached, and s G must lie in G; a breadth-first search from the
-    identity along those products, continued from the rows it has reached
-    as each generator is added, reaches the group the generators generate.
-    Each generator at least doubles that group, so k <= log2 m, and once
-    it is all of G, G is closed, inverses included.
+    images of the base triple and then compared in full, so a product
+    whose base-triple images match no row fails the comparison.  The
+    identity must be a row.  Each generator s is the element of largest
+    order not yet reached, and s G must lie in G; a breadth-first search
+    from the identity along those products, continued from the rows it
+    has reached as each generator is added, reaches the group the
+    generators generate.  Each generator at least doubles that group, so
+    k <= log2 m, and once it is all of G, G is closed, inverses included.
     """
     m, n = rows.shape
     # _row_orders has checked that the rows of order 1 are the identity
-    identities = np.flatnonzero(orders == 1)
+    identities = (orders == 1).nonzero()[0]
     if not len(identities):
         raise UnrecognizedGroup("stabilizer scan did not recover the identity")
     if m == 1:
         return
-    base = list(base)
-
     def key(images):
         return (images[:, 0] * n + images[:, 1]) * n + images[:, 2]
 
-    keys = key(rows[:, base])
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
+    images = rows.take(base, axis=1)
+    keys = key(images)
+    by_key = keys.argsort()
+    keys = keys.take(by_key)
     if (keys[1:] == keys[:-1]).any():
         raise UnrecognizedGroup("two stabilizer rows agree on the base triple")
-
-    def find(images):
-        """Row index of each base-triple image, or -1."""
-        wanted = key(images)
-        pos = np.minimum(np.searchsorted(keys, wanted), m - 1)
-        return np.where(keys[pos] == wanted, by_key[pos], -1)
 
     identity = int(identities[0])
     products: list[list[int]] = []  # products[j][g]: the row of s_j g
     reached = [False] * m
     reached[identity] = True
     queue = [identity]
-    for s in np.argsort(-orders, kind="stable").tolist():
+    for s in (-orders).argsort(kind="stable").tolist():
+        if len(queue) == m:
+            break
         if reached[s]:
             continue
         row = rows[s]
-        image = find(row[rows[:, base]])
-        if (image < 0).any() or any((rows[image[blk]] != row[rows[blk]]).any()
-                                    for blk in _row_blocks(m, n)):
-            raise UnrecognizedGroup("stabilizer elements not closed under "
-                                    "composition")
+        image = by_key.take(keys.searchsorted(key(row.take(images))), mode="clip")
+        for blk in _row_blocks(m, n):
+            if (rows.take(image[blk], axis=0) != row.take(rows[blk])).any():
+                raise UnrecognizedGroup("stabilizer elements not closed under "
+                                        "composition")
         products.append(image.tolist())
         _reach(reached, queue, products)
 
@@ -436,31 +445,33 @@ def stabilizer(ps: PointSet,
                base_triple: tuple[int, int, int] | None = None) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
-    Finds every permutation of the set induced by a Mobius map, reads each
-    element's order from its row, checks closure on the rows, solves for
-    the maps through a maximally-separated base triple and checks them,
-    and returns them with the group identification and orbit
-    decomposition.  Builds no ``MobiusMap`` or ``RiemannPoint``; the result
-    does so when its elements or orbits are read.
+    Finds every permutation of the set induced by a Mobius map, with the
+    maps through a maximally-separated base triple that the search solved
+    for its chordal test, reads each element's order from its row, checks
+    closure on the rows, checks the maps, and returns them with the group
+    identification and orbit decomposition.  Builds no ``MobiusMap`` or
+    ``RiemannPoint``; the result does so when its elements or orbits are
+    read.
     """
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
                          "infinite; the oracle handles only finite ones")
     if base_triple is None:
         base_triple = _pick_base_triple(ps)
-    base = list(base_triple)
     z, w, nrm = ps.arrays()
-    perms = scan_stabilizer_triples(z, w, nrm, tuple(base), ps.tol)
+    solved: list[np.ndarray] = []
+    perms = scan_stabilizer_triples(z, w, nrm, tuple(base_triple), ps.tol,
+                                    maps=solved)
+    maps = solved[0]
+    base = np.array(base_triple)
     # n >= 3 points make the action faithful, so permutation closure is
     # equivalent to group closure of the maps themselves
     orders = _row_orders(perms, base)
     _check_closure(perms, orders, base)
-    maps = base_triple_maps(z, w, base, perms)
     _check_finite_orders(_check_nondegenerate(maps), orders, ps.tol)
     label = _label_of(len(perms), int(orders.max()))
     index, orbits = _component_index(perms, label)
-    if sum(len(o) for o in orbits) != ps.n:
+    if sum(map(len, orbits)) != ps.n:
         raise OrbitSizeMismatch("orbit sizes do not add up to the set size")
-    for a in (*maps, perms):
-        a.flags.writeable = False
+    maps.flags.writeable = perms.flags.writeable = False
     return StabilizerResult(label, index, maps, perms, orbits, ps)

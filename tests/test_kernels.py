@@ -351,3 +351,56 @@ def test_centering_failure_is_named(monkeypatch):
         run_scan(ps)
     with pytest.raises(CenteringFailed):
         stabilizer(ps)
+
+
+class _Counted(np.ndarray):
+    """An array that counts the ufunc passes that read it."""
+
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.reads += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_centering_applies_each_trial_map_once(monkeypatch):
+    # the stretch comes from the pair norms of the accepted trial: no map
+    # is applied to the input outside the trials, and the input is read
+    # only when it is stacked into one array
+    trials, applied = [], []
+
+    def counted(calls, original):
+        def wrapper(*args):
+            calls.append(1)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_boost", counted(trials, kernels._boost))
+    monkeypatch.setattr(kernels, "_moved_sphere",
+                        counted(applied, kernels._moved_sphere))
+    rng = np.random.default_rng(6)
+    for ps in (moved(witness(16, parse_entry("K_4, (0, 4)")), random_mobius(rng), rng),
+               squeezed(trivial_witness(9), 1e-6, rng)):
+        z, w, _ = ps.arrays()
+        _Counted.reads = 0
+        trials.clear(), applied.clear()
+        X, stretch, shift, r, steps = kernels._center(z.view(_Counted), w.view(_Counted))
+        assert steps > 0 and len(applied) == len(trials) >= steps
+        assert _Counted.reads == 0
+
+
+def test_grid_builds_no_corner_where_and_looks_up_without_prefill(monkeypatch):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(40, 3))
+    X /= np.sqrt((X * X).sum(axis=1, keepdims=True))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np, "where", forbidden)
+    grid = kernels._Grid(X, 0.1)
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "full", forbidden)
+    found = grid.lookup(X.T[:, None, :] + 1e-9)
+    assert found.tolist() == [list(range(40))]

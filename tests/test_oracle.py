@@ -7,15 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from orbstab import classifier as cl, cli, geometry, oracle
+from orbstab import classifier as cl, cli, geometry, kernels, oracle
 from orbstab.classifier import classify, cyclic, dihedral
-from orbstab.errors import AmbiguousMatching, DegenerateMap, UnrecognizedGroup
+from orbstab.errors import (AmbiguousMatching, DegenerateMap, OrbitSizeMismatch,
+                            UnrecognizedGroup)
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, format_complex,
                               maps_equal, mobius_through_triple)
 from orbstab.kernels import _mul, base_triple_maps, scan_stabilizer_triples
 from orbstab.moduli import ANHARMONIC_GROUP
 from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
-                            _check_nondegenerate, _label_of, _orbit_partition,
+                            _check_nondegenerate, _component_index, _label_of,
+                            _orbit_partition,
                             _pick_base_triple, _reach, _row_orders,
                             component_index,
                             identify_group, projective_order, stabilizer)
@@ -383,11 +385,13 @@ NOT_OF_ORDER_7 = (MobiusMap(2.0, 0, 0, 1),
 
 
 def test_finite_order_check():
-    _check_finite_orders(entries_of(MobiusMap.identity(), ROT7, ROT7.power(3)),
-                         np.array([1, 7, 7]), tol=1e-8)
+    _check_finite_orders(
+        _check_nondegenerate(entries_of(MobiusMap.identity(), ROT7, ROT7.power(3))),
+        np.array([1, 7, 7]), tol=1e-8)
     for f in NOT_OF_ORDER_7:
         with pytest.raises(UnrecognizedGroup):
-            _check_finite_orders(entries_of(ROT7, f), np.array([7, 7]), tol=1e-8)
+            _check_finite_orders(_check_nondegenerate(entries_of(ROT7, f)),
+                                 np.array([7, 7]), tol=1e-8)
         assert not finite_orders_by_squaring(entries_of(f), [7], 1e-8).any()
 
 
@@ -435,11 +439,61 @@ def test_rows_near_plus_minus_identity_fail_without_warning(f):
     assert not closed_form_accepts(tuple(np.array([complex(e)]) for e in f), 7)
 
 
+def test_closure_needs_the_identity_row():
+    rows = np.array([[1, 0, 3, 2, 4]])
+    with pytest.raises(UnrecognizedGroup, match="did not recover the identity"):
+        _check_closure(rows, np.array([2]), [0, 1, 2])
+
+
+def test_orbit_sizes_must_fit_the_label():
+    identity = list(range(5))
+    swap = [0, 1, 2, 4, 3]
+    # an orbit of size 1 under D_3, whose orbits have sizes 2, 3 or 6
+    with pytest.raises(OrbitSizeMismatch, match="impossible"):
+        _component_index(np.array([identity, swap]), dihedral(3))
+    # three fixed points of Z_2, which fixes two points of the sphere
+    with pytest.raises(OrbitSizeMismatch):
+        _component_index(np.array([identity, swap]), cl.LABEL_Z2)
+    flip = [1, 0, 2, 4, 3]
+    assert _component_index(np.array([identity, flip]), cl.LABEL_Z2)[0] == (1, 2)
+
+
+def test_orbits_must_cover_the_set(monkeypatch):
+    index_of = oracle._component_index
+
+    def losing_an_orbit(perms, label):
+        index, orbits = index_of(perms, label)
+        return index, orbits[1:]
+
+    monkeypatch.setattr(oracle, "_component_index", losing_an_orbit)
+    with pytest.raises(OrbitSizeMismatch, match="do not add up"):
+        stabilizer(values(0, 1, -1, 2, -2))
+
+
 def test_row_fixing_the_base_triple_must_be_the_identity():
     rows = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 4, 3, 5]])
     with pytest.raises(UnrecognizedGroup, match="fixes the base triple"):
         _row_orders(rows, [0, 1, 2])
     assert _row_orders(rows, [3, 1, 2]).tolist() == [1, 2]
+
+
+def test_each_map_is_solved_once_per_call(monkeypatch):
+    # the scan solves the maps of its distinct bijective rows once, for
+    # its chordal test, and hands them to the oracle
+    solved = []
+    original = kernels.base_triple_maps
+
+    def counted(Z, W, base, rows):
+        solved.append(len(np.unique(rows, axis=0)) == len(rows))
+        return original(Z, W, base, rows)
+
+    monkeypatch.setattr(kernels, "base_triple_maps", counted)
+    monkeypatch.setattr(oracle, "base_triple_maps", counted, raising=False)
+    sets = [dihedral_witness(30, (0, 0, 1)), polyhedral_orbit(cl.A5, "V12"),
+            PointSet.from_values([1, 1j, -1, -1j, 2])]
+    for ps in sets:
+        stabilizer(ps)
+    assert solved == [True] * len(sets)
 
 
 def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
@@ -525,10 +579,15 @@ def test_result_arrays_are_read_only():
                                 PointSet.from_values([1, 1j, -1, -1j, 2])],
                          ids=["D_5", "trivial"])
 def test_degenerate_maps_raise_at_call_time(monkeypatch, entries, ps):
-    def degenerate(Z, W, base, rows):
-        return tuple(np.full(len(rows), e, dtype=complex) for e in entries)
+    # the scan hands the oracle the maps it solved; replace them
+    scan = oracle.scan_stabilizer_triples
 
-    monkeypatch.setattr(oracle, "base_triple_maps", degenerate)
+    def degenerate(Z, W, nrm, base, tol, maps):
+        rows = scan(Z, W, nrm, base, tol, maps=maps)
+        maps[-1] = np.repeat(np.array(entries, dtype=complex)[:, None], len(rows), axis=1)
+        return rows
+
+    monkeypatch.setattr(oracle, "scan_stabilizer_triples", degenerate)
     with pytest.raises(DegenerateMap):
         stabilizer(ps)
 

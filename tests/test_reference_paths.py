@@ -1,0 +1,173 @@
+"""The oracle against its straightforward reference (``reference_oracle.py``).
+
+The corpus is the kernel's: every ``classify(n)`` witness for n = 5..30 as
+built, moved and moved near infinity; random and jittered asymmetric sets
+like the benchmark's; and sets squeezed into a small cap, some of which
+the oracle rejects with a named error.  On each set the centered cloud,
+the grid and the oracle's result must come out as the reference's.
+"""
+
+import numpy as np
+import pytest
+
+import reference_oracle as ref
+from orbstab import classifier as cl, kernels, oracle
+from orbstab.classifier import classify
+from orbstab.errors import AmbiguousMatching, OrbstabError
+from orbstab.geometry import PointSet, RiemannPoint
+from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
+from test_kernels import (moved, near_infinity_mobius, random_mobius, squeezed,
+                          witness_sets)
+
+
+def sphere_set(xyz, tol=1e-8):
+    xyz = xyz / np.linalg.norm(xyz, axis=1, keepdims=True)
+    return PointSet([RiemannPoint.from_sphere(*row) for row in xyz], tol=tol)
+
+
+def asymmetric_sets():
+    """Random sphere points, trivial witnesses, and symmetric witnesses
+    jittered by 1e-3 and moved by a random Mobius map, every other one
+    sending a point near infinity, n = 12..80."""
+    rng = np.random.default_rng(2024)
+    shapes = [polyhedral_orbit(cl.A5, "V12"), dihedral_witness(7, (1, 0, 1)),
+              polyhedral_orbit(cl.A5, "V30"), dihedral_witness(20, (0, 0, 1))]
+    for n in (12, 20, 33, 47, 60, 80):
+        yield f"sphere n={n}", sphere_set(rng.normal(size=(n, 3)))
+        yield f"trivial n={n}", trivial_witness(n)
+    for i, shape in enumerate(shapes * 3):
+        xyz = np.array([p.to_sphere() for p in shape.points])
+        while True:
+            try:
+                ps = sphere_set(xyz + 1e-3 * rng.normal(size=xyz.shape))
+                g = (near_infinity_mobius(ps, rng) if i % 2 else random_mobius(rng))
+                yield f"jittered n={ps.n} #{i}", moved(ps, g, rng)
+                break
+            except AmbiguousMatching:
+                continue
+
+
+def squeezed_sets():
+    """Trivial witnesses under z -> eps z + c, and every non-trivial
+    ``classify(n)`` witness for n = 10, 12, 13 with each finite value v
+    moved to eps v + 0.3 (the oracle rejects some of these)."""
+    rng = np.random.default_rng(11)
+    for eps in (1e-4, 1e-6, 1e-7):
+        for n in (6, 9, 12):
+            yield f"trivial n={n} eps={eps}", squeezed(trivial_witness(n), eps, rng)
+    for n in (10, 12, 13):
+        for entry in classify(n):
+            if entry.label.kind in (cl.TRIVIAL, cl.INFINITE):
+                continue
+            points = witness(n, entry).points
+            for eps in (1e-4, 1e-5, 1e-6):
+                values = [p.value() if p.w == 0 else eps * p.value() + 0.3
+                          for p in points]
+                try:
+                    yield f"{entry} eps={eps}", PointSet.from_values(values)
+                except AmbiguousMatching:
+                    continue
+
+
+def outcome(stabilizer, ps):
+    """What the oracle reports: the entry, orbits and row set, or the
+    named error it raises."""
+    try:
+        res = stabilizer(ps)
+    except OrbstabError as exc:
+        return type(exc).__name__, str(exc)
+    return (res.label, res.index, res.orbit_indices,
+            sorted(map(tuple, np.asarray(res.rows).tolist())))
+
+
+def assert_grids_equal(X, slack, name):
+    new, old = kernels._Grid(X, slack), ref._Grid(X, slack)
+    assert np.array_equal(new.keys, old.keys), name
+    assert np.array_equal(new.owner, old.owner), name
+    assert new.depth == old.depth, name
+    # queries on and off the cloud points, the way rotated candidates land
+    rng = np.random.default_rng(len(X))
+    Y = X[None] + slack * rng.normal(size=(3, *X.shape))
+    assert np.array_equal(new.lookup(Y.transpose(2, 0, 1)),
+                          old.lookup(list(Y.transpose(2, 0, 1)))), name
+
+
+def assert_matches_reference(name, ps):
+    z, w, _ = ps.arrays()
+    X, *rest = kernels._center(z, w)
+    X_ref, *rest_ref = ref._center(z, w)
+    assert X.tobytes() == X_ref.tobytes() and rest == rest_ref, name
+    # the scan's slack: a quarter of the separation, or the stretched tol balls
+    d = np.sqrt(((X[:, None, :] - X) ** 2).sum(axis=2))
+    d[np.diag_indices(len(X))] = np.inf
+    assert_grids_equal(X, max(d.min() / 4.0, 2.0 * ps.tol * rest[0]), name)
+    assert outcome(oracle.stabilizer, ps) == outcome(ref.stabilizer, ps), name
+
+
+@pytest.mark.parametrize("n", range(5, 31))
+def test_witnesses_match_the_reference(n):
+    for name, ps in witness_sets(n):
+        assert_matches_reference(name, ps)
+
+
+def test_asymmetric_sets_match_the_reference():
+    for name, ps in asymmetric_sets():
+        assert_matches_reference(name, ps)
+
+
+def test_squeezed_sets_match_the_reference():
+    errors = 0
+    for name, ps in squeezed_sets():
+        assert_matches_reference(name, ps)
+        errors += isinstance(outcome(oracle.stabilizer, ps)[0], str)
+    assert errors  # the corpus reaches the named errors too
+
+
+@pytest.mark.parametrize("slack", [0.01, 0.1, 0.6])
+def test_grid_matches_the_reference_at_any_slack(slack):
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(50, 3))
+    X /= np.sqrt((X * X).sum(axis=1, keepdims=True))
+    assert_grids_equal(X, slack, f"slack={slack}")
+
+
+def test_row_checks_match_the_reference():
+    """The orders and the closure, finite-order and non-degenerate checks on
+    every witness's rows for n = 5..20, and on rows with one foreign
+    permutation or one wrong map."""
+    rng = np.random.default_rng(40)
+    for n in range(5, 21):
+        for entry in classify(n):
+            ps = witness(n, entry)
+            z, w, nrm = ps.arrays()
+            base = oracle._pick_base_triple(ps)
+            maps = []
+            rows = kernels.scan_stabilizer_triples(z, w, nrm, base, ps.tol, maps=maps)
+            orders = oracle._row_orders(rows, base)
+            assert np.array_equal(orders, ref._row_orders(rows, list(base)))
+            reference = ref.base_triple_maps(z, w, base, rows)
+            assert np.array_equal(maps[0], np.array(reference))
+            g, det = oracle._check_nondegenerate(maps[0])
+            assert np.array_equal(g, np.array(ref._check_nondegenerate(tuple(maps[0]))))
+            variants = [(rows, orders, maps[0])]
+            if len(rows) > 2:
+                bad = rows.copy()
+                bad[-1] = rng.permutation(ps.n)
+                wrong = maps[0].copy()
+                wrong[:, -1] *= np.array([1.0, 1.0, 1.0, 1.0 + 1e-3])
+                variants += [(bad, orders, maps[0]), (rows, orders, wrong)]
+            for r, k, f in variants:
+                assert check_outcome(oracle._check_closure, r, k, base) == \
+                    check_outcome(ref._check_closure, r, k, list(base))
+                assert check_outcome(oracle._check_finite_orders,
+                                     oracle._check_nondegenerate(f), k, ps.tol) == \
+                    check_outcome(ref._check_finite_orders,
+                                  ref._check_nondegenerate(tuple(f)), k, ps.tol)
+
+
+def check_outcome(check, *args):
+    try:
+        check(*args)
+    except OrbstabError as exc:
+        return type(exc).__name__, str(exc)
+    return None
