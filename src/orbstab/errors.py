@@ -50,11 +50,6 @@ class ClosedFormMismatch(OrbstabError, RuntimeError):
     action disagree beyond tolerance."""
 
 
-class EnumerationBoundExceeded(OrbstabError, ValueError):
-    """Direct enumeration of the symmetric group was requested above the
-    configured bound."""
-
-
 class SeedOnSpecialLocus(OrbstabError, ValueError):
     """A seed point for a generic orbit lies on a special locus, so its
     orbit is smaller than the group order."""

@@ -25,6 +25,12 @@ nothing that could hide an error in either.  The output of the action, a
 Mobius image of a point already checked, carries a proven bound on its
 separation in place of a check, and builds its arrays only when they are
 read.
+
+The stabilizer G_lambda of a K_n point, the permutations whose action
+fixes it, comes from one triple search at every n, which never calls the
+Mobius stabilizer oracle.  ``phi_check`` checks the isomorphism sigma ->
+f_sigma from G_lambda onto the oracle's stabilizer of the marked points,
+on permutations alone: no Mobius map is compared.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormMismatch, EnumerationBoundExceeded
+from .errors import ClosedFormMismatch
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                        check_separation, chordal_distances,
-                       homogeneous_arrays, maps_equal, mobius_through_triple,
+                       homogeneous_arrays, mobius_through_triple,
                        zero_one_inf_entries)
+from .kernels import _row_blocks
 from .oracle import stabilizer
 
 #: The anharmonic group: the six Mobius maps permuting {0, 1, inf}.
@@ -458,16 +465,24 @@ def verify_group_law(n: int, trials: int = 200, rng_seed: int = 0,
                           faithful_moved=moved)
 
 
-#: How far (chordal, as a multiple of tol) the image of a marked point may
-#: lie from a coordinate and still be proposed for that coordinate's slot.
-#: It only has to cover rounding: the closed-form test at tol decides.
+#: How far (chordal) the image of a marked point may lie from a coordinate
+#: and still be proposed for that coordinate's slot: tol plus a rounding
+#: margin, at most _SLOT_SLACK * tol, since the closed-form test at tol
+#: decides.  (1e3 * tol alone would propose every point at tol = 1e-3.)
 _SLOT_SLACK = 1e3
+_SLOT_ROUNDING = 1e-5
 
 
-@functools.lru_cache(maxsize=8)
-def _ordered_triples(n: int) -> np.ndarray:
-    """All ordered triples of distinct indices 0..n-1, lexicographic, (T, 3)."""
-    return np.array(list(itertools.permutations(range(n), 3)), dtype=np.intp)
+def _ordered_triples(n: int, block: slice) -> np.ndarray:
+    """The ordered triples of distinct indices 0..n-1 whose lexicographic
+    ranks lie in the block, (T, 3)."""
+    ranks = np.arange(block.start, min(block.stop, n * (n - 1) * (n - 2)))
+    i, rest = np.divmod(ranks, (n - 1) * (n - 2))
+    j, k = np.divmod(rest, n - 2)
+    j += j >= i  # skip i, then the smaller and the larger of i and j
+    k += k >= np.minimum(i, j)
+    k += k >= np.maximum(i, j)
+    return np.stack((i, j, k), axis=1)
 
 
 def _bijections(candidates, used=()):
@@ -488,69 +503,58 @@ def _triple_search(lam: LambdaTuple):
     A sigma fixing lam is fixed by the ordered triple (i, j, k) of marked
     points it sends to slots 1, 2, 3: f_sigma is then the map taking them
     to 0, 1, inf, and each slot s >= 4 must hold a marked point that this
-    map sends to l_{s-3}.  All n(n-1)(n-2) triples are mapped at once;
-    slot by slot, a triple survives only if some point outside it lands
-    within the slack of that slot's coordinate.
+    map sends to l_{s-3}.  The n(n-1)(n-2) triples are mapped in blocks of
+    about kernels._BLOCK images, so memory does not grow with n; slot by
+    slot, a triple survives only if some point outside it lands within the
+    slack of that slot's coordinate.
     """
     n = lam.n
     z, w, _ = lam.arrays()
-    tri = _ordered_triples(n)
-    i, j, k = tri.T
-    a, b, c, d = (e[:, None] for e in
-                  zero_one_inf_entries(z[i], w[i], z[j], w[j], z[k], w[k]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        image = (a * z + b * w) / (c * z + d * w)
-        rows = np.arange(len(tri))
-        for col in (i, j, k):  # the triple itself goes to 0, 1, inf
-            image[rows, col] = np.nan
-        # chordal |q - l| = 2 |q - l| / (sqrt(1 + |q|^2) sqrt(1 + |l|^2))
-        room = (0.5 * _SLOT_SLACK * lam.tol) * np.sqrt(1.0 + abs(image) ** 2)
-        masks = []
-        for value in lam.values:
-            near = abs(image - value) <= room * math.sqrt(1.0 + abs(value) ** 2)
-            alive = near.any(axis=1)
-            tri, image, room = tri[alive], image[alive], room[alive]
-            masks = [m[alive] for m in masks] + [near[alive]]
-    for r, triple in enumerate(tri.tolist()):
-        slots = [np.flatnonzero(m[r]).tolist() for m in masks]
-        for chosen in _bijections(slots):
-            images = [0] * n
-            for slot, t in enumerate(triple + list(chosen), start=1):
-                images[t] = slot
-            yield Permutation(tuple(images))
+    slack = min(_SLOT_SLACK * lam.tol, lam.tol + _SLOT_ROUNDING)
+    for block in _row_blocks(n * (n - 1) * (n - 2), n):
+        tri = _ordered_triples(n, block)
+        i, j, k = tri.T
+        a, b, c, d = (e[:, None] for e in
+                      zero_one_inf_entries(z[i], w[i], z[j], w[j], z[k], w[k]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            image = (a * z + b * w) / (c * z + d * w)
+            rows = np.arange(len(tri))
+            for col in (i, j, k):  # the triple itself goes to 0, 1, inf
+                image[rows, col] = np.nan
+            # chordal |q - l| = 2 |q - l| / (sqrt(1 + |q|^2) sqrt(1 + |l|^2))
+            room = (0.5 * slack) * np.sqrt(1.0 + abs(image) ** 2)
+            masks = []
+            for value in lam.values:
+                near = abs(image - value) <= room * math.sqrt(1.0 + abs(value) ** 2)
+                alive = near.any(axis=1)
+                tri, image, room = tri[alive], image[alive], room[alive]
+                masks = [m[alive] for m in masks] + [near[alive]]
+                if not len(tri):
+                    break
+        for r, triple in enumerate(tri.tolist()):
+            slots = [np.flatnonzero(m[r]).tolist() for m in masks]
+            for chosen in _bijections(slots):
+                images = [0] * n
+                for slot, t in enumerate(triple + list(chosen), start=1):
+                    images[t] = slot
+                yield Permutation(tuple(images))
 
 
-def stabilizer_G_lambda(lam: LambdaTuple, method: str = "auto",
-                        enumeration_bound: int = 8) -> list[Permutation]:
+def stabilizer_G_lambda(lam: LambdaTuple) -> list[Permutation]:
     """The permutations whose action fixes the given K_n point, sorted by
     their images.
 
-    ``method`` is "direct" (a triple search: map the marked points by each
-    of the n(n-1)(n-2) ordered triples that f_sigma could send to 0, 1 and
-    inf, propose the sigma whose slots those images fill, and keep those
-    whose closed-form action fixes the point within tol; cost
-    n(n-1)(n-2) * n numpy work plus one closed-form test per proposal,
-    guarded by ``enumeration_bound``), "oracle" (compute the Mobius
-    stabilizer of the underlying point set and read each element's
-    permutation of the marked points from the oracle's rows), or "auto".
+    A triple search: map the marked points by each of the n(n-1)(n-2)
+    ordered triples that f_sigma could send to 0, 1 and inf, propose the
+    sigma whose slots those images fill, and keep those whose closed-form
+    action fixes the point within tol.  The cost is n(n-1)(n-2) * n numpy
+    work, in blocks of bounded memory, plus one closed-form test per
+    proposal.  The Mobius stabilizer oracle is not used.
     """
-    n = lam.n
-    if method == "auto":
-        method = "direct" if n <= enumeration_bound else "oracle"
-    if method == "direct":
-        if n > enumeration_bound:
-            raise EnumerationBoundExceeded(
-                f"direct enumeration of S_{n} exceeds the bound "
-                f"{enumeration_bound}")
-        kept = [sigma for sigma in _triple_search(lam)
-                if tuple_deviation(g_sigma_closed(lam, sigma), lam._coords)
-                <= lam.tol]
-        return sorted(kept, key=lambda s: s.images)
-    if method != "oracle":
-        raise ValueError(f"unknown method {method!r}")
-    rows = stabilizer(lam.point_set()).rows + 1
-    return sorted((Permutation(tuple(images)) for images in rows.tolist()),
-                  key=lambda s: s.images)
+    kept = [sigma for sigma in _triple_search(lam)
+            if tuple_deviation(g_sigma_closed(lam, sigma), lam._coords)
+            <= lam.tol]
+    return sorted(kept, key=lambda s: s.images)
 
 
 @dataclass
@@ -583,34 +587,33 @@ class PhiReport:
 
 def phi_check(lam: LambdaTuple) -> PhiReport:
     """Verify bijectivity and the homomorphism property of sigma -> f_sigma
-    between the two stabilizers of a configuration; maps are compared at
-    the configuration's tol.
+    from G_lambda, found by the triple search, to the Mobius stabilizer A
+    of the configuration, found by the oracle; everything is compared on
+    permutations of the marked points.
 
-    f_sigma sends the marked point in slot t to the one in slot sigma(t)
-    whenever sigma fixes the configuration, so it lies in the Mobius
-    stabilizer A exactly when sigma's images, less one, are a row of A.
+    ``stabilized`` counts the sigma whose definitional action, which the
+    search did not use, returns the configuration within its tol: then
+    f_sigma sends the marked point in slot t to the one in slot sigma(t).
+    So f_sigma lies in A exactly when sigma's images, less one, are a row
+    of A (the onto test), and f_pi f_sigma and f_{pi sigma} induce the
+    same permutation pi sigma of the marked points.  n >= 3 points make
+    that action faithful, since a Mobius map fixing three points is the
+    identity, so the two maps are equal; the homomorphism test therefore
+    checks that pi sigma lies in G_lambda, for all |G|^2 pairs.
     """
-    from .geometry import set_equal
-    n = lam.n
     G = stabilizer_G_lambda(lam)
-    ps = lam.point_set()
-    A = stabilizer(ps)
-    maps = {sigma.images: f_sigma(lam, sigma) for sigma in G}
-
+    A = stabilizer(lam.point_set())
     stabilized = sum(
-        1 for f in maps.values() if set_equal(ps.apply_map(f), ps))
-    hom_pairs = hom_ok = 0
-    for sigma in G:
-        for pi in G:
-            hom_pairs += 1
-            lhs = maps[pi.images].compose(maps[sigma.images])
-            rhs = f_sigma(lam, pi.compose(sigma))
-            if maps_equal(lhs, rhs, tol=lam.tol):
-                hom_ok += 1
+        1 for sigma in G
+        if tuple_deviation(g_sigma_definitional(lam, sigma), lam._coords)
+        <= lam.tol)
+    members = {sigma.images for sigma in G}
+    hom_ok = sum(1 for sigma in G for pi in G
+                 if pi.compose(sigma).images in members)
     rows = set(map(tuple, (A.rows + 1).tolist()))
     onto = all(sigma.images in rows for sigma in G)
-    return PhiReport(n=n, order_G=len(G), order_A=A.order,
-                     stabilized=stabilized, hom_pairs=hom_pairs,
+    return PhiReport(n=lam.n, order_G=len(G), order_A=A.order,
+                     stabilized=stabilized, hom_pairs=len(G) ** 2,
                      hom_pairs_ok=hom_ok, onto_ok=onto)
 
 

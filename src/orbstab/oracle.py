@@ -441,8 +441,7 @@ def _reach(seen: list[bool], queue: list[int], products: list[list[int]]):
                 queue.append(h)
 
 
-def stabilizer(ps: PointSet,
-               base_triple: tuple[int, int, int] | None = None) -> StabilizerResult:
+def stabilizer(ps: PointSet) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
     Finds every permutation of the set induced by a Mobius map, with the
@@ -456,11 +455,10 @@ def stabilizer(ps: PointSet,
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
                          "infinite; the oracle handles only finite ones")
-    if base_triple is None:
-        base_triple = _pick_base_triple(ps)
+    base_triple = _pick_base_triple(ps)
     z, w, nrm = ps.arrays()
     solved: list[np.ndarray] = []
-    perms = scan_stabilizer_triples(z, w, nrm, tuple(base_triple), ps.tol,
+    perms = scan_stabilizer_triples(z, w, nrm, base_triple, ps.tol,
                                     maps=solved)
     maps = solved[0]
     base = np.array(base_triple)

@@ -200,15 +200,18 @@ def test_criterion_6_moduli_action():
     report(6, "group law, faithfulness, closed-form agreement", t.elapsed, 30)
 
 
-def test_criterion_7_isomorphism_phi():
+def test_criterion_7_isomorphism_phi(icosahedron_lambda):
     with Timer() as t:
-        for name, order in (("d5", 10), ("z2", 2), ("generic", 1)):
-            rep = phi_check(preset_lambda(name))
+        cases = [(preset_lambda(name), order)
+                 for name, order in (("d5", 10), ("z2", 2), ("generic", 1))]
+        for lam, order in cases + [(icosahedron_lambda, 60)]:
+            rep = phi_check(lam)
             assert rep.passed, rep.summary()
             assert rep.order_G == rep.order_A == order
             assert rep.hom_pairs_ok == rep.hom_pairs == order * order
     assert t.elapsed < 10.0
-    report(7, "stabilizer isomorphism on the presets", t.elapsed, 10)
+    report(7, "stabilizer isomorphism on the presets and the icosahedron",
+           t.elapsed, 10)
 
 
 def test_criterion_8_every_group_is_realized():

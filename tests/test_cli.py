@@ -6,7 +6,7 @@ import pytest
 from orbstab import cli
 from orbstab.cli import main
 from orbstab.classifier import classify
-from orbstab.geometry import parse_complex
+from orbstab.geometry import format_complex, parse_complex
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -192,6 +192,18 @@ class TestModuli:
                            "--tol", "1e-4")
         assert code == 0
         assert "homomorphism pairs 100/100" in out and "PASS" in out
+
+    def test_phi_above_eight(self, capsys, icosahedron_lambda):
+        csv = ",".join(format_complex(v) for v in icosahedron_lambda.values)
+        code, out, _ = run(capsys, "moduli", "12", "--phi", f"--lambda={csv}")
+        assert code == 0
+        assert "|G_lambda| = 60" in out
+        assert "homomorphism pairs 3600/3600" in out and "PASS" in out
+
+    def test_phi_at_a_coarse_tol(self, capsys):
+        code, out, _ = run(capsys, "moduli", "12", "--phi", "--tol", "1e-3",
+                           "--seed", "0")
+        assert code == 0 and "PASS" in out
 
     @pytest.mark.parametrize("csv", ["0,2", "abc,2"])
     def test_bad_lambda_is_exit_2(self, capsys, csv):

@@ -195,6 +195,24 @@ def test_survivor_count_equals_group_order():
     assert rows.shape == (24, 8)
 
 
+def test_rows_that_are_no_bijection_are_dropped(monkeypatch):
+    # the chordal test does not imply bijectivity, so the scan's own filter
+    # must drop a matched row that repeats an index, even with no -1 in it
+    ps = polyhedral_orbit(cl.S4, "V6")
+    bad = np.array([[1, 1, 2, 3, 4, 5]])
+    match = kernels._match
+
+    def with_bad_row(grid, frames, coords):
+        return np.concatenate([match(grid, frames, coords), bad])
+
+    monkeypatch.setattr(kernels, "_match", with_bad_row)
+    monkeypatch.setattr(kernels, "_passes_chordal_test",
+                        lambda ZW, nrm, f, rows, tol: np.ones(len(rows), bool))
+    _, rows = run_scan(ps)
+    assert len(rows) >= 24
+    assert bad.tolist()[0] not in rows.tolist()
+
+
 def test_frame_matches_numpy_cross():
     # the written-out cross product gives bit-identical frames
     rng = np.random.default_rng(17)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 from orbstab.classifier import INFINITE, classify, dihedral
-from orbstab import moduli
-from orbstab.errors import (AmbiguousMatching, ClosedFormMismatch,
-                            EnumerationBoundExceeded)
-from orbstab.geometry import (MobiusMap, RiemannPoint, chordal_distance,
-                              chordal_distances, maps_equal, set_equal)
+from orbstab import geometry, kernels, moduli
+from orbstab.errors import AmbiguousMatching, ClosedFormMismatch
+from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint,
+                              chordal_distance, chordal_distances, maps_equal,
+                              set_equal)
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
-                            _normalize_to_lambda, _triple_search,
+                            _normalize_to_lambda, _ordered_triples,
+                            _triple_search,
                             all_permutations, f_sigma, g_sigma,
                             g_sigma_closed, g_sigma_definitional, phi_check,
                             preset_lambda, random_lambda, random_permutation,
@@ -337,6 +339,15 @@ class TestGroupLaw:
         assert len(images) == 120
 
 
+def _oracle_sigmas(lam):
+    """The reference for G_lambda, independent of the triple search: the
+    permutations of the marked points read off the rows of the oracle's
+    Mobius stabilizer of the point set, sorted by their images."""
+    rows = stabilizer(lam.point_set()).rows + 1
+    return sorted((Permutation(tuple(images)) for images in rows.tolist()),
+                  key=lambda s: s.images)
+
+
 class TestStabilizerOfLambda:
     def test_generic_is_trivial(self):
         assert [s.is_identity() for s in
@@ -344,10 +355,9 @@ class TestStabilizerOfLambda:
 
     def test_pentagon_has_order_ten(self):
         lam = preset_lambda("d5")
-        direct = stabilizer_G_lambda(lam, method="direct")
-        pulled = stabilizer_G_lambda(lam, method="oracle")
-        assert len(direct) == len(pulled) == 10
-        assert sorted(s.images for s in direct) == sorted(s.images for s in pulled)
+        got = stabilizer_G_lambda(lam)
+        assert len(got) == 10
+        assert got == _oracle_sigmas(lam)
 
     def test_seven_point_dihedral_configuration(self):
         # pentagon plus both rotation poles, re-pinned to contain 0, 1, inf
@@ -356,19 +366,21 @@ class TestStabilizerOfLambda:
         from orbstab.moduli import _normalize_to_lambda
         lam = _normalize_to_lambda(values)
         assert lam.n == 7
-        perms = stabilizer_G_lambda(lam, method="oracle")
+        perms = stabilizer_G_lambda(lam)
         assert len(perms) == 10
+        assert perms == _oracle_sigmas(lam)
         assert identify_group(
             stabilizer(lam.point_set()).elements) == dihedral(5)
 
     def test_antipodal_preset(self):
         assert len(stabilizer_G_lambda(preset_lambda("z2"))) == 2
 
-    def test_enumeration_bound(self):
-        rng = np.random.default_rng(4)
-        lam = random_lambda(9, rng)
-        with pytest.raises(EnumerationBoundExceeded):
-            stabilizer_G_lambda(lam, method="direct")
+    def test_search_over_several_blocks(self):
+        # at n = 20 the 6840 triples are mapped in three blocks
+        name, lam = next(_witness_lambdas(20, moved=False))
+        got = stabilizer_G_lambda(lam)
+        assert len(got) == 60, name  # A_5 (0, 1, 0, 0)
+        assert got == _oracle_sigmas(lam)
 
 
 def _direct_reference(lam):
@@ -424,7 +436,7 @@ class TestDirectSearch:
     """The triple search returns exactly the list of the n! enumeration."""
 
     def assert_equal_to_reference(self, name, lam):
-        got = stabilizer_G_lambda(lam, method="direct")
+        got = stabilizer_G_lambda(lam)
         assert got == _direct_reference(lam), name
         return got
 
@@ -457,10 +469,25 @@ class TestDirectSearch:
         kept = self.assert_equal_to_reference("cluster", lam)
         assert len(list(_triple_search(lam))) > 2 * len(kept)
 
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_triples_in_blocks_are_all_ordered_triples(self, monkeypatch, n):
+        monkeypatch.setattr(kernels, "_BLOCK", 7)  # blocks of 7, the last short
+        blocks = kernels._row_blocks(n * (n - 1) * (n - 2), 1)
+        got = np.concatenate([_ordered_triples(n, b) for b in blocks])
+        assert got.tolist() == list(map(list, itertools.permutations(range(n), 3)))
+
+    def test_slack_stays_near_tol_at_a_coarse_tol(self):
+        # a slack of 1e3 tol alone is a chordal distance of 1 at tol = 1e-3:
+        # it would propose every point for every slot, about 5e5 sigma here
+        lam = LambdaTuple(random_lambda(12, np.random.default_rng(0)).values,
+                          tol=1e-3)
+        assert len(list(itertools.islice(_triple_search(lam), 1000))) < 1000
+        assert stabilizer_G_lambda(lam) == _oracle_sigmas(lam)
+
 
 def _oracle_sigmas_by_lookup(lam):
-    """stabilizer_G_lambda(method="oracle") before it read the oracle's
-    rows: each element applied to every marked point and looked up."""
+    """The oracle reference before it read the oracle's rows: each element
+    applied to every marked point and looked up."""
     ps = lam.point_set()
     kept = []
     for f in stabilizer(ps).elements:
@@ -486,16 +513,15 @@ def _row_cases():
 
 
 class TestOracleRows:
-    """Both moduli readers of the oracle's rows equal the lookups they
-    replaced."""
+    """The readers of the oracle's rows, the G_lambda reference and
+    phi_check's onto test, equal the lookups they replaced."""
 
     def test_sigmas_from_rows(self):
         orders = set()
         for name, lam in _row_cases():
-            got = stabilizer_G_lambda(lam, method="oracle")
+            got = _oracle_sigmas(lam)
             assert got == _oracle_sigmas_by_lookup(lam), name
-            if lam.n <= 8:
-                assert got == stabilizer_G_lambda(lam, method="direct"), name
+            assert got == stabilizer_G_lambda(lam), name
             orders.add(len(got))
         assert len(orders) > 4
 
@@ -509,7 +535,8 @@ class TestOracleRows:
         lam = preset_lambda("d5")
         G = stabilizer_G_lambda(lam)
         # (1 4) moves a pinned slot, so f_sigma is no symmetry; (4 5) keeps
-        # f_sigma the identity, which only the row test tells from sigma
+        # f_sigma the identity, a symmetry of the point set, although sigma
+        # moves the coordinates: only the permutations tell it apart
         for a, b, old_onto in ((1, 4, False), (4, 5, True)):
             extra = Permutation.transposition(lam.n, a, b)
             assert extra not in G
@@ -517,6 +544,7 @@ class TestOracleRows:
                                 lambda lam: G + [extra])
             rep = phi_check(lam)
             assert not rep.onto_ok and not rep.passed
+            assert rep.stabilized == len(G)
             assert _onto_by_maps(lam, G + [extra]) == old_onto
 
 
@@ -534,6 +562,29 @@ class TestPhiCheck:
     def test_antipodal(self):
         rep = phi_check(preset_lambda("z2"))
         assert rep.passed and rep.order_G == 2
+
+    def test_fails_when_the_search_drops_a_sigma(self, monkeypatch,
+                                                 icosahedron_lambda):
+        # G_lambda comes from the search alone, so a search that misses
+        # one sigma fails the check
+        search = moduli._triple_search
+        dropped = stabilizer_G_lambda(icosahedron_lambda)[1]
+        monkeypatch.setattr(moduli, "_triple_search", lambda lam: (
+            sigma for sigma in search(lam) if sigma != dropped))
+        rep = phi_check(icosahedron_lambda)
+        assert (rep.order_G, rep.order_A) == (59, 60)
+        assert rep.hom_pairs_ok < rep.hom_pairs and not rep.passed
+
+    def test_compares_no_maps(self, monkeypatch, icosahedron_lambda):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("phi_check compared Mobius maps")
+
+        lams = [preset_lambda("d5"), icosahedron_lambda]
+        for owner, name in ((geometry, "maps_equal"), (geometry, "set_equal"),
+                            (MobiusMap, "compose"), (PointSet, "apply_map")):
+            monkeypatch.setattr(owner, name, forbidden)
+        for lam in lams:
+            assert phi_check(lam).passed
 
 
 def test_anharmonic_group_is_closed():

@@ -76,13 +76,19 @@ class TestStabilizerExamples:
 class TestBaseTripleIndependence:
     def test_same_elements_for_any_base(self):
         ps = values(0, INF, 1, -1, 1j, -1j)  # octahedron
-        reference = stabilizer(ps)
-        assert reference.order == 24
+        z, w, nrm = ps.arrays()
+        scans = []
         for base in ((0, 1, 2), (3, 4, 5), (5, 2, 0)):
-            again = stabilizer(ps, base_triple=base)
-            assert again.order == reference.order
-            for f in again.elements:
-                assert any(maps_equal(f, g, tol=1e-7) for g in reference.elements)
+            solved = []
+            rows = scan_stabilizer_triples(z, w, nrm, base, ps.tol, maps=solved)
+            assert len(rows) == 24
+            scans.append({tuple(row): MobiusMap(*f) for row, f in
+                          zip(rows.tolist(), solved[0].T.tolist())})
+        reference = scans[0]
+        for scan in scans[1:]:
+            assert scan.keys() == reference.keys()
+            for row, f in scan.items():
+                assert maps_equal(f, reference[row], tol=1e-7)
 
 
 class TestConjugationCovariance:
