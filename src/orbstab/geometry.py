@@ -186,6 +186,31 @@ def _with_norms(z, w):
     return z, w, np.sqrt(np.abs(z) ** 2 + np.abs(w) ** 2)
 
 
+def point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The homogeneous coordinates of a sequence of points as (z, w,
+    norm) ndarrays, ready for ``chordal_distances``."""
+    z = np.array([p.z for p in points], dtype=complex)
+    w = np.array([p.w for p in points], dtype=complex)
+    return _with_norms(z, w)
+
+
+def normalized_entries(a, b, c, d) -> tuple[complex, complex, complex, complex]:
+    """Matrix entries divided by the largest-modulus one, as ``MobiusMap``
+    stores them.
+
+    Raises DegenerateMap when no entry is finite and nonzero or the
+    normalized determinant has modulus below DET_FLOOR.
+    """
+    entries = (complex(a), complex(b), complex(c), complex(d))
+    pivot = max(entries, key=abs)
+    if abs(pivot) == 0.0 or not math.isfinite(abs(pivot)):
+        raise DegenerateMap("matrix has no usable pivot entry")
+    a, b, c, d = (e / pivot for e in entries)
+    if abs(a * d - b * c) < DET_FLOOR:
+        raise DegenerateMap(f"determinant {a * d - b * c} below floor")
+    return a, b, c, d
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """The Mobius transformation z -> (a z + b) / (c z + d).
@@ -201,13 +226,7 @@ class MobiusMap:
     d: complex
 
     def __post_init__(self):
-        entries = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
-        pivot = max(entries, key=abs)
-        if abs(pivot) == 0.0 or not math.isfinite(abs(pivot)):
-            raise DegenerateMap("matrix has no usable pivot entry")
-        a, b, c, d = (e / pivot for e in entries)
-        if abs(a * d - b * c) < DET_FLOOR:
-            raise DegenerateMap(f"determinant {a * d - b * c} below floor")
+        a, b, c, d = normalized_entries(self.a, self.b, self.c, self.d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -376,9 +395,7 @@ class PointSet:
 
     def __init__(self, points, tol: float = DEFAULT_TOL):
         self.points = tuple(points)
-        z = np.array([p.z for p in self.points], dtype=complex)
-        w = np.array([p.w for p in self.points], dtype=complex)
-        self._init(*_with_norms(z, w), tol)
+        self._init(*point_arrays(self.points), tol)
 
     def _init(self, z, w, nrm, tol: float):
         for a in (z, w, nrm):

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import ClosedFormMismatch
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       check_separation, chordal_distances,
-                       homogeneous_arrays, mobius_through_triple,
+                       check_separation, homogeneous_arrays,
+                       mobius_through_triple, normalized_entries,
                        zero_one_inf_entries)
 from .kernels import _row_blocks
 from .oracle import stabilizer
@@ -238,8 +238,9 @@ def tuple_deviation(a, b) -> float:
         raise ValueError(f"cannot compare tuples of lengths {a.size} and {b.size}")
     if a.size == 0:
         return 0.0
-    return float(chordal_distances(a, 1.0, np.hypot(1.0, abs(a)),
-                                   b, 1.0, np.hypot(1.0, abs(b))).max())
+    # chordal_distances with both w == 1
+    return float((2.0 * np.abs(a - b)
+                  / (np.hypot(1.0, np.abs(a)) * np.hypot(1.0, np.abs(b)))).max())
 
 
 def _check_size(lam: LambdaTuple, sigma: Permutation):
@@ -251,7 +252,10 @@ def _check_size(lam: LambdaTuple, sigma: Permutation):
 def _preimages(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The index of the marked point that sigma sends to each slot 1..n."""
     _check_size(lam, sigma)
-    return np.argsort(sigma.images)
+    inv = [0] * lam.n
+    for i, slot in enumerate(sigma.images):
+        inv[slot - 1] = i
+    return np.array(inv)
 
 
 def _pinned_triple(lam: LambdaTuple, sigma: Permutation) -> list[int]:
@@ -281,10 +285,10 @@ def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The action straight from its definition: apply the re-pinning map to
     the reordered configuration and read off the free coordinates."""
     inv = _preimages(lam, sigma)
-    f = MobiusMap(*_repinning_entries(lam, inv[:3]))
+    a, b, c, d = normalized_entries(*_repinning_entries(lam, inv[:3]))
     z, w, _ = lam.arrays()
     z, w = z[inv[3:]], w[inv[3:]]
-    z, w = f.a * z + f.b * w, f.c * z + f.d * w
+    z, w = a * z + b * w, c * z + d * w
     at_inf = np.abs(w) < 1e-14 * np.abs(z)
     if at_inf.any():
         raise ValueError(

@@ -16,7 +16,6 @@ partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 import itertools
 import math
@@ -162,6 +161,9 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
         return 1
     q = (f.a + f.d) ** 2 / (f.a * f.d - f.b * f.c)
     if abs(q.imag) < 1e-6 and -1e-6 <= q.real <= 4.0 + 1e-6:
+        # imported here, not with the module: fractions loads decimal, and
+        # no path that a cold start takes needs either
+        from fractions import Fraction
         theta = math.acos(min(1.0, max(-1.0, q.real / 2.0 - 1.0)))
         m = Fraction(theta / (2.0 * math.pi)).limit_denominator(cap).denominator
         if f.power(m).is_identity(10.0 * tol):

@@ -18,11 +18,13 @@ import math
 import numpy as np
 
 from . import classifier as cl
-from .errors import (InvalidCardinality, SeedOnSpecialLocus,
-                     UnrealizableIndex, WitnessSearchExhausted)
+from .errors import (AmbiguousMatching, InvalidCardinality,
+                     SeedOnSpecialLocus, UnrealizableIndex,
+                     WitnessSearchExhausted)
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distance, homogeneous_arrays, maps_equal,
-                       mobius_through_triple, snap_arrays, snap_point)
+                       chordal_distances, homogeneous_arrays,
+                       mobius_through_triple, point_arrays, snap_arrays,
+                       snap_point)
 from .oracle import stabilizer
 
 #: Conjugators carrying the standard dihedral orbit families to the two
@@ -63,12 +65,28 @@ def rotation_mobius(axis, angle: float) -> MobiusMap:
 
 def _close_group(generators, max_order: int = 200,
                  tol: float = 1e-9) -> list[MobiusMap]:
+    """The group the generators generate, identity first.
+
+    Products wait on a stack.  Each popped candidate f is tested against
+    every element g found so far in one numpy pass over the (4, m) array
+    of their entries, by ``maps_equal``'s rule: f g^-1, with g^-1 = (d, -b,
+    -c, a), is the identity within tol times the larger of its diagonal
+    moduli.
+    """
     elements = [MobiusMap.identity()]
+    found = np.empty((4, max_order + 1), dtype=complex)
+    found[:, 0] = 1.0, 0.0, 0.0, 1.0
     frontier = list(generators)
     while frontier:
         f = frontier.pop()
-        if any(maps_equal(f, g, tol=tol) for g in elements):
+        a, b, c, d = found[:, :len(elements)]
+        p, s = f.a * d - f.b * c, f.d * a - f.c * b   # diagonal of f g^-1
+        scale = tol * np.maximum(np.abs(p), np.abs(s))
+        if ((np.abs(f.b * a - f.a * b) <= scale)
+                & (np.abs(f.c * d - f.d * c) <= scale)
+                & (np.abs(p - s) <= scale)).any():
             continue
+        found[:, len(elements)] = f.a, f.b, f.c, f.d
         elements.append(f)
         if len(elements) > max_order:
             raise RuntimeError("group closure exceeded the expected order; "
@@ -79,9 +97,9 @@ def _close_group(generators, max_order: int = 200,
     return elements
 
 
-@functools.lru_cache(maxsize=None)
-def polyhedral_group(kind: str) -> tuple[MobiusMap, ...]:
-    """The rotation group of the given polyhedral kind as Mobius maps.
+def _generators(kind: str) -> list[MobiusMap]:
+    """Two rotations generating the rotation group of the given polyhedral
+    kind.
 
     Orientations: the octahedron has vertices {0, inf, +-1, +-i}; the
     tetrahedra are the alternating vertices of the axis-aligned cube; the
@@ -89,21 +107,25 @@ def polyhedral_group(kind: str) -> tuple[MobiusMap, ...]:
     """
     third_diag = rotation_mobius((1.0, 1.0, 1.0), 2.0 * math.pi / 3.0)
     if kind == cl.S4:
-        gens = [MobiusMap(1j, 0.0, 0.0, 1.0), third_diag]
-        expected = 24
-    elif kind == cl.A4:
-        gens = [MobiusMap(-1.0, 0.0, 0.0, 1.0), third_diag]
-        expected = 12
-    elif kind == cl.A5:
+        return [MobiusMap(1j, 0.0, 0.0, 1.0), third_diag]
+    if kind == cl.A4:
+        return [MobiusMap(-1.0, 0.0, 0.0, 1.0), third_diag]
+    if kind == cl.A5:
         # vertex rotation about the polar axis plus a flip through the
         # midpoint of an edge ending at the north-pole vertex
         ring = np.array([2.0 / math.sqrt(5.0), 0.0, 1.0 / math.sqrt(5.0)])
         edge_axis = np.array([0.0, 0.0, 1.0]) + ring
-        gens = [MobiusMap(cmath.exp(2j * math.pi / 5.0), 0.0, 0.0, 1.0),
+        return [MobiusMap(cmath.exp(2j * math.pi / 5.0), 0.0, 0.0, 1.0),
                 rotation_mobius(edge_axis, math.pi)]
-        expected = 60
-    else:
-        raise ValueError(f"not a polyhedral kind: {kind}")
+    raise ValueError(f"not a polyhedral kind: {kind}")
+
+
+@functools.lru_cache(maxsize=None)
+def polyhedral_group(kind: str) -> tuple[MobiusMap, ...]:
+    """The rotation group of the given polyhedral kind as Mobius maps,
+    closed from ``_generators(kind)``."""
+    gens = _generators(kind)
+    expected = cl.GroupLabel(kind).order
     elements = _close_group(gens, max_order=expected + 1)
     if len(elements) != expected:
         raise RuntimeError(f"{kind} closure produced {len(elements)} elements")
@@ -111,12 +133,16 @@ def polyhedral_group(kind: str) -> tuple[MobiusMap, ...]:
 
 
 def _orbit_of(point: RiemannPoint, group, tol: float) -> tuple[RiemannPoint, ...]:
-    orbit: list[RiemannPoint] = []
-    for g in group:
-        q = snap_point(g.apply(point))
-        if all(chordal_distance(q, r) > tol for r in orbit):
-            orbit.append(q)
-    return tuple(orbit)
+    """The images of point under the group, in the group's order, each kept
+    unless it lies within tol of an image kept before it."""
+    images = [snap_point(g.apply(point)) for g in group]
+    z, w, nrm = point_arrays(images)
+    close = chordal_distances(z[:, None], w[:, None], nrm[:, None],
+                              z, w, nrm) <= tol
+    kept = np.zeros(len(images), dtype=bool)
+    for i, row in enumerate(close):
+        kept[i] = not row[kept].any()
+    return tuple(p for p, keep in zip(images, kept) if keep)
 
 
 #: The special-orbit tags of each polyhedral index slot, named by orbit
@@ -138,17 +164,19 @@ def _special_orbits(kind: str) -> dict[str, tuple[RiemannPoint, ...]]:
     """
     group = polyhedral_group(kind)
     tol = 1e-6
-    seen: list[RiemannPoint] = []
+    fixed = [p for g in group if not g.is_identity(tol)
+             for p in g.fixed_points()]
+    z, w, nrm = (a[:, None] for a in point_arrays(fixed))
+    seen = np.zeros(len(fixed), dtype=bool)
     orbits: list[tuple[RiemannPoint, ...]] = []
-    for g in group:
-        if g.is_identity(tol):
+    for i, p in enumerate(fixed):
+        if seen[i]:
             continue
-        for p in g.fixed_points():
-            if any(chordal_distance(p, q) <= tol for q in seen):
-                continue
-            orbit = _orbit_of(p, group, tol)
-            seen.extend(orbit)
-            orbits.append(orbit)
+        orbit = _orbit_of(p, group, tol)
+        # each fixed point within tol of the new orbit is seen from now on
+        seen |= (chordal_distances(z, w, nrm, *point_arrays(orbit))
+                 <= tol).any(axis=1)
+        orbits.append(orbit)
     orbits.sort(key=lambda o: (len(o), _orbit_key(o)))
     slots = zip(_SPECIAL_TAGS[kind], cl.GroupLabel(kind).orbit_sizes())
     tags, sizes = zip(*((tag, size) for slot, size in slots for tag in slot))
@@ -169,8 +197,9 @@ def polyhedral_orbit(kind: str, tag_or_seed, tol: float = DEFAULT_TOL) -> PointS
 
     ``tag_or_seed`` is either a named special-orbit tag (by size, e.g.
     "V12" for the icosahedral vertex class) or a RiemannPoint seed for a
-    generic full-size orbit.  A seed on a special locus raises
-    SeedOnSpecialLocus.
+    generic full-size orbit.  A seed on or near a special locus raises
+    SeedOnSpecialLocus: its images merge at tol into fewer than |G|
+    points, or two of them lie within the 2*tol a PointSet requires.
     """
     if isinstance(tag_or_seed, str):
         orbit = _special_orbits(kind).get(tag_or_seed)
@@ -183,7 +212,11 @@ def polyhedral_orbit(kind: str, tag_or_seed, tol: float = DEFAULT_TOL) -> PointS
         raise SeedOnSpecialLocus(
             f"seed {tag_or_seed} yields an orbit of size {len(orbit)} < "
             f"{len(group)}")
-    return PointSet(orbit, tol=tol)
+    try:
+        return PointSet(orbit, tol=tol)
+    except AmbiguousMatching as exc:
+        raise SeedOnSpecialLocus(
+            f"seed {tag_or_seed} lies near a special locus: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +372,20 @@ def _polyhedral_assembly(kind: str, index: tuple[int, ...], attempt: int,
     for count, tags in zip(counts, _SPECIAL_TAGS[kind]):
         for tag in tags[:count]:
             points.extend(specials[tag])
-    # seed schedule: a fixed generic base point, spun by small angles to
-    # keep the k orbits disjoint; the whole base moves on retries
+    for seed in _generic_seeds(order, k, attempt):
+        points.extend(polyhedral_orbit(kind, seed, tol=tol))
+    return PointSet(points, tol=tol)
+
+
+def _generic_seeds(order: int, k: int, attempt: int) -> list[RiemannPoint]:
+    """The seeds of k generic orbits of a group of this order: a fixed
+    generic base point, spun by small angles to keep the k orbits
+    disjoint; the whole base moves on retries."""
     base = 0.2870 + 0.1730j
     base *= (1.0 + 0.0370 * attempt) * cmath.exp(0.6100j * attempt)
-    for l in range(1, k + 1):
-        seed = base * cmath.exp(2j * math.pi * l / (8.0 * k * k * order))
-        orbit = polyhedral_orbit(kind, RiemannPoint.from_value(seed), tol=tol)
-        points.extend(orbit)
-    return PointSet(points, tol=tol)
+    return [RiemannPoint.from_value(
+                base * cmath.exp(2j * math.pi * l / (8.0 * k * k * order)))
+            for l in range(1, k + 1)]
 
 
 def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,

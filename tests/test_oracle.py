@@ -3,6 +3,10 @@ import contextlib
 import importlib
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +199,18 @@ class TestProjectiveOrder:
                   MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1)):
             with pytest.raises(UnrecognizedGroup):
                 projective_order(f, cap=30)
+
+    def test_cold_import_loads_no_fractions(self):
+        # fractions (and the decimal module it loads) is imported on the
+        # first projective_order call, not on every start of the package
+        src = pathlib.Path(oracle.__file__).resolve().parents[1]
+        code = ("import sys, orbstab; "
+                "print(sorted(m for m in ('fractions', 'decimal') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestComponentIndex:

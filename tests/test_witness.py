@@ -1,19 +1,24 @@
 import cmath
+import functools
+import importlib
 import itertools
 import math
 
 import pytest
 
-from orbstab import classifier as cl
+import reference_witness as ref
+from orbstab import classifier as cl, geometry
 from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
                                 cyclic, dihedral)
 from orbstab.errors import (InvalidCardinality, SeedOnSpecialLocus,
                             UnrealizableIndex)
 from orbstab.geometry import PointSet, RiemannPoint, set_equal
 from orbstab.oracle import stabilizer
-from orbstab.witness import (PHI, PSI, _polyhedral_assembly, cyclic_witness,
-                             dihedral_witness, polyhedral_group,
-                             polyhedral_orbit, trivial_witness, witness)
+from orbstab.witness import (PHI, PSI, _generators, _generic_seeds,
+                             _orbit_of, _polyhedral_assembly, _special_orbits,
+                             cyclic_witness, dihedral_witness,
+                             polyhedral_group, polyhedral_orbit,
+                             trivial_witness, witness)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -53,6 +58,79 @@ class TestPolyhedralGroups:
     def test_seed_on_special_locus_rejected(self):
         with pytest.raises(SeedOnSpecialLocus):
             polyhedral_orbit(cl.S4, RiemannPoint.from_value(1.0))
+
+    @pytest.mark.parametrize("offset", [3e-9, 8e-9])
+    def test_seed_near_a_vertex_rejected(self, offset):
+        # an icosahedron vertex sits at 0: at 3e-9 the five images about it
+        # merge at tol, at 8e-9 they stay apart but within 2*tol
+        with pytest.raises(SeedOnSpecialLocus):
+            polyhedral_orbit(cl.A5, RiemannPoint.from_value(offset))
+
+    def test_seed_clear_of_the_vertex_accepted(self):
+        assert polyhedral_orbit(cl.A5, RiemannPoint.from_value(3e-8)).n == 60
+
+
+def _bits(points):
+    return [tuple(x.hex() for x in (p.z.real, p.z.imag, p.w.real, p.w.imag))
+            for p in points]
+
+
+POLYHEDRAL_KINDS = [cl.A4, cl.S4, cl.A5]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_group(kind):
+    return tuple(ref._close_group(_generators(kind),
+                                  max_order=cl.GroupLabel(kind).order + 1))
+
+
+class TestAgainstReference:
+    """The polyhedral constructions equal ``reference_witness.py``'s bit
+    for bit."""
+
+    @pytest.mark.parametrize("kind", POLYHEDRAL_KINDS)
+    def test_group_elements_in_order(self, kind):
+        def entries(group):
+            return [tuple(x.hex() for e in (f.a, f.b, f.c, f.d)
+                          for x in (e.real, e.imag)) for f in group]
+        assert entries(polyhedral_group(kind)) == entries(_reference_group(kind))
+
+    @pytest.mark.parametrize("kind", POLYHEDRAL_KINDS)
+    def test_special_orbits_by_tag(self, kind):
+        got = _special_orbits(kind)
+        want = ref._special_orbits(kind, _reference_group(kind))
+        assert list(got) == list(want)
+        for tag in want:
+            assert _bits(got[tag]) == _bits(want[tag]), tag
+
+    @pytest.mark.parametrize("kind", POLYHEDRAL_KINDS)
+    def test_generic_orbits_of_the_seed_schedule(self, kind):
+        group, want_group = polyhedral_group(kind), _reference_group(kind)
+        for attempt in range(16):
+            for k in (1, 2, 3):
+                for seed in _generic_seeds(len(group), k, attempt):
+                    got = _orbit_of(seed, group, 1e-8)
+                    assert len(got) == len(group)
+                    assert _bits(got) == _bits(ref._orbit_of(seed, want_group, 1e-8))
+
+    def test_near_special_seed_orbits(self):
+        group, want_group = polyhedral_group(cl.A5), _reference_group(cl.A5)
+        for offset in (3e-9, 8e-9, 3e-8):
+            seed = RiemannPoint.from_value(offset)
+            assert _bits(_orbit_of(seed, group, 1e-8)) == \
+                _bits(ref._orbit_of(seed, want_group, 1e-8))
+
+    def test_filling_the_caches_compares_no_map_pairwise(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("maps_equal called")
+        monkeypatch.setattr(geometry, "maps_equal", refuse)
+        monkeypatch.setattr(importlib.import_module("orbstab.witness"),
+                            "maps_equal", refuse, raising=False)
+        polyhedral_group.cache_clear()
+        _special_orbits.cache_clear()
+        for kind in POLYHEDRAL_KINDS:
+            assert len(polyhedral_group(kind)) == cl.GroupLabel(kind).order
+            _special_orbits(kind)
 
 
 class TestDihedralWitness:
