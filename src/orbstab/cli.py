@@ -271,14 +271,14 @@ def cmd_moduli(args, out: _Output) -> int:
     if args.phi:  # check the configuration before running anything
         try:
             if args.lambda_csv:
-                values = tuple(parse_complex(part)
-                               for part in args.lambda_csv.split(","))
+                lam = LambdaTuple(tuple(parse_complex(part)
+                                        for part in args.lambda_csv.split(",")),
+                                  tol=tol)
             elif args.preset:
-                values = preset_lambda(args.preset).values
+                lam = LambdaTuple(preset_lambda(args.preset).values, tol=tol)
             else:
-                values = random_lambda(args.n,
-                                       np.random.default_rng(args.seed)).values
-            lam = LambdaTuple(values, tol=tol)
+                lam = random_lambda(args.n, np.random.default_rng(args.seed),
+                                    tol=tol)
         except ValueError as exc:  # unparsable, or not a point of K_n
             print(f"error: bad configuration: {exc}", file=sys.stderr)
             return 2

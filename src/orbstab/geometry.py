@@ -201,13 +201,15 @@ def normalized_entries(a, b, c, d) -> tuple[complex, complex, complex, complex]:
     Raises DegenerateMap when no entry is finite and nonzero or the
     normalized determinant has modulus below DET_FLOOR.
     """
-    entries = (complex(a), complex(b), complex(c), complex(d))
-    pivot = max(entries, key=abs)
-    if abs(pivot) == 0.0 or not math.isfinite(abs(pivot)):
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    pivot = max((a, b, c, d), key=abs)
+    size = abs(pivot)
+    if size == 0.0 or not math.isfinite(size):
         raise DegenerateMap("matrix has no usable pivot entry")
-    a, b, c, d = (e / pivot for e in entries)
-    if abs(a * d - b * c) < DET_FLOOR:
-        raise DegenerateMap(f"determinant {a * d - b * c} below floor")
+    a, b, c, d = a / pivot, b / pivot, c / pivot, d / pivot
+    det = a * d - b * c
+    if abs(det) < DET_FLOOR:
+        raise DegenerateMap(f"determinant {det} below floor")
     return a, b, c, d
 
 

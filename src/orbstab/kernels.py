@@ -349,10 +349,15 @@ def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
     return (2.0 * cross <= tol * inrm * nrm.take(rows)).all(axis=1)
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One hashable key per row of a 2-d array: the row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+
+
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, each where it first occurs."""
-    keys = np.ascontiguousarray(rows).view(f"V{rows.itemsize * rows.shape[1]}")
-    keys = keys.ravel().tolist()
+    keys = _row_keys(rows)
     # the last write of a key wins, so the reversed pass keeps its first index
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     return rows[sorted(first.values())]

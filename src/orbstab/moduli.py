@@ -15,6 +15,14 @@ a coset representative built from at most three transpositions.  The
 coset part is one Mobius map h_L whose coefficients, looked up in a table
 by the displaced pinned slots, are written out in the displaced values L;
 each displaced slot's coordinate is h_L at the value that slot pinned.
+The coordinates go through h and h_L as one composed map.
+
+Each path is a fixed handful of numpy calls on index arrays, whatever n:
+sigma is inverted by one argsort, and neither path loops over the points
+in Python.  The cross-check is cheap first: a chordal distance is at most
+twice the coordinates' difference, so the two paths agree within 10*tol
+whenever 2 max|a - b| does, and the chordal deviation is computed only
+when that screen fails.
 
 A K_n point carries its n marked points as normalized homogeneous (z, w)
 arrays, built at most once.  Its separation check, the re-pinning map
@@ -48,7 +56,7 @@ from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                        check_separation, homogeneous_arrays,
                        mobius_through_triple, normalized_entries,
                        zero_one_inf_entries)
-from .kernels import _row_blocks
+from .kernels import _mul, _row_blocks, _row_keys
 from .oracle import stabilizer
 
 #: The anharmonic group: the six Mobius maps permuting {0, 1, inf}.
@@ -61,12 +69,13 @@ ANHARMONIC_GROUP = (
     MobiusMap(0.0, -1.0, 1.0, -1.0),  # -1/(z - 1)
 )
 
-# The anharmonic map realizing each permutation a of the pinned slots
-# (keyed by the images (a(1), a(2), a(3))): it sends the value pinned at
-# slot i to the value pinned at slot a(i).
+# The entries (a, b, c, d) of the anharmonic map realizing each
+# permutation a of the pinned slots (keyed by the images (a(1), a(2),
+# a(3))): it sends the value pinned at slot i to the value pinned at slot
+# a(i).
 _ANHARMONIC_BY_SLOT_PERM = dict(zip(
     [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (3, 1, 2), (2, 3, 1)],
-    ANHARMONIC_GROUP))
+    ((h.a, h.b, h.c, h.d) for h in ANHARMONIC_GROUP)))
 
 # The coset part, keyed by the pinned slots whose points the coset
 # representative moves into the free coordinates: the entries (a, b, c, d)
@@ -243,94 +252,108 @@ def tuple_deviation(a, b) -> float:
                   / (np.hypot(1.0, np.abs(a)) * np.hypot(1.0, np.abs(b)))).max())
 
 
+def _screened_deviation(a: np.ndarray, b, bound: float) -> float:
+    """``tuple_deviation(a, b)`` where it exceeds ``bound`` (or is nan);
+    otherwise some value at most ``bound``.
+
+    A chordal distance is at most twice the coordinates' difference, since
+    both denominators are at least 1, and rounding keeps that order; so
+    when 2 max|a - b| is within the bound, the exact deviation is too, and
+    three numpy calls decide.  Only when that screen fails is the exact
+    deviation computed, so the decision and the value reported for a
+    failure are the exact ones.
+    """
+    if a.size and a.shape == np.shape(b):
+        screen = 2.0 * float(np.abs(a - b).max())
+        if screen <= bound:
+            return screen
+    return tuple_deviation(a, b)
+
+
 def _check_size(lam: LambdaTuple, sigma: Permutation):
-    if sigma.n != lam.n:
+    if len(sigma.images) != lam.n:
         raise ValueError(f"sigma permutes {sigma.n} points, but the K_n "
                          f"point has n = {lam.n}")
 
 
-def _preimages(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
-    """The index of the marked point that sigma sends to each slot 1..n."""
-    _check_size(lam, sigma)
-    inv = [0] * lam.n
-    for i, slot in enumerate(sigma.images):
-        inv[slot - 1] = i
-    return np.array(inv)
-
-
-def _pinned_triple(lam: LambdaTuple, sigma: Permutation) -> list[int]:
-    """The indices of the marked points that sigma sends to slots 1, 2, 3."""
-    _check_size(lam, sigma)
-    return [sigma.images.index(slot) for slot in (1, 2, 3)]
-
-
-def _repinning_entries(lam: LambdaTuple, triple):
+def _repinning_entries(lam: LambdaTuple, i: int, j: int, k: int):
     """The entries (a, b, c, d), unnormalized, of the map sending the marked
-    points of the index triple to 0, 1 and infinity.
+    points i, j and k to 0, 1 and infinity.
 
     The LambdaTuple's own 2*tol check keeps the triple apart.
     """
     z, w, _ = lam.arrays()
-    (z1, z2, z3), (w1, w2, w3) = z[triple].tolist(), w[triple].tolist()
-    return zero_one_inf_entries(z1, w1, z2, w2, z3, w3)
+    return zero_one_inf_entries(z.item(i), w.item(i), z.item(j), w.item(j),
+                                z.item(k), w.item(k))
+
+
+def _pinned_triple(images: tuple[int, ...]) -> tuple[int, int, int]:
+    """The indices of the marked points that the permutation with these
+    images sends to slots 1, 2, 3."""
+    return images.index(1), images.index(2), images.index(3)
 
 
 def f_sigma(lam: LambdaTuple, sigma: Permutation) -> MobiusMap:
     """The re-pinning map: sends the points in slots sigma^-1(1), (2), (3)
     of the configuration to 0, 1 and infinity."""
-    return MobiusMap(*_repinning_entries(lam, _pinned_triple(lam, sigma)))
+    _check_size(lam, sigma)
+    return MobiusMap(*_repinning_entries(lam, *_pinned_triple(sigma.images)))
 
 
 def g_sigma_definitional(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The action straight from its definition: apply the re-pinning map to
     the reordered configuration and read off the free coordinates."""
-    inv = _preimages(lam, sigma)
-    a, b, c, d = normalized_entries(*_repinning_entries(lam, inv[:3]))
+    _check_size(lam, sigma)
+    inv = np.fromiter(sigma.images, np.intp, lam.n).argsort()
+    a, b, c, d = normalized_entries(
+        *_repinning_entries(lam, *inv[:3].tolist()))
     z, w, _ = lam.arrays()
-    z, w = z[inv[3:]], w[inv[3:]]
+    rest = inv[3:]
+    z, w = z[rest], w[rest]
     z, w = a * z + b * w, c * z + d * w
     at_inf = np.abs(w) < 1e-14 * np.abs(z)
-    if at_inf.any():
+    if np.count_nonzero(at_inf):
         raise ValueError(
             f"image coordinate for slot {4 + int(np.argmax(at_inf))} landed "
             "at infinity; the input left the domain of the action")
     return z / w
 
 
-def _coset_split(images: tuple[int, ...]):
-    """Split the permutation with these images as tau * v with v
-    preserving {1,2,3} and {4..n}.
-
-    tau is a product of at most three disjoint transpositions (slot, big
-    index), one for each pinned slot whose preimage lies beyond 3; such
-    products form a complete set of coset representatives.  Returns
-    (slot_to_big, images of v), slot_to_big keyed in slot order.
-    """
-    marked = [slot for slot in (1, 2, 3) if slot not in images[:3]]
-    bigs = sorted(t for t in images[:3] if t > 3)
-    swap = dict(zip(marked, bigs)) | dict(zip(bigs, marked))
-    # tau is an involution, so tau^-1 sigma == tau sigma
-    return dict(zip(marked, bigs)), [swap.get(t, t) for t in images]
-
-
 def g_sigma_closed(lam: LambdaTuple, sigma: Permutation) -> np.ndarray:
     """The action via the closed forms: the block part's coordinate
-    shuffle and anharmonic map, then the coset part's map h_L.
+    shuffle and anharmonic map h, then the coset part's map h_L.
 
-    Each displaced slot's coordinate is h_L at the value that slot pinned,
-    taken in homogeneous coordinates so that infinity needs no division.
-    Reads the coordinates alone, never the marked points' arrays.
+    sigma = tau v, where v preserves {1,2,3} and {4..n} and the involution
+    tau swaps each pinned slot whose preimage lies beyond 3 with one of
+    the free slots among sigma(1), sigma(2), sigma(3); such products form
+    a complete set of coset representatives.  v's images are sigma's with
+    at most three entries swapped.  The coordinates are shuffled by v and
+    mapped by the one matrix h_L h; each displaced slot's coordinate is
+    h_L at the value that slot pinned, set in homogeneous coordinates
+    before the one division so that infinity needs none.  Reads the
+    coordinates alone, never the marked points' arrays.
     """
     _check_size(lam, sigma)
-    slot_to_big, v = _coset_split(sigma.images)
-    h = _ANHARMONIC_BY_SLOT_PERM[tuple(v[:3])]
-    mu = np.empty(lam.n - 3, dtype=complex)
-    mu[np.array(v[3:], dtype=np.intp) - 4] = lam._coords  # slot v(i) gets l_{i-3}
-    mu = (h.a * mu + h.b) / (h.c * mu + h.d)
-    a, b, c, d = _COSET_MAPS[tuple(slot_to_big)](
-        {slot: mu[big - 4] for slot, big in slot_to_big.items()})
+    images = sigma.images
+    head = images[:3]
+    bigs = iter(sorted([t for t in head if t > 3]))
+    tail = np.fromiter(images[3:], np.intp, lam.n - 3)  # v's images, patched
+    v_head = list(head)
+    displaced = []  # (slot, the big index it swaps with, its coordinate)
+    for slot in (1, 2, 3):
+        if slot not in head:
+            big, i = next(bigs), images.index(slot)
+            tail[i - 3] = big
+            v_head[head.index(big)] = slot
+            displaced.append((slot, big, lam.values[i - 3]))
+    h = _ANHARMONIC_BY_SLOT_PERM[tuple(v_head)]
+    L = {slot: (h[0] * x + h[1]) / (h[2] * x + h[3]) for slot, _, x in displaced}
+    coset = _COSET_MAPS[tuple(L)](L)
+    a, b, c, d = _mul(coset, h)
+    mu = lam._coords[tail.argsort()]  # slot v(i) gets l_{i-3}
     z, w = a * mu + b, c * mu + d
-    for slot, big in slot_to_big.items():
+    a, b, c, d = coset
+    for slot, big, _ in displaced:
         p, q = _PINNED[slot]
         z[big - 4], w[big - 4] = a * p + b * q, c * p + d * q
     return z / w
@@ -376,6 +399,10 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     only when they are read; otherwise the output goes through the public
     constructor's full check, which raises AmbiguousMatching as before.
 
+    The paths must agree within 10*tol in ``tuple_deviation``, decided
+    cheaply first (``_screened_deviation``); a failure reports the exact
+    deviation.
+
     The action is not closed on K_n at a fixed tol, because chordal
     distance is not Mobius-invariant: a valid point can have images with
     two marked points within 2*tol.  For the n = 8 point (1.2e4+3e3j,
@@ -385,20 +412,21 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     tol = lam.tol if tol is None else tol
     by_def = g_sigma_definitional(lam, sigma)
     by_form = g_sigma_closed(lam, sigma)
-    dev = tuple_deviation(by_def, by_form)
+    dev = _screened_deviation(by_def, by_form, 10.0 * tol)
     if not dev <= 10.0 * tol:  # nan too
         raise ClosedFormMismatch(
             f"closed form and definition disagree by {dev} for sigma = {sigma}")
     bound = _image_separation(
-        lam, _repinning_entries(lam, _pinned_triple(lam, sigma)))
+        lam, _repinning_entries(lam, *_pinned_triple(sigma.images)))
     if bound > 2.0 * lam.tol:
         return LambdaTuple._certified(by_def, lam.tol, bound)
     return LambdaTuple(by_def.tolist(), tol=lam.tol)
 
 
-def random_lambda(n: int, rng: np.random.Generator,
-                  margin: float = 0.05) -> LambdaTuple:
-    """A generic K_n point with coordinates comfortably separated."""
+def random_lambda(n: int, rng: np.random.Generator, margin: float = 0.05,
+                  tol: float = DEFAULT_TOL) -> LambdaTuple:
+    """A generic K_n point at this tol, with coordinates comfortably
+    separated."""
     while True:
         values = [complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
                   for _ in range(n - 3)]
@@ -406,7 +434,7 @@ def random_lambda(n: int, rng: np.random.Generator,
         ok = ok and all(abs(a - b) > margin
                         for i, a in enumerate(values) for b in values[i + 1:])
         if ok:
-            return LambdaTuple(tuple(values))
+            return LambdaTuple(tuple(values), tol=tol)
 
 
 @dataclass
@@ -437,16 +465,16 @@ def verify_group_law(n: int, trials: int = 200, rng_seed: int = 0,
     """Numerically check that composing actions matches the composed
     permutation, and that non-identity permutations act non-trivially.
 
-    For each trial, draws random sigma, pi and a random configuration and
-    compares g_pi(g_sigma(lam)) with g_{pi sigma}(lam).  Faithfulness is
-    checked exhaustively for n <= 6 and on samples above.
+    For each trial, draws random sigma, pi and a random configuration at
+    tol and compares g_pi(g_sigma(lam)) with g_{pi sigma}(lam).
+    Faithfulness is checked exhaustively for n <= 6 and on samples above.
     """
     if n < 4:
         raise ValueError("the action needs n >= 4")
     rng = np.random.default_rng(rng_seed)
     max_dev = 0.0
     for _ in range(trials):
-        lam = random_lambda(n, rng)
+        lam = random_lambda(n, rng, tol=tol)
         sigma = random_permutation(n, rng)
         pi = random_permutation(n, rng)
         two_step = g_sigma(g_sigma(lam, sigma), pi)
@@ -455,7 +483,7 @@ def verify_group_law(n: int, trials: int = 200, rng_seed: int = 0,
 
     moved = total = 0
     if n >= 5:
-        lam = random_lambda(n, rng)
+        lam = random_lambda(n, rng, tol=tol)
         perms = (all_permutations(n) if math.factorial(n) <= 720
                  else (random_permutation(n, rng) for _ in range(200)))
         for sigma in perms:
@@ -556,8 +584,8 @@ def stabilizer_G_lambda(lam: LambdaTuple) -> list[Permutation]:
     proposal.  The Mobius stabilizer oracle is not used.
     """
     kept = [sigma for sigma in _triple_search(lam)
-            if tuple_deviation(g_sigma_closed(lam, sigma), lam._coords)
-            <= lam.tol]
+            if _screened_deviation(g_sigma_closed(lam, sigma), lam._coords,
+                                   lam.tol) <= lam.tol]
     return sorted(kept, key=lambda s: s.images)
 
 
@@ -589,6 +617,23 @@ class PhiReport:
                 f"-> {'PASS' if self.passed else 'FAIL'}")
 
 
+def _products_in(R: np.ndarray) -> int:
+    """How many of the products pi sigma, over all ordered pairs of rows
+    of R (zero-based images, (m, n)), are themselves rows of R.
+
+    The row of pi sigma is pi's row read at sigma's images; the products
+    are formed for a block of pi rows at a time, about kernels._BLOCK
+    entries, and looked up by row key.
+    """
+    m, n = R.shape
+    members = set(_row_keys(R))
+    count = 0
+    for blk in _row_blocks(m, m * n):
+        products = R[blk].take(R, axis=1).reshape(-1, n)
+        count += sum(map(members.__contains__, _row_keys(products)))
+    return count
+
+
 def phi_check(lam: LambdaTuple) -> PhiReport:
     """Verify bijectivity and the homomorphism property of sigma -> f_sigma
     from G_lambda, found by the triple search, to the Mobius stabilizer A
@@ -603,17 +648,17 @@ def phi_check(lam: LambdaTuple) -> PhiReport:
     same permutation pi sigma of the marked points.  n >= 3 points make
     that action faithful, since a Mobius map fixing three points is the
     identity, so the two maps are equal; the homomorphism test therefore
-    checks that pi sigma lies in G_lambda, for all |G|^2 pairs.
+    checks that pi sigma lies in G_lambda, for all |G|^2 pairs, on the
+    (|G|, n) array of images.
     """
     G = stabilizer_G_lambda(lam)
     A = stabilizer(lam.point_set())
     stabilized = sum(
         1 for sigma in G
-        if tuple_deviation(g_sigma_definitional(lam, sigma), lam._coords)
-        <= lam.tol)
-    members = {sigma.images for sigma in G}
-    hom_ok = sum(1 for sigma in G for pi in G
-                 if pi.compose(sigma).images in members)
+        if _screened_deviation(g_sigma_definitional(lam, sigma), lam._coords,
+                               lam.tol) <= lam.tol)
+    images = np.array([sigma.images for sigma in G], dtype=np.intp)
+    hom_ok = _products_in(images.reshape(len(G), lam.n) - 1)
     rows = set(map(tuple, (A.rows + 1).tolist()))
     onto = all(sigma.images in rows for sigma in G)
     return PhiReport(n=lam.n, order_G=len(G), order_A=A.order,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orbstab.classifier import INFINITE, classify, dihedral
-from orbstab import geometry, kernels, moduli
+from orbstab import cli, geometry, kernels, moduli
 from orbstab.errors import AmbiguousMatching, ClosedFormMismatch
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint,
                               chordal_distance, chordal_distances, maps_equal,
@@ -305,6 +305,84 @@ class TestSeparationBound:
         assert calls == {"check_separation": 0, "homogeneous_arrays": 1}
 
 
+def _shifted(values, deviation):
+    """The values with each coordinate moved, in alternating directions, by
+    about this chordal distance."""
+    values = np.asarray(values)
+    signs = np.where(np.arange(len(values)) % 2, 1.0, -1.0j)
+    return values + signs * (0.5 * deviation) * (1.0 + np.abs(values) ** 2)
+
+
+class TestScreenedCrossCheck:
+    """g_sigma first tests 2 max|a - b| against 10 tol, and computes the
+    chordal deviation only when that screen fails; it raises exactly when
+    the chordal deviation exceeds 10 tol."""
+
+    # coordinates near 1 and near 1e4: at 1e4 the chordal distance is about
+    # 2e-8 times the coordinates' difference, so the screen fails on pairs
+    # that are well within 10 tol
+    POINTS = [LambdaTuple((2.0 + 1.0j, 5.0, -1.5 - 0.5j, 0.3 - 2.0j)),
+              LambdaTuple((1.2e4 + 3e3j, -0.8e4 + 0.6e4j, 0.7e4j, 1e4))]
+
+    @pytest.mark.parametrize("lam", POINTS)
+    def test_raises_exactly_beyond_ten_tol(self, monkeypatch, lam):
+        sigma = Permutation((4, 2, 6, 1, 3, 7, 5))
+        by_def = g_sigma_definitional(lam, sigma)
+        outcomes = set()
+        for factor in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+            shifted = _shifted(by_def, factor * 10.0 * lam.tol)
+            monkeypatch.setattr(moduli, "g_sigma_closed",
+                                lambda lam, sigma: shifted)
+            dev = tuple_deviation(by_def, shifted)
+            beyond = dev > 10.0 * lam.tol
+            if beyond:
+                with pytest.raises(ClosedFormMismatch,
+                                   match=f"disagree by {dev} for"):
+                    g_sigma(lam, sigma)
+            else:
+                g_sigma(lam, sigma)
+            outcomes.add(beyond)
+        assert outcomes == {False, True}
+
+    def test_screen_fails_but_the_exact_test_passes_at_large_moduli(self):
+        lam = self.POINTS[1]
+        by_def = g_sigma_definitional(lam, Permutation.identity(7))
+        shifted = _shifted(by_def, 5.0 * lam.tol)
+        assert 2.0 * np.abs(by_def - shifted).max() > 1e6 * 10.0 * lam.tol
+        dev = moduli._screened_deviation(by_def, shifted, 10.0 * lam.tol)
+        assert dev == tuple_deviation(by_def, shifted) <= 10.0 * lam.tol
+
+    def test_screen_bounds_the_exact_deviation(self):
+        rng = np.random.default_rng(41)
+        for scale in (1e-4, 1.0, 1e4):
+            for _ in range(200):
+                a = scale * (rng.normal(size=6) + 1j * rng.normal(size=6))
+                b = a + 10.0 ** rng.uniform(-12, 0) * scale * rng.normal(size=6)
+                exact = tuple_deviation(a, b)
+                for bound in (0.5 * exact, exact, 2.0 * exact, 1e-7):
+                    dev = moduli._screened_deviation(a, b, bound)
+                    assert (dev <= bound) == (exact <= bound)
+                    assert dev == exact or dev <= bound
+
+    def test_a_passing_call_computes_no_chordal_deviation(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the screen should have decided")
+
+        monkeypatch.setattr(moduli, "tuple_deviation", forbidden)
+        rng = np.random.default_rng(42)
+        for n in (5, 8, 20, 32):
+            lam = random_lambda(n, rng)
+            for _ in range(10):
+                g_sigma(lam, random_permutation(n, rng))
+        assert phi_check(preset_lambda("d5")).passed
+        assert len(stabilizer_G_lambda(preset_lambda("d5"))) == 10
+
+    def test_nan_fails_both_tests(self):
+        a = np.array([1.0 + 0j, 2.0 + 0j])
+        b = np.array([1.0 + 0j, complex("nan")])
+        assert math.isnan(moduli._screened_deviation(a, b, 1.0))
+
+
 class TestTupleDeviation:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="lengths 1 and 2"):
@@ -329,6 +407,37 @@ class TestGroupLaw:
         rep = verify_group_law(5, trials=10, rng_seed=1)
         assert rep.faithful_total == 119
         assert rep.faithful_moved == 119
+
+    def test_points_are_built_at_the_given_tol(self, monkeypatch):
+        seen = set()
+        action = moduli.g_sigma
+
+        def recorded(lam, sigma, tol=None):
+            seen.add(lam.tol)
+            return action(lam, sigma, tol)
+
+        monkeypatch.setattr(moduli, "g_sigma", recorded)
+        rep = verify_group_law(6, trials=5, rng_seed=0, tol=1e-12)
+        assert rep.passed and rep.tolerance == 1e-11
+        assert seen == {1e-12}
+
+    def test_a_shifted_closed_form_fails_at_a_fine_tol(self, monkeypatch):
+        # a shift of 1e-9 passes a cross-check at 10 * 1e-8, not at 1e-11
+        closed = moduli.g_sigma_closed
+        monkeypatch.setattr(moduli, "g_sigma_closed",
+                            lambda lam, sigma: closed(lam, sigma) + 1e-9)
+        assert verify_group_law(6, trials=5, rng_seed=0).passed
+        with pytest.raises(ClosedFormMismatch):
+            verify_group_law(6, trials=5, rng_seed=0, tol=1e-12)
+        with pytest.raises(ClosedFormMismatch):
+            cli.main(["moduli", "6", "--group-law", "--tol", "1e-12",
+                      "--trials", "5"])
+
+    def test_random_points_at_any_tol_share_their_values(self):
+        fine = random_lambda(9, np.random.default_rng(5), tol=1e-12)
+        default = random_lambda(9, np.random.default_rng(5))
+        assert fine.values == default.values
+        assert (fine.tol, default.tol) == (1e-12, geometry.DEFAULT_TOL)
 
     def test_orbit_size_is_full_for_generic_lambda(self):
         lam = LambdaTuple((2.0 + 1.0j, 5.0))
@@ -574,6 +683,32 @@ class TestPhiCheck:
         rep = phi_check(icosahedron_lambda)
         assert (rep.order_G, rep.order_A) == (59, 60)
         assert rep.hom_pairs_ok < rep.hom_pairs and not rep.passed
+
+    def test_composes_no_permutation_objects(self, monkeypatch,
+                                             icosahedron_lambda):
+        def forbidden(*args):
+            raise AssertionError("phi_check composed Permutation objects")
+
+        monkeypatch.setattr(Permutation, "compose", forbidden)
+        rep = phi_check(icosahedron_lambda)
+        assert rep.passed and rep.hom_pairs_ok == 3600
+
+    @pytest.mark.parametrize("block", [kernels._BLOCK, 50])
+    def test_products_by_rows_count_as_composition(self, monkeypatch,
+                                                   icosahedron_lambda, block):
+        # with 50 entries a block, each block holds less than one pi row
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        G = stabilizer_G_lambda(icosahedron_lambda)
+        rng = np.random.default_rng(43)
+        for drop in (None, 1, 17):
+            kept = [s for i, s in enumerate(G) if i != drop]
+            members = {s.images for s in kept}
+            want = sum(1 for s in kept for p in kept
+                       if p.compose(s).images in members)
+            rows = np.array([s.images for s in kept]) - 1
+            assert moduli._products_in(rows) == want
+            assert moduli._products_in(rows[rng.permutation(len(kept))]) == want
+        assert moduli._products_in(np.empty((0, 12), dtype=np.intp)) == 0
 
     def test_compares_no_maps(self, monkeypatch, icosahedron_lambda):
         def forbidden(*args, **kwargs):
