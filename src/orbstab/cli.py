@@ -26,9 +26,18 @@ from .oracle import stabilizer
 from .witness import witness
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="chordal tolerance (default 1e-8)")
+def _tol(text: str) -> float:
+    """``--tol``'s type: a float in (0, 1e-3], else argparse's usage error."""
+    tol = float(text)
+    if not 0.0 < tol <= 1e-3:  # nan too
+        raise argparse.ArgumentTypeError(f"must be in (0, 1e-3], not {text}")
+    return tol
+
+
+def _add_common(parser, run):
+    parser.set_defaults(run=run)
+    parser.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
+                        help="chordal tolerance in (0, 1e-3] (default 1e-8)")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
     parser.add_argument("--out", metavar="PATH",
@@ -44,14 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="all possible stabilizers at size n")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_common(p, cmd_classify)
 
     p = sub.add_parser("witness", help="a verified witness set for one entry")
     p.add_argument("n", type=int)
     p.add_argument("--entry", required=True,
                    help="entry selector, e.g. 'Z_2,(1,2)' or '(0)'")
     p.add_argument("--retry-bound", type=int, default=16)
-    _add_common(p)
+    _add_common(p, cmd_witness)
 
     p = sub.add_parser("verify",
                        help="round-trip every entry of classify(n) through "
@@ -63,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "produce listed entries (n <= 7)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retry-bound", type=int, default=16)
-    _add_common(p)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("moduli", help="parameter-space action checks")
     p.add_argument("n", type=int)
@@ -74,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("generic", "d5", "z2"))
     p.add_argument("--lambda", dest="lambda_csv", metavar="CSV",
                    help="comma-separated coordinates, e.g. '2+1i,5'")
-    _add_common(p)
+    _add_common(p, cmd_moduli)
     return parser
 
 
@@ -91,12 +100,6 @@ class _Output:
         if self.out_path:
             with open(self.out_path, "w") as fh:
                 fh.write("\n".join(self.lines) + "\n")
-
-
-def _check_tol(tol: float) -> float:
-    if not 0.0 < tol <= 1e-3:
-        raise SystemExit("--tol must be in (0, 1e-3]")
-    return tol
 
 
 def cmd_classify(args, out: _Output) -> int:
@@ -118,7 +121,6 @@ def cmd_classify(args, out: _Output) -> int:
 
 
 def cmd_witness(args, out: _Output) -> int:
-    tol = _check_tol(args.tol)
     try:
         entry = cl.parse_entry(args.entry)
     except ValueError as exc:
@@ -138,7 +140,7 @@ def cmd_witness(args, out: _Output) -> int:
               file=sys.stderr)
         return 4
     try:
-        ps = witness(args.n, entry, tol=tol, retry_bound=args.retry_bound)
+        ps = witness(args.n, entry, tol=args.tol, retry_bound=args.retry_bound)
     except (WitnessSearchExhausted, UnrealizableIndex) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -184,7 +186,6 @@ def _jittered(ps: PointSet, rng, scale: float = 1e-3) -> PointSet:
 
 
 def cmd_verify(args, out: _Output) -> int:
-    tol = _check_tol(args.tol)
     if not 3 <= args.n_min <= args.n_max:
         print("error: need 3 <= n_min <= n_max", file=sys.stderr)
         return 2
@@ -207,7 +208,8 @@ def cmd_verify(args, out: _Output) -> int:
             if entry.label.kind == cl.INFINITE:
                 continue
             try:
-                ps = witness(n, entry, tol=tol, retry_bound=args.retry_bound)
+                ps = witness(n, entry, tol=args.tol,
+                             retry_bound=args.retry_bound)
                 got = stabilizer(ps)
                 ok = (got.label == entry.label and got.index == entry.index
                       and ps.n == n)
@@ -237,7 +239,7 @@ def cmd_verify(args, out: _Output) -> int:
                         "entry": got.entry().to_json(), "pass": ok,
                         "detail": "" if ok else why})
 
-            sampler = _sample_configurations(n, rng, tol)
+            sampler = _sample_configurations(n, rng, args.tol)
             for _ in range(25):
                 check_sample("sampled   ", next(sampler))
             # structured: witnesses moved out of standard position must keep
@@ -246,9 +248,10 @@ def cmd_verify(args, out: _Output) -> int:
             for entry in cl.classify(n):
                 if entry.label.kind == cl.INFINITE:
                     continue
-                ps = witness(n, entry, tol=tol, retry_bound=args.retry_bound)
+                ps = witness(n, entry, tol=args.tol,
+                             retry_bound=args.retry_bound)
                 g = _random_mobius(rng)
-                moved = PointSet([g.apply(p) for p in ps.points], tol=tol)
+                moved = PointSet([g.apply(p) for p in ps.points], tol=args.tol)
                 check_sample("conjugated", moved, expect=entry)
                 check_sample("jittered  ", _jittered(ps, rng))
     if args.json:
@@ -260,7 +263,6 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def cmd_moduli(args, out: _Output) -> int:
-    tol = _check_tol(args.tol)
     if args.n < 4:
         print("error: the action needs n >= 4", file=sys.stderr)
         return 2
@@ -273,12 +275,13 @@ def cmd_moduli(args, out: _Output) -> int:
             if args.lambda_csv:
                 lam = LambdaTuple(tuple(parse_complex(part)
                                         for part in args.lambda_csv.split(",")),
-                                  tol=tol)
+                                  tol=args.tol)
             elif args.preset:
-                lam = LambdaTuple(preset_lambda(args.preset).values, tol=tol)
+                lam = LambdaTuple(preset_lambda(args.preset).values,
+                                  tol=args.tol)
             else:
                 lam = random_lambda(args.n, np.random.default_rng(args.seed),
-                                    tol=tol)
+                                    tol=args.tol)
         except ValueError as exc:  # unparsable, or not a point of K_n
             print(f"error: bad configuration: {exc}", file=sys.stderr)
             return 2
@@ -299,7 +302,7 @@ def cmd_moduli(args, out: _Output) -> int:
 
     if args.group_law:
         report("group_law", verify_group_law(args.n, trials=args.trials,
-                                             rng_seed=args.seed, tol=tol))
+                                             rng_seed=args.seed, tol=args.tol))
     if args.phi:
         report("phi", phi_check(lam))
     if args.json:
@@ -313,17 +316,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = _Output(getattr(args, "out", None))
     try:
-        if args.command == "classify":
-            code = cmd_classify(args, out)
-        elif args.command == "witness":
-            code = cmd_witness(args, out)
-        elif args.command == "verify":
-            code = cmd_verify(args, out)
-        else:
-            code = cmd_moduli(args, out)
+        return args.run(args, out)
     finally:
         out.close()
-    return code
 
 
 def entrypoint():  # console script

@@ -131,10 +131,6 @@ def chordal_distances(z1, w1, n1, z2, w2, n2):
     return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
 
 
-def points_close(p: RiemannPoint, q: RiemannPoint, tol: float = DEFAULT_TOL) -> bool:
-    return chordal_distance(p, q) <= tol
-
-
 def snap_point(p: RiemannPoint, eps: float = 1e-12) -> RiemannPoint:
     """Zero out homogeneous components below eps (relative).
 
@@ -238,10 +234,6 @@ class MobiusMap:
     def identity(cls) -> "MobiusMap":
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def scaling(cls, factor: complex) -> "MobiusMap":
-        return cls(factor, 0.0, 0.0, 1.0)
-
     def apply(self, p: RiemannPoint) -> RiemannPoint:
         return RiemannPoint(self.a * p.z + self.b * p.w,
                             self.c * p.z + self.d * p.w)
@@ -305,17 +297,21 @@ def maps_equal(f: MobiusMap, g: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     return f.compose(g.inverse()).is_identity(tol)
 
 
-def zero_one_inf_entries(z1, w1, z2, w2, z3, w3):
-    """Entries (a, b, c, d) of a matrix sending (z1 : w1), (z2 : w2) and
-    (z3 : w3) to 0, 1 and infinity.
+def zero_one_inf_scales(z1, w1, z2, w2, z3, w3):
+    """The scales (kappa, mu) of ``zero_one_inf_entries``' rows: the rows
+    kappa (w1, -z1) and mu (w3, -z3) annihilate the first and third points,
+    and the middle point fixes their relative scale.
 
     Written with products and differences only, so the same code runs on
     complex scalars and, entrywise, on numpy arrays of triples.
     """
-    # Rows annihilate the first and third points; the middle point fixes
-    # the relative scale.
-    kappa = z2 * w3 - z3 * w2
-    mu = z2 * w1 - z1 * w2
+    return z2 * w3 - z3 * w2, z2 * w1 - z1 * w2
+
+
+def zero_one_inf_entries(z1, w1, z2, w2, z3, w3):
+    """Entries (a, b, c, d) of a matrix sending (z1 : w1), (z2 : w2) and
+    (z3 : w3) to 0, 1 and infinity (see ``zero_one_inf_scales``)."""
+    kappa, mu = zero_one_inf_scales(z1, w1, z2, w2, z3, w3)
     return kappa * w1, -kappa * z1, mu * w3, -mu * z3
 
 

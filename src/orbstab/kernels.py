@@ -20,12 +20,9 @@ separation, wide enough to survive the stretching of centering, unless
 the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
-Matching only proposes permutations.  The distinct ones that are
-bijections are solved, in one pass, for the Mobius map through the base
-triple and its images, and a row is kept when that map sends every point
-within ``tol`` of its partner, in the input's homogeneous coordinates: the
-chordal test of the brute-force triple scan that the tests keep as the
-reference.  The kept maps go to the caller, so they are solved once.
+Matching only proposes permutations.  The scan returns the distinct ones
+that are bijections, in the order matching first found them, and the
+oracle decides which of them are stabilizer elements (see ``oracle``).
 
 Each quantity is one numpy pass over all points, candidates or rows, and
 nothing is derived twice: the stretch of centering comes from the pair
@@ -37,7 +34,7 @@ arrays, which a grid lookup compares with the listed points one pass per
 cell depth.  The profiles cost ``O(n^2 log n)`` and each candidate
 ``O(n log n)``; memory stays at ``O(n)`` per candidate block, and no
 candidates-by-n-by-n array is built.  The kernel makes no BLAS or LAPACK
-call: the 3x3 solve uses the adjugate.
+call: the 3x3 solve of a Newton step uses the adjugate.
 """
 
 from __future__ import annotations
@@ -312,43 +309,6 @@ def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return grid.lookup(F[0] * coords[0] + F[1] * coords[1] + F[2] * coords[2])
 
 
-def base_triple_maps(Z, W, base, rows) -> np.ndarray:
-    """Entries (a, b, c, d), as the rows of one (4, len(rows)) array and
-    not normalized, of the Mobius map sending the base triple to its images
-    in each row."""
-    b0, b1, b2 = base
-    kap = Z[b1] * W[b2] - Z[b2] * W[b1]
-    mu = Z[b1] * W[b0] - Z[b0] * W[b1]
-    # the matrix sending the base triple to (0, 1, inf)
-    m = (kap * W[b0], -kap * Z[b0], mu * W[b2], -mu * Z[b2])
-    # P[:, s]: the (Z, W) of the images (i, j, k) of the base triple, one
-    # entry per map
-    P = np.array((Z, W)).take(rows.take(base, axis=1).T, axis=1)
-    zi, zj, zk = P[0]
-    wi, wj, wk = P[1]
-    kap = zj * wk - zk * wj
-    mu = zj * wi - zi * wj
-    # adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf),
-    # composed with m: f sends the base triple to (i, j, k)
-    left, right = (-mu * P[:, 2])[:, None], (kap * P[:, 0])[:, None]
-    m = np.array(m).reshape(2, 2, 1)
-    return (left * m[0] + right * m[1]).reshape(4, -1)
-
-
-def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
-    """Whether the maps with entries f, one per row, send every point
-    (ZW = (Z, W) stacked) within tol of its partner in the row (one bool
-    per row)."""
-    f = f.reshape(2, 2, -1, 1)
-    # (iz, iw) = (a Z + b W, c Z + d W), and (Z, W) of the partners
-    image = f[:, 0] * ZW[0] + f[:, 1] * ZW[1]
-    size = np.abs(image) ** 2
-    inrm = np.sqrt(size[0] + size[1])
-    partner = ZW.take(rows, axis=1)
-    cross = np.abs(image[0] * partner[1] - partner[0] * image[1])
-    return (2.0 * cross <= tol * inrm * nrm.take(rows)).all(axis=1)
-
-
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """One hashable key per row of a 2-d array: the row's bytes."""
     rows = np.ascontiguousarray(rows)
@@ -363,22 +323,20 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return rows[sorted(first.values())]
 
 
-def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
-                            base: tuple[int, int, int], tol: float,
-                            maps: list | None = None) -> np.ndarray:
-    """The permutations of the point set induced by its Mobius stabilizer.
+def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
+                            tol: float) -> np.ndarray:
+    """The permutations of the point set that rotation matching proposes.
 
-    ``(Z : W)`` are the points' homogeneous coordinates and ``nrm`` their
-    norms; ``base`` is the triple through which each kept map is solved
-    for the chordal test.  Returns an (m, n) int64 array of distinct rows,
-    one per map: row[t] is the index of the image of point t.  When
-    ``maps`` is a list, the kept maps' entries are appended to it as one
-    (4, m) array (see ``base_triple_maps``).  Raises CenteringFailed if
-    the set cannot be centered.
+    ``(Z : W)`` are the points' homogeneous coordinates.  Returns an (m,
+    n) int64 array of distinct bijective rows, each where matching first
+    found it: row[t] is the index of the image of point t.  Every
+    permutation induced by the set's Mobius stabilizer is among them,
+    since the slack covers its tol balls; the caller decides which rows
+    are stabilizer elements.  Raises CenteringFailed if the set cannot be
+    centered.
     """
     Z = np.ascontiguousarray(Z, dtype=np.complex128)
     W = np.ascontiguousarray(W, dtype=np.complex128)
-    nrm = np.ascontiguousarray(nrm, dtype=np.float64)
     n = Z.shape[0]
     X, stretch, shift, residual, steps = _center(Z, W)
     C = np.ascontiguousarray(X.T)
@@ -444,13 +402,5 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
         rows = _match(grid, frames[blk], coords)
         bijective.append(rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)])
     # a slightly-off candidate rotation can snap onto a true permutation,
-    # so each distinct row is solved and tested once
-    rows = _distinct(np.concatenate(bijective))
-    f = base_triple_maps(Z, W, base, rows)
-    ZW = np.array((Z, W))
-    kept = np.ones(len(rows), dtype=bool)
-    for blk in _row_blocks(len(rows), n):
-        kept[blk] = _passes_chordal_test(ZW, nrm, f[:, blk], rows[blk], tol)
-    if maps is not None:
-        maps.append(f[:, kept])
-    return rows[kept]
+    # so each row is proposed once
+    return _distinct(np.concatenate(bijective))

@@ -384,8 +384,7 @@ def _image_separation(lam: LambdaTuple, entries) -> float:
             - _BOUND_ABSOLUTE_MARGIN * kappa)
 
 
-def g_sigma(lam: LambdaTuple, sigma: Permutation,
-            tol: float | None = None) -> LambdaTuple:
+def g_sigma(lam: LambdaTuple, sigma: Permutation) -> LambdaTuple:
     """Evaluate the action of sigma on a K_n point, both ways, and fail
     loudly if the definitional and closed-form paths disagree.
 
@@ -395,9 +394,10 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     re-pinning map A = f_sigma (kappa does not depend on A's scale, so it
     is that of the normalized map), less a relative margin of 1e-9
     and an absolute one of 1e-13 * kappa for rounding.  When that bound
-    exceeds 2*tol the output keeps it and builds its homogeneous arrays
-    only when they are read; otherwise the output goes through the public
-    constructor's full check, which raises AmbiguousMatching as before.
+    exceeds 2*tol (tol is ``lam.tol`` throughout) the output keeps it and
+    builds its homogeneous arrays only when they are read; otherwise the
+    output goes through the public constructor's full check, which raises
+    AmbiguousMatching as before.
 
     The paths must agree within 10*tol in ``tuple_deviation``, decided
     cheaply first (``_screened_deviation``); a failure reports the exact
@@ -409,7 +409,7 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation,
     -2e-4+1e-4j, 0.7e4j, 3e-4, 2-1j) at tol = 1e-8, 3120 of the 40320 sigma
     raise AmbiguousMatching.
     """
-    tol = lam.tol if tol is None else tol
+    tol = lam.tol
     by_def = g_sigma_definitional(lam, sigma)
     by_form = g_sigma_closed(lam, sigma)
     dev = _screened_deviation(by_def, by_form, 10.0 * tol)

@@ -1,16 +1,20 @@
 """Computation of the full Mobius stabilizer of a point set.
 
-The kernel centers the set conformally and finds every rotation of the
-centered cloud that permutes it (see ``kernels``), as integer permutation
-rows, with the maps it solved through a fixed base triple for its chordal
-test.  The rest works on those rows and maps in a few numpy passes, with
-no Python arithmetic per element: an element's order is the length of the
-cycle through the first base point it moves, walked for all rows at once
-and confirmed by f^k being the identity; closure is checked exactly from
-the identity and a few generators.  The group is identified by its
-(order, maximal element order) signature, which separates all finite
-Mobius groups, and the component index is recovered from the orbit
-partition.
+The kernel centers the set conformally and proposes, as integer
+permutation rows, the permutations that rotation matching finds (see
+``kernels``).  The oracle decides which proposals are stabilizer
+elements.  It solves, in one pass, the Mobius map of each proposal
+through a well-separated base triple and the triple's images, and keeps a
+row when that map sends every point within ``tol`` of its partner, in the
+input's homogeneous coordinates: the chordal test of the brute-force
+triple scan that the tests keep as the reference.  The rest works on the
+kept rows and maps in a few numpy passes, with no Python arithmetic per
+element: an element's order is the length of the cycle through the first
+base point it moves, walked for all rows at once and confirmed by f^k
+being the identity; closure is checked exactly from the identity and a
+few generators.  The group is identified by its (order, maximal element
+order) signature, which separates all finite Mobius groups, and the
+component index is recovered from the orbit partition.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 from . import classifier as cl
 from .errors import DegenerateMap, OrbitSizeMismatch, UnrecognizedGroup
 from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
-                       RiemannPoint, chordal_distances, format_complex)
+                       RiemannPoint, chordal_distances, format_complex,
+                       zero_one_inf_entries, zero_one_inf_scales)
 from .kernels import _row_blocks, scan_stabilizer_triples
 
 
@@ -115,6 +120,56 @@ def _pick_base_triple(ps: PointSet) -> tuple[int, int, int]:
     rest[[i, j]] = -1.0
     # the pair in index order, as the dense search over i < j found it
     return min(i, j), max(i, j), int(np.argmax(rest))
+
+
+def base_triple_maps(Z, W, base, rows) -> np.ndarray:
+    """Entries (a, b, c, d), as the rows of one (4, len(rows)) array and
+    not normalized, of the Mobius map sending the base triple to its images
+    in each row."""
+    b0, b1, b2 = base
+    # the matrix sending the base triple to (0, 1, inf)
+    m = zero_one_inf_entries(Z[b0], W[b0], Z[b1], W[b1], Z[b2], W[b2])
+    # P[:, s]: the (Z, W) of the images (i, j, k) of the base triple, one
+    # entry per map
+    P = np.array((Z, W)).take(rows.take(base, axis=1).T, axis=1)
+    zi, zj, zk = P[0]
+    wi, wj, wk = P[1]
+    kap, mu = zero_one_inf_scales(zi, wi, zj, wj, zk, wk)
+    # the adjugate of the matrix sending (P_i, P_j, P_k) -> (0, 1, inf)
+    # has columns -mu P_k and kap P_i; these products, not that matrix's
+    # entries negated, which give -0.0 for some zero parts where these
+    # give 0.0.  Composed with m, f sends the base triple to (i, j, k).
+    left, right = (-mu * P[:, 2])[:, None], (kap * P[:, 0])[:, None]
+    m = np.array(m).reshape(2, 2, 1)
+    return (left * m[0] + right * m[1]).reshape(4, -1)
+
+
+def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
+    """Whether the maps with entries f, one per row, send every point
+    (ZW = (Z, W) stacked) within tol of its partner in the row (one bool
+    per row)."""
+    f = f.reshape(2, 2, -1, 1)
+    # (iz, iw) = (a Z + b W, c Z + d W), and (Z, W) of the partners
+    image = f[:, 0] * ZW[0] + f[:, 1] * ZW[1]
+    size = np.abs(image) ** 2
+    inrm = np.sqrt(size[0] + size[1])
+    partner = ZW.take(rows, axis=1)
+    cross = np.abs(image[0] * partner[1] - partner[0] * image[1])
+    return (2.0 * cross <= tol * inrm * nrm.take(rows)).all(axis=1)
+
+
+def _decide(ps: PointSet, base, proposals: np.ndarray):
+    """The proposed rows that are stabilizer elements, and their maps as
+    one (4, kept) array: each row's map is solved through the base triple
+    and the row is kept when the map passes the chordal test."""
+    z, w, nrm = ps.arrays()
+    maps = base_triple_maps(z, w, base, proposals)
+    ZW = np.array((z, w))
+    kept = np.ones(len(proposals), dtype=bool)
+    for blk in _row_blocks(len(proposals), ps.n):
+        kept[blk] = _passes_chordal_test(ZW, nrm, maps[:, blk], proposals[blk],
+                                         ps.tol)
+    return proposals[kept], maps[:, kept]
 
 
 def _canonical_order(f) -> np.ndarray:
@@ -446,23 +501,20 @@ def _reach(seen: list[bool], queue: list[int], products: list[list[int]]):
 def stabilizer(ps: PointSet) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
-    Finds every permutation of the set induced by a Mobius map, with the
-    maps through a maximally-separated base triple that the search solved
-    for its chordal test, reads each element's order from its row, checks
-    closure on the rows, checks the maps, and returns them with the group
-    identification and orbit decomposition.  Builds no ``MobiusMap`` or
-    ``RiemannPoint``; the result does so when its elements or orbits are
-    read.
+    Keeps the kernel's proposals that pass the chordal test, with their
+    maps through a maximally-separated base triple, reads each element's
+    order from its row, checks closure on the rows, checks the maps, and
+    returns them with the group identification and orbit decomposition.
+    Builds no ``MobiusMap`` or ``RiemannPoint``; the result does so when
+    its elements or orbits are read.
     """
     if ps.n < 3:
         raise ValueError("stabilizers of sets with fewer than 3 points are "
                          "infinite; the oracle handles only finite ones")
     base_triple = _pick_base_triple(ps)
-    z, w, nrm = ps.arrays()
-    solved: list[np.ndarray] = []
-    perms = scan_stabilizer_triples(z, w, nrm, base_triple, ps.tol,
-                                    maps=solved)
-    maps = solved[0]
+    z, w, _ = ps.arrays()
+    proposals = scan_stabilizer_triples(z, w, ps.tol)
+    perms, maps = _decide(ps, base_triple, proposals)
     base = np.array(base_triple)
     # n >= 3 points make the action faithful, so permutation closure is
     # equivalent to group closure of the maps themselves

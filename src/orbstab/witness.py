@@ -394,8 +394,9 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
 
     The construction is proposed, checked by the stabilizer oracle, and
     (for polyhedral generic orbits) retried on a deterministic seed
-    schedule.  Raises WitnessSearchExhausted if the oracle never confirms
-    the entry, and ValueError for entries not in classify(n).
+    schedule.  Raises WitnessSearchExhausted, naming each failed attempt,
+    if the oracle never confirms the entry, and ValueError for entries not
+    in classify(n).
     """
     if retry_bound < 1:
         raise ValueError("retry_bound must be >= 1")
@@ -409,20 +410,22 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
     attempts = retry_bound if kind in _SPECIAL_TAGS else 1
     failures: list[str] = []
     for attempt in range(attempts):
-        if kind == cl.TRIVIAL:
-            ps = trivial_witness(n, tol=tol)
-        elif kind in _SPECIAL_TAGS:
-            try:
+        # a seed on a special locus, or orbits closer than 2*tol, fail the
+        # attempt: the set it proposes is not one at this tol
+        try:
+            if kind == cl.TRIVIAL:
+                ps = trivial_witness(n, tol=tol)
+            elif kind in _SPECIAL_TAGS:
                 ps = _polyhedral_assembly(kind, entry.index, attempt, tol)
-            except SeedOnSpecialLocus as exc:
-                failures.append(f"attempt {attempt}: {exc}")
-                continue
-        elif kind == cl.DIHEDRAL:
-            ps = dihedral_witness(entry.label.p, entry.index, tol=tol)
-        elif kind == cl.K4:
-            ps = dihedral_witness(2, entry.index, tol=tol)
-        else:
-            ps = cyclic_witness(entry.label.p, entry.index, tol=tol)
+            elif kind == cl.DIHEDRAL:
+                ps = dihedral_witness(entry.label.p, entry.index, tol=tol)
+            elif kind == cl.K4:
+                ps = dihedral_witness(2, entry.index, tol=tol)
+            else:
+                ps = cyclic_witness(entry.label.p, entry.index, tol=tol)
+        except (SeedOnSpecialLocus, AmbiguousMatching) as exc:
+            failures.append(f"attempt {attempt}: {type(exc).__name__}: {exc}")
+            continue
         if ps.n != n:
             raise WitnessSearchExhausted(
                 f"construction for {entry} produced {ps.n} points, wanted {n}")

@@ -17,6 +17,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+COMMANDS = {"classify": ["classify", "5"],
+            "witness": ["witness", "5", "--entry", "(0)"],
+            "verify": ["verify", "5", "6"],
+            "moduli": ["moduli", "6", "--phi"]}
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1", "nan"])
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_tol_out_of_range_is_exit_2(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err and "--tol: must be in (0, 1e-3]" in captured.err
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_tol_at_its_bound_is_accepted(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+    assert code == 0 and out
+
+
 class TestClassify:
     def test_golden_2018(self, capsys):
         code, out, err = run(capsys, "classify", "2018")
@@ -84,6 +107,15 @@ class TestWitness:
     def test_bad_selector_is_exit_2(self, capsys):
         code, _, err = run(capsys, "witness", "5", "--entry", "Q_9,(1)")
         assert code == 2
+
+    def test_no_set_at_a_coarse_tol_is_exit_4(self, capsys):
+        # the K_4 generic orbits of this entry lie within 2e-3 of each other
+        code, out, err = run(capsys, "witness", "60", "--entry", "K_4,(0,15)",
+                             "--tol", "1e-3")
+        assert code == 4 and out == ""
+        assert err.startswith("error: no witness found") and "AmbiguousMatching" in err
+        code, _, _ = run(capsys, "witness", "60", "--entry", "K_4,(0,15)")
+        assert code == 0
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "witness", "6", "--entry", "K_4,(1,1)",

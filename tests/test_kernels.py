@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbstab import classifier as cl, kernels
+from orbstab import classifier as cl, kernels, oracle
 from orbstab.classifier import classify, parse_entry
 from orbstab.errors import AmbiguousMatching, CenteringFailed
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
@@ -147,8 +147,13 @@ def run_reference(ps):
 
 
 def run_scan(ps):
-    z, w, nrm, base, _ = scan_args(ps)
-    return list(base), scan_stabilizer_triples(z, w, nrm, base, ps.tol)
+    """The base triple and the rows that the oracle keeps of the scan's
+    proposals, which must contain them."""
+    z, w, _, base, _ = scan_args(ps)
+    proposals = scan_stabilizer_triples(z, w, ps.tol)
+    rows, _ = oracle._decide(ps, base, proposals)
+    assert set(map(tuple, rows.tolist())) <= set(map(tuple, proposals.tolist()))
+    return list(base), rows
 
 
 def row_set(rows):
@@ -206,9 +211,8 @@ def test_rows_that_are_no_bijection_are_dropped(monkeypatch):
         return np.concatenate([match(grid, frames, coords), bad])
 
     monkeypatch.setattr(kernels, "_match", with_bad_row)
-    monkeypatch.setattr(kernels, "_passes_chordal_test",
-                        lambda ZW, nrm, f, rows, tol: np.ones(len(rows), bool))
-    _, rows = run_scan(ps)
+    z, w, _ = ps.arrays()
+    rows = scan_stabilizer_triples(z, w, ps.tol)
     assert len(rows) >= 24
     assert bad.tolist()[0] not in rows.tolist()
 

@@ -412,9 +412,9 @@ class TestGroupLaw:
         seen = set()
         action = moduli.g_sigma
 
-        def recorded(lam, sigma, tol=None):
+        def recorded(lam, sigma):
             seen.add(lam.tol)
-            return action(lam, sigma, tol)
+            return action(lam, sigma)
 
         monkeypatch.setattr(moduli, "g_sigma", recorded)
         rep = verify_group_law(6, trials=5, rng_seed=0, tol=1e-12)

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import importlib
+import inspect
 import io
 import math
 import os
@@ -17,11 +18,11 @@ from orbstab.errors import (AmbiguousMatching, DegenerateMap, OrbitSizeMismatch,
                             UnrecognizedGroup)
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, format_complex,
                               maps_equal, mobius_through_triple)
-from orbstab.kernels import _mul, base_triple_maps, scan_stabilizer_triples
+from orbstab.kernels import _mul, scan_stabilizer_triples
 from orbstab.moduli import ANHARMONIC_GROUP
 from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
-                            _check_nondegenerate, _component_index, _label_of,
-                            _orbit_partition,
+                            _check_nondegenerate, _component_index, _decide,
+                            _label_of, _orbit_partition, base_triple_maps,
                             _pick_base_triple, _reach, _row_orders,
                             component_index,
                             identify_group, projective_order, stabilizer)
@@ -80,14 +81,14 @@ class TestStabilizerExamples:
 class TestBaseTripleIndependence:
     def test_same_elements_for_any_base(self):
         ps = values(0, INF, 1, -1, 1j, -1j)  # octahedron
-        z, w, nrm = ps.arrays()
+        z, w, _ = ps.arrays()
+        proposals = scan_stabilizer_triples(z, w, ps.tol)
         scans = []
         for base in ((0, 1, 2), (3, 4, 5), (5, 2, 0)):
-            solved = []
-            rows = scan_stabilizer_triples(z, w, nrm, base, ps.tol, maps=solved)
+            rows, maps = _decide(ps, base, proposals)
             assert len(rows) == 24
             scans.append({tuple(row): MobiusMap(*f) for row, f in
-                          zip(rows.tolist(), solved[0].T.tolist())})
+                          zip(rows.tolist(), maps.T.tolist())})
         reference = scans[0]
         for scan in scans[1:]:
             assert scan.keys() == reference.keys()
@@ -273,9 +274,11 @@ def test_orbit_partition_matches_union_find(n):
 
 
 def scan(ps):
-    """The base triple and the kernel's permutation rows for ps."""
+    """The base triple and the permutation rows that the oracle keeps of
+    the kernel's proposals for ps."""
     base = _pick_base_triple(ps)
-    return list(base), scan_stabilizer_triples(*ps.arrays(), base, ps.tol)
+    z, w, _ = ps.arrays()
+    return list(base), _decide(ps, base, scan_stabilizer_triples(z, w, ps.tol))[0]
 
 
 def triple_maps(ps, base, rows):
@@ -500,22 +503,38 @@ def test_row_fixing_the_base_triple_must_be_the_identity():
 
 
 def test_each_map_is_solved_once_per_call(monkeypatch):
-    # the scan solves the maps of its distinct bijective rows once, for
-    # its chordal test, and hands them to the oracle
-    solved = []
-    original = kernels.base_triple_maps
+    # the oracle solves the maps of the scan's proposals, distinct rows,
+    # once per call, for the chordal test, and keeps the passing ones
+    proposed, solved = [], []
+    scan_original, solve_original = scan_stabilizer_triples, base_triple_maps
 
-    def counted(Z, W, base, rows):
-        solved.append(len(np.unique(rows, axis=0)) == len(rows))
-        return original(Z, W, base, rows)
+    def scan_counted(Z, W, tol):
+        proposed.append(scan_original(Z, W, tol))
+        return proposed[-1]
 
-    monkeypatch.setattr(kernels, "base_triple_maps", counted)
-    monkeypatch.setattr(oracle, "base_triple_maps", counted, raising=False)
+    def solve_counted(Z, W, base, rows):
+        solved.append(rows)
+        return solve_original(Z, W, base, rows)
+
+    monkeypatch.setattr(oracle, "scan_stabilizer_triples", scan_counted)
+    monkeypatch.setattr(oracle, "base_triple_maps", solve_counted)
     sets = [dihedral_witness(30, (0, 0, 1)), polyhedral_orbit(cl.A5, "V12"),
             PointSet.from_values([1, 1j, -1, -1j, 2])]
     for ps in sets:
         stabilizer(ps)
-    assert solved == [True] * len(sets)
+    assert len(proposed) == len(solved) == len(sets)
+    for rows, proposals in zip(solved, proposed):
+        assert rows is proposals
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_the_kernel_proposes_and_the_oracle_decides():
+    # the base triple, the map solve and the chordal test live in the oracle
+    assert list(inspect.signature(kernels.scan_stabilizer_triples).parameters) == \
+        ["Z", "W", "tol"]
+    for name in ("base_triple_maps", "_passes_chordal_test"):
+        assert not hasattr(kernels, name)
+        assert callable(getattr(oracle, name))
 
 
 def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
@@ -543,9 +562,8 @@ def eager_result(ps):
     """The stabilizer's elements, orbits and JSON built eagerly, the way
     ``stabilizer()`` built them before its result kept arrays: the
     reference for the properties built on read."""
-    base = list(_pick_base_triple(ps))
-    z, w, nrm = ps.arrays()
-    rows = scan_stabilizer_triples(z, w, nrm, tuple(base), ps.tol)
+    base, rows = scan(ps)
+    z, w, _ = ps.arrays()
     maps = base_triple_maps(z, w, base, rows)
     order = _canonical_order(maps) if len(rows) > 1 else [0]
     elements = tuple(MobiusMap(*e) for e in zip(*(x[order].tolist() for x in maps)))
@@ -601,15 +619,16 @@ def test_result_arrays_are_read_only():
                                 PointSet.from_values([1, 1j, -1, -1j, 2])],
                          ids=["D_5", "trivial"])
 def test_degenerate_maps_raise_at_call_time(monkeypatch, entries, ps):
-    # the scan hands the oracle the maps it solved; replace them
-    scan = oracle.scan_stabilizer_triples
+    # the decision hands on the maps it solved for its chordal test;
+    # replace them
+    decide = oracle._decide
 
-    def degenerate(Z, W, nrm, base, tol, maps):
-        rows = scan(Z, W, nrm, base, tol, maps=maps)
-        maps[-1] = np.repeat(np.array(entries, dtype=complex)[:, None], len(rows), axis=1)
-        return rows
+    def degenerate(ps, base, proposals):
+        rows, _ = decide(ps, base, proposals)
+        degenerate_maps = np.array(entries, dtype=complex)[:, None]
+        return rows, np.repeat(degenerate_maps, len(rows), axis=1)
 
-    monkeypatch.setattr(oracle, "scan_stabilizer_triples", degenerate)
+    monkeypatch.setattr(oracle, "_decide", degenerate)
     with pytest.raises(DegenerateMap):
         stabilizer(ps)
 

@@ -70,14 +70,16 @@ def squeezed_sets():
 
 
 def outcome(stabilizer, ps):
-    """What the oracle reports: the entry, orbits and row set, or the
-    named error it raises."""
+    """What the oracle reports: the entry, orbits, row set, rows in order
+    and the bytes of the maps, or the named error it raises."""
     try:
         res = stabilizer(ps)
     except OrbstabError as exc:
         return type(exc).__name__, str(exc)
+    rows = np.asarray(res.rows)
     return (res.label, res.index, res.orbit_indices,
-            sorted(map(tuple, np.asarray(res.rows).tolist())))
+            sorted(map(tuple, rows.tolist())), rows.tolist(),
+            np.asarray(res.maps).tobytes())
 
 
 def assert_grids_equal(X, slack, name):
@@ -139,23 +141,23 @@ def test_row_checks_match_the_reference():
     for n in range(5, 21):
         for entry in classify(n):
             ps = witness(n, entry)
-            z, w, nrm = ps.arrays()
+            z, w, _ = ps.arrays()
             base = oracle._pick_base_triple(ps)
-            maps = []
-            rows = kernels.scan_stabilizer_triples(z, w, nrm, base, ps.tol, maps=maps)
+            rows, maps = oracle._decide(
+                ps, base, kernels.scan_stabilizer_triples(z, w, ps.tol))
             orders = oracle._row_orders(rows, base)
             assert np.array_equal(orders, ref._row_orders(rows, list(base)))
             reference = ref.base_triple_maps(z, w, base, rows)
-            assert np.array_equal(maps[0], np.array(reference))
-            g, det = oracle._check_nondegenerate(maps[0])
-            assert np.array_equal(g, np.array(ref._check_nondegenerate(tuple(maps[0]))))
-            variants = [(rows, orders, maps[0])]
+            assert maps.tobytes() == np.array(reference).tobytes()
+            g, det = oracle._check_nondegenerate(maps)
+            assert np.array_equal(g, np.array(ref._check_nondegenerate(tuple(maps))))
+            variants = [(rows, orders, maps)]
             if len(rows) > 2:
                 bad = rows.copy()
                 bad[-1] = rng.permutation(ps.n)
-                wrong = maps[0].copy()
+                wrong = maps.copy()
                 wrong[:, -1] *= np.array([1.0, 1.0, 1.0, 1.0 + 1e-3])
-                variants += [(bad, orders, maps[0]), (rows, orders, wrong)]
+                variants += [(bad, orders, maps), (rows, orders, wrong)]
             for r, k, f in variants:
                 assert check_outcome(oracle._check_closure, r, k, base) == \
                     check_outcome(ref._check_closure, r, k, list(base))

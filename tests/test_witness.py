@@ -9,9 +9,9 @@ import pytest
 import reference_witness as ref
 from orbstab import classifier as cl, geometry
 from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
-                                cyclic, dihedral)
+                                cyclic, dihedral, parse_entry)
 from orbstab.errors import (InvalidCardinality, SeedOnSpecialLocus,
-                            UnrealizableIndex)
+                            UnrealizableIndex, WitnessSearchExhausted)
 from orbstab.geometry import PointSet, RiemannPoint, set_equal
 from orbstab.oracle import stabilizer
 from orbstab.witness import (PHI, PSI, _generators, _generic_seeds,
@@ -280,6 +280,16 @@ class TestWitnessDispatcher:
             witness(7, ClassificationEntry(dihedral(4), (1, 0, 1)))
         with pytest.raises(InvalidCardinality):
             witness(0, ClassificationEntry(cl.LABEL_INFINITE, ()))
+
+    def test_sets_closer_than_the_tol_fail_the_attempt(self):
+        # at tol 1e-3 this entry's generic orbits are closer than 2 tol, on
+        # its one attempt; the search names the error rather than raising it
+        with pytest.raises(WitnessSearchExhausted,
+                           match=r"after 1 attempt\(s\): attempt 0: AmbiguousMatching: "):
+            witness(60, parse_entry("K_4,(0,15)"), tol=1e-3)
+        # a polyhedral entry moves its seeds on retries until a set is built
+        ps = witness(60, parse_entry("A_4,(0,0,5)"), tol=1e-3)
+        assert stabilizer(ps).entry() == parse_entry("A_4,(0,0,5)")
 
     @pytest.mark.parametrize("n", [8, 10, 14])
     def test_round_trip(self, n):
