@@ -11,6 +11,14 @@ n = 12*v + 20*m + 30*e + 60*k), so the enumeration is exact and
 deterministic.  A rotation order p occurs only if it divides n, n - 1 or
 n - 2, because the points off the rotation axis fall into orbits of size
 p or 2p, so ``classify`` costs O(sqrt(n)).
+
+Both directions read one table, ``_CHOICES``: every choice of special
+(non-generic) orbit counts of each kind.  ``classify`` solves each choice
+for the generic count at its n.  ``cardinality_set`` runs the other way:
+a choice with special sum s occurs at n = s + |G| k for every realizable
+k, a ``range`` of step |G| from the first k at which every index is
+realizable, plus the few smaller k that ``realizable`` admits.  So it
+costs O(choices * N / |G|) and solves nothing per n.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt
+from math import inf, isqrt
+from operator import mul
 
 from .errors import InvalidCardinality
 
@@ -80,9 +89,14 @@ _KINDS = {
                   {(1, 1): (2, 3), (1, 2): ()}, min_p=2),
 }
 
+#: Every choice of special-orbit counts of each finite kind, within its
+#: ``top`` bounds, in lexicographic order: at most 8 per kind.
+_CHOICES = {kind: tuple(product(*(range(most + 1) for most in row.top)))
+            for kind, row in _KINDS.items()}
+
 #: The kinds whose entries carry no component index, with the
-#: cardinalities at which they occur.
-_BARE = {TRIVIAL: lambda n: n >= 5, INFINITE: lambda n: n <= 2}
+#: cardinalities at which they occur, as the bounds (low, high) of n.
+_BARE = {TRIVIAL: (5, inf), INFINITE: (1, 2)}
 
 #: JSON group name of every kind; the bare kinds are named by themselves.
 _NAMES = {**{kind: row.name for kind, row in _KINDS.items()},
@@ -157,6 +171,16 @@ class ClassificationEntry:
         object.__setattr__(self, "index", tuple(int(i) for i in self.index))
         validate_index(self.label, self.index)
 
+    @classmethod
+    def _certified(cls, label: GroupLabel,
+                   index: tuple[int, ...]) -> "ClassificationEntry":
+        """The entry of a label and an index of Python ints that the caller
+        has bounded by the label's slots; checks nothing."""
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "label", label)
+        object.__setattr__(entry, "index", index)
+        return entry
+
     def cardinality(self) -> int:
         return cardinality_of(self)
 
@@ -228,14 +252,16 @@ def _entries(label: GroupLabel, n: int) -> list[ClassificationEntry]:
     if n < 1:
         raise InvalidCardinality(f"cardinality must be >= 1, got {n}")
     if label.kind in _BARE:
-        return [ClassificationEntry(label, ())] if _BARE[label.kind](n) else []
+        low, high = _BARE[label.kind]
+        return [ClassificationEntry(label, ())] if low <= n <= high else []
     *special, generic = label.orbit_sizes()
     out = []
-    for counts in product(*(range(most + 1) for most in _KINDS[label.kind].top)):
-        k, r = divmod(n - sum(s * c for s, c in zip(special, counts)), generic)
-        index = (*counts, k)
-        if r == 0 and k >= 0 and realizable(label, index):
-            out.append(ClassificationEntry(label, index))
+    for counts in _CHOICES[label.kind]:
+        k, r = divmod(n - sum(map(mul, special, counts)), generic)
+        if r == 0 and k >= 0:
+            index = (*counts, k)
+            if realizable(label, index):
+                out.append(ClassificationEntry._certified(label, index))
     return out
 
 
@@ -268,10 +294,27 @@ def classify_lines(n: int) -> list[str]:
 
 
 def cardinality_set(label: GroupLabel, n_max: int) -> set[int]:
-    """All n <= n_max whose classification contains the given group."""
+    """All n <= n_max whose classification contains the given group.
+
+    Each choice of special counts, with special sum s, occurs at
+    n = s + |G| k for the realizable k: every k above ``min_generic``
+    (k >= 1 there, so the index is not empty), and the k up to it that
+    ``realizable`` admits.
+    """
     if label.kind == INFINITE:
         raise ValueError("the infinite stabilizer has no cardinality set")
-    return {n for n in range(1, n_max + 1) if _entries(label, n)}
+    if label.kind in _BARE:
+        low, high = _BARE[label.kind]
+        return set(range(low, min(high, n_max) + 1))
+    *special, generic = label.orbit_sizes()
+    least = _KINDS[label.kind].min_generic
+    out: set[int] = set()
+    for counts in _CHOICES[label.kind]:
+        s = sum(map(mul, special, counts))
+        out.update(range(s + generic * (least + 1), n_max + 1, generic))
+        out.update(s + generic * k for k in range(least + 1)
+                   if s + generic * k <= n_max and realizable(label, (*counts, k)))
+    return out
 
 
 def _label(name: str, p: int | None = None) -> GroupLabel:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import classifier as cl
-from .errors import (InvalidCardinality, UnrealizableIndex,
+from .errors import (InvalidCardinality, OrbstabError, UnrealizableIndex,
                      WitnessSearchExhausted)
 from .geometry import DEFAULT_TOL, PointSet, RiemannPoint, parse_complex, point_to_str
 from .moduli import (LambdaTuple, phi_check, preset_lambda, random_lambda,
@@ -226,7 +226,14 @@ def cmd_verify(args, out: _Output) -> int:
             rng = np.random.default_rng(args.seed + n)
 
             def check_sample(tag, ps, expect=None):
-                got = stabilizer(ps)
+                try:
+                    got = stabilizer(ps)
+                except OrbstabError as exc:  # report, do not abort the table
+                    why = f"{type(exc).__name__}: {exc}"
+                    report(f"n={n:<4d} {tag} FAIL {why}",
+                           {"n": n, "sample": tag.strip(), "entry": None,
+                            "pass": False, "detail": why})
+                    return
                 if expect is not None:
                     ok = got.entry() == expect
                     why = f"expected {expect.to_line()}"

@@ -30,6 +30,14 @@ class UnrecognizedGroup(OrbstabError, RuntimeError):
     group; indicates a broken closure check or a tolerance failure."""
 
 
+class AmbiguousDecision(OrbstabError, RuntimeError):
+    """A proposed stabilizer element's map misses its partners by more
+    than tol but by less than the decision gap, so the set is neither
+    clearly symmetric under it nor clearly not; the oracle names the
+    smallest such miss and the largest kept miss instead of returning a
+    smaller group."""
+
+
 class OrbitSizeMismatch(OrbstabError, RuntimeError):
     """An orbit size is not permitted for the identified group, or the
     orbit counts exceed the slots of the component index."""

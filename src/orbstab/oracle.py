@@ -7,14 +7,18 @@ elements.  It solves, in one pass, the Mobius map of each proposal
 through a well-separated base triple and the triple's images, and keeps a
 row when that map sends every point within ``tol`` of its partner, in the
 input's homogeneous coordinates: the chordal test of the brute-force
-triple scan that the tests keep as the reference.  The rest works on the
-kept rows and maps in a few numpy passes, with no Python arithmetic per
-element: an element's order is the length of the cycle through the first
-base point it moves, walked for all rows at once and confirmed by f^k
-being the identity; closure is checked exactly from the identity and a
-few generators.  The group is identified by its (order, maximal element
-order) signature, which separates all finite Mobius groups, and the
-component index is recovered from the orbit partition.
+triple scan that the tests keep as the reference.  A proposal that fails
+the test by no more than rounding could explain is in the decision gap:
+the oracle raises AmbiguousDecision rather than return a smaller group.
+
+The rest works on the kept rows and maps in a few numpy passes, with no
+Python arithmetic per element: an element's order is the length of the
+cycle through the first base point it moves, walked for all rows at once
+and confirmed by f^k being the identity; closure is checked exactly from
+the identity and a few generators.  The group is identified by its
+(order, maximal element order) signature, which separates all finite
+Mobius groups, and the component index is recovered from the orbit
+partition.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import math
 import numpy as np
 
 from . import classifier as cl
-from .errors import DegenerateMap, OrbitSizeMismatch, UnrecognizedGroup
+from .errors import (AmbiguousDecision, DegenerateMap, OrbitSizeMismatch,
+                     UnrecognizedGroup)
 from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
                        RiemannPoint, chordal_distances, format_complex,
                        zero_one_inf_entries, zero_one_inf_scales)
@@ -144,10 +149,39 @@ def base_triple_maps(Z, W, base, rows) -> np.ndarray:
     return (left * m[0] + right * m[1]).reshape(4, -1)
 
 
-def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
-    """Whether the maps with entries f, one per row, send every point
-    (ZW = (Z, W) stacked) within tol of its partner in the row (one bool
-    per row)."""
+#: The decision gap.  A proposal whose map misses the chordal test at tol
+#: is rejected only when its miss is more than rounding could have made of
+#: a true element; a smaller miss is neither kept nor rejected, and the
+#: oracle raises AmbiguousDecision.  The gap ends, per point, at the least
+#: of three edges:
+#:
+#: - ``_GAP`` tol, so that only misses near tol are doubted;
+#: - ``_ROUNDING`` machine epsilons times the condition of the row's solve,
+#:   cond(m) cond(A) for the map f = A m, m the base triple's matrix to
+#:   (0, 1, inf): the most that rounding in the data and the solve can
+#:   stretch to.  This edge does not move with tol, so a near-symmetry of
+#:   the data is rejected at every tol it misses;
+#: - a quarter of the distance from the point's partner to the partner's
+#:   nearest neighbour: an image that far off no longer singles out its
+#:   partner.
+#:
+#: Measured per rejected row at tol 1e-8: true elements that miss through
+#: rounding (sets squeezed into a cap of 1e-4..1e-6, normalized points of
+#: K_n 2e-5 apart) miss by at most 3.5e3 eps cond and 3e-4 of the partner's
+#: separation; the wrong proposals on jittered asymmetric sets, the
+#: benchmark's among them, by at least 7e10 eps cond, and those on sets whose
+#: points lie a few tol apart by 0.1 to 0.9 of the separation.
+#: ``_ROUNDING`` sits near the geometric middle of 3.5e3 and 7e10.
+_GAP = 1e3
+_ROUNDING = 1e7
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _chordal_terms(ZW, nrm, f, rows):
+    """2 |image x partner|, |image| and |partner| for each point and each
+    map with entries f, one map per row (ZW = (Z, W) stacked): the
+    chordal distance from the image of a point to its partner in the row
+    is the first over the product of the other two."""
     f = f.reshape(2, 2, -1, 1)
     # (iz, iw) = (a Z + b W, c Z + d W), and (Z, W) of the partners
     image = f[:, 0] * ZW[0] + f[:, 1] * ZW[1]
@@ -155,20 +189,80 @@ def _passes_chordal_test(ZW, nrm, f, rows, tol) -> np.ndarray:
     inrm = np.sqrt(size[0] + size[1])
     partner = ZW.take(rows, axis=1)
     cross = np.abs(image[0] * partner[1] - partner[0] * image[1])
-    return (2.0 * cross <= tol * inrm * nrm.take(rows)).all(axis=1)
+    return 2.0 * cross, inrm, nrm.take(rows)
+
+
+def _condition(a, b, c, d):
+    """|M|^2 / |det M| (Frobenius norm) of the 2x2 matrices with entries
+    (a, b, c, d): within a factor 2 of the condition number, inf when M is
+    singular."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+                / abs(a * d - b * c))
+
+
+def _solve_conditions(f, m) -> np.ndarray:
+    """cond(m) cond(A) for each map f = A m, with entries f as the rows of
+    a (4, maps) array and m the base triple's matrix: A is f adj(m) up to
+    a scalar."""
+    m0, m1, m2, m3 = m
+    a = _condition(f[0] * m3 - f[1] * m2, f[1] * m0 - f[0] * m1,
+                   f[2] * m3 - f[3] * m2, f[3] * m0 - f[2] * m1)
+    return _condition(*m) * a
+
+
+def _passes_chordal_test(ZW, nrm, f, rows, tol):
+    """Whether the maps with entries f, one per row, send every point
+    within tol of its partner in the row, and whether they do within
+    _GAP tol (two bools per row)."""
+    twice_cross, inrm, pnrm = _chordal_terms(ZW, nrm, f, rows)
+    bound = tol * inrm * pnrm
+    kept = (twice_cross <= bound).all(axis=1)
+    if kept.all():  # no row failed, so none can lie in the gap
+        return kept, kept
+    return kept, (twice_cross <= _GAP * bound).all(axis=1)
+
+
+def _misses(ZW, nrm, f, rows) -> np.ndarray:
+    """Each chordal miss, one row per map and one column per point."""
+    twice_cross, inrm, pnrm = _chordal_terms(ZW, nrm, f, rows)
+    return twice_cross / (inrm * pnrm)
 
 
 def _decide(ps: PointSet, base, proposals: np.ndarray):
     """The proposed rows that are stabilizer elements, and their maps as
     one (4, kept) array: each row's map is solved through the base triple
-    and the row is kept when the map passes the chordal test."""
+    and the row is kept when the map passes the chordal test.  Raises
+    AmbiguousDecision when a row fails the test at tol but lies in the
+    decision gap."""
     z, w, nrm = ps.arrays()
     maps = base_triple_maps(z, w, base, proposals)
     ZW = np.array((z, w))
     kept = np.ones(len(proposals), dtype=bool)
+    near = kept.copy()
     for blk in _row_blocks(len(proposals), ps.n):
-        kept[blk] = _passes_chordal_test(ZW, nrm, maps[:, blk], proposals[blk],
-                                         ps.tol)
+        kept[blk], near[blk] = _passes_chordal_test(
+            ZW, nrm, maps[:, blk], proposals[blk], ps.tol)
+    torn = near & ~kept
+    if torn.any():
+        # the other two edges, on the few rows that the first left in the gap
+        rows, f = proposals[torn], maps[:, torn]
+        b0, b1, b2 = base
+        m = zero_one_inf_entries(z[b0], w[b0], z[b1], w[b1], z[b2], w[b2])
+        d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
+        np.fill_diagonal(d, np.inf)
+        edge = np.minimum(
+            _ROUNDING * _EPS * _solve_conditions(f, m)[:, None],
+            d.min(axis=1).take(rows) / 4.0)
+        miss = _misses(ZW, nrm, f, rows)
+        inside = (miss <= edge).all(axis=1)
+        if inside.any():
+            kept_miss = _misses(ZW, nrm, maps[:, kept], proposals[kept])
+            raise AmbiguousDecision(
+                f"{int(inside.sum())} proposed element(s) fail the chordal "
+                f"test at tol but lie in the decision gap: smallest such miss "
+                f"{miss[inside].max(axis=1).min() / ps.tol:.3g} tol, largest "
+                f"kept miss {kept_miss.max(initial=0.0) / ps.tol:.3g} tol")
     return proposals[kept], maps[:, kept]
 
 
@@ -502,7 +596,8 @@ def stabilizer(ps: PointSet) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
     Keeps the kernel's proposals that pass the chordal test, with their
-    maps through a maximally-separated base triple, reads each element's
+    maps through a maximally-separated base triple (AmbiguousDecision when
+    one lands in the decision gap), reads each element's
     order from its row, checks closure on the rows, checks the maps, and
     returns them with the group identification and orbit decomposition.
     Builds no ``MobiusMap`` or ``RiemannPoint``; the result does so when

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import classifier as cl
-from .errors import (AmbiguousMatching, InvalidCardinality,
+from .errors import (AmbiguousDecision, AmbiguousMatching, InvalidCardinality,
                      SeedOnSpecialLocus, UnrealizableIndex,
                      WitnessSearchExhausted)
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
@@ -394,9 +394,9 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
 
     The construction is proposed, checked by the stabilizer oracle, and
     (for polyhedral generic orbits) retried on a deterministic seed
-    schedule.  Raises WitnessSearchExhausted, naming each failed attempt,
-    if the oracle never confirms the entry, and ValueError for entries not
-    in classify(n).
+    schedule.  Raises WitnessSearchExhausted, naming the number of
+    attempts and the first and last failure, if the oracle never confirms
+    the entry, and ValueError for entries not in classify(n).
     """
     if retry_bound < 1:
         raise ValueError("retry_bound must be >= 1")
@@ -429,10 +429,16 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
         if ps.n != n:
             raise WitnessSearchExhausted(
                 f"construction for {entry} produced {ps.n} points, wanted {n}")
-        result = stabilizer(ps)
+        try:
+            result = stabilizer(ps)
+        except AmbiguousDecision as exc:  # another seed may be decidable
+            failures.append(f"attempt {attempt}: AmbiguousDecision: {exc}")
+            continue
         if result.label == entry.label and result.index == entry.index:
             return ps
         failures.append(f"attempt {attempt}: oracle saw {result.entry()}")
+    # the first and the last note: the attempts differ only in their seeds
+    shown = failures if len(failures) <= 2 else [failures[0], "...", failures[-1]]
     raise WitnessSearchExhausted(
         f"no witness found for n = {n}, entry {entry} after {attempts} "
-        f"attempt(s): {'; '.join(failures)}")
+        f"attempt(s): {'; '.join(shown)}")

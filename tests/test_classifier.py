@@ -1,6 +1,8 @@
+import functools
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbstab import classifier as cl
 from orbstab.classifier import (ClassificationEntry, GroupLabel, cardinality_of,
@@ -9,6 +11,7 @@ from orbstab.classifier import (ClassificationEntry, GroupLabel, cardinality_of,
 from orbstab.errors import InvalidCardinality
 
 DATA = pathlib.Path(__file__).parent / "data"
+DERANDOMIZED = settings.get_profile("derandomized")
 
 
 def labels_of(n):
@@ -257,6 +260,42 @@ class TestCardinalitySets:
 
     def test_k4(self):
         assert cardinality_set(cl.LABEL_K4, 13) == {4, 6, 8, 10, 12}
+
+
+#: Largest N of the property test below.
+REFERENCE_N = 600
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_labels() -> tuple[frozenset, ...]:
+    """The labels of ``_classify_reference(m)`` for m = 1..REFERENCE_N."""
+    return tuple(frozenset(e.label for e in _classify_reference(m))
+                 for m in range(1, REFERENCE_N + 1))
+
+
+finite_labels = st.one_of(
+    st.sampled_from([cl.LABEL_A5, cl.LABEL_S4, cl.LABEL_A4, cl.LABEL_K4,
+                     cl.LABEL_TRIVIAL]),
+    st.integers(3, 60).map(dihedral), st.integers(2, 60).map(cyclic))
+
+
+@DERANDOMIZED
+@given(label=finite_labels, n_max=st.integers(0, REFERENCE_N))
+def test_cardinality_set_is_the_per_n_definition(label, n_max):
+    # the progressions give exactly the m <= N whose classification, read
+    # one m at a time from the hand-written reference, holds the label
+    want = {m for m, labels in enumerate(_reference_labels()[:n_max], 1)
+            if label in labels}
+    assert cardinality_set(label, n_max) == want
+
+
+def test_enumerated_entries_equal_checked_entries():
+    # classify builds its entries without the public constructor's checks
+    for n in [*range(1, 200), 2018, 99_532]:
+        for entry in classify(n):
+            checked = ClassificationEntry(entry.label, entry.index)
+            assert entry == checked and hash(entry) == hash(checked), entry
+            assert all(type(i) is int for i in entry.index), entry
 
 
 class TestStructuralInvariants:

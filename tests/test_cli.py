@@ -6,6 +6,7 @@ import pytest
 from orbstab import cli
 from orbstab.cli import main
 from orbstab.classifier import classify
+from orbstab.errors import AmbiguousDecision
 from orbstab.geometry import format_complex, parse_complex
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -194,6 +195,42 @@ class TestVerify:
         assert data["passed"] == 0 and data["total"] == len(classify(5))
         assert all(not r["pass"] and r["detail"] == "RuntimeError: no oracle"
                    for r in data["entries"])
+
+    def test_samples_the_oracle_cannot_decide_fail_their_line(self, capsys,
+                                                               monkeypatch):
+        # a named oracle error on a sampled set is a FAIL line, not an abort
+        def undecided(ps):
+            raise AmbiguousDecision("a proposal lies in the decision gap")
+        monkeypatch.setattr(cli, "stabilizer", undecided)
+        argv = ("verify", "5", "5", "--exhaustive-small", "--seed", "7")
+        code, text, _ = run(capsys, *argv)
+        assert code == 1
+        sampled = [l for l in text.splitlines() if "sampled" in l]
+        assert len(sampled) == 25 and all(
+            l.endswith("FAIL AmbiguousDecision: a proposal lies in the "
+                       "decision gap") for l in sampled)
+        code, out, _ = run(capsys, *argv, "--json")
+        data = json.loads(out)
+        assert code == 1 and data["passed"] == 0
+        assert sum("sample" in r for r in data["entries"]) == 25 + 2 * len(classify(5))
+
+    def test_exhaustive_small_passes_at_the_coarsest_tol(self, capsys):
+        # the jittered samples are near-symmetries of their witnesses that
+        # miss by far more than rounding: rejected, not left undecided
+        code, out, _ = run(capsys, "verify", "5", "7", "--exhaustive-small",
+                           "--tol", "1e-3")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: 129/129 PASS"
+
+    def test_fail_lines_stay_short_after_many_attempts(self, capsys):
+        # at tol 1e-3 the S_4 and A_4 searches fail all 16 attempts; a line
+        # names the count, the first note and the last
+        code, out, _ = run(capsys, "verify", "120", "120", "--tol", "1e-3")
+        fails = [line for line in out.splitlines() if " FAIL " in line]
+        assert code == 1 and fails
+        assert max(len(line.encode()) for line in fails) < 500
+        assert any("after 16 attempt(s): attempt 0: " in line
+                   and "; ...; attempt 15: " in line for line in fails)
 
 
 class TestModuli:

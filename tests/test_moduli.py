@@ -8,7 +8,8 @@ import pytest
 
 from orbstab.classifier import INFINITE, classify, dihedral
 from orbstab import cli, geometry, kernels, moduli
-from orbstab.errors import AmbiguousMatching, ClosedFormMismatch
+from orbstab.errors import (AmbiguousDecision, AmbiguousMatching,
+                            ClosedFormMismatch)
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint,
                               chordal_distance, chordal_distances, maps_equal,
                               set_equal)
@@ -592,6 +593,22 @@ class TestDirectSearch:
                           tol=1e-3)
         assert len(list(itertools.islice(_triple_search(lam), 1000))) < 1000
         assert stabilizer_G_lambda(lam) == _oracle_sigmas(lam)
+
+
+@pytest.mark.parametrize("n, name", [
+    (32, "K_4, (0, 8) shuffled"), (24, "K_4, (0, 6) moved"),
+    (26, "D_4, (1, 0, 3) shuffled"), (30, "K_4, (1, 7) shuffled"),
+    (32, "K_4, (2, 7) shuffled")])
+def test_lambdas_at_the_rounding_floor_are_ambiguous(n, name):
+    # normalized, these witnesses' marked points lie 2e-5 to 1.4e-4 apart,
+    # and a true element's map, solved through the base triple, misses by
+    # 1.2 to 3.4 tol; the oracle returned Z_2 (0, 16) for the first and
+    # raised UnrecognizedGroup for the rest
+    lam = dict(_witness_lambdas(n, moved=True))[name]
+    with pytest.raises(AmbiguousDecision, match="largest kept miss"):
+        stabilizer(lam.point_set())
+    if name == "K_4, (0, 8) shuffled":
+        assert len(stabilizer_G_lambda(lam)) == 4
 
 
 def _oracle_sigmas_by_lookup(lam):

@@ -10,7 +10,7 @@ import reference_witness as ref
 from orbstab import classifier as cl, geometry
 from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
                                 cyclic, dihedral, parse_entry)
-from orbstab.errors import (InvalidCardinality, SeedOnSpecialLocus,
+from orbstab.errors import (AmbiguousDecision, InvalidCardinality, SeedOnSpecialLocus,
                             UnrealizableIndex, WitnessSearchExhausted)
 from orbstab.geometry import PointSet, RiemannPoint, set_equal
 from orbstab.oracle import stabilizer
@@ -290,6 +290,27 @@ class TestWitnessDispatcher:
         # a polyhedral entry moves its seeds on retries until a set is built
         ps = witness(60, parse_entry("A_4,(0,0,5)"), tol=1e-3)
         assert stabilizer(ps).entry() == parse_entry("A_4,(0,0,5)")
+
+    def test_an_ambiguous_decision_fails_the_attempt(self, monkeypatch):
+        # an oracle that cannot decide a proposed set fails that attempt
+        # only; the next seed is tried, and a single attempt is named
+        W = importlib.import_module("orbstab.witness")
+        calls = []
+
+        def undecided_once(ps):
+            calls.append(ps)
+            if len(calls) == 1:
+                raise AmbiguousDecision("a proposal lies in the decision gap")
+            return stabilizer(ps)
+
+        monkeypatch.setattr(W, "stabilizer", undecided_once)
+        entry = parse_entry("A_4,(0,0,5)")
+        assert stabilizer(witness(60, entry)).entry() == entry
+        assert len(calls) == 2
+        calls.clear()
+        with pytest.raises(WitnessSearchExhausted,
+                           match=r"after 1 attempt\(s\): attempt 0: AmbiguousDecision: "):
+            witness(8, parse_entry("D_4,(0,0,1)"))
 
     @pytest.mark.parametrize("n", [8, 10, 14])
     def test_round_trip(self, n):
