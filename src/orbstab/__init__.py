@@ -12,12 +12,11 @@ from .classifier import (ClassificationEntry, GroupLabel, cardinality_of,
                          cardinality_set, classify, classify_lines,
                          parse_entry)
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       chordal_distance, maps_equal, mobius_through_triple,
-                       set_equal)
+                       chordal_distance, mobius_through_triple)
 from .moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation, f_sigma,
                      g_sigma, phi_check, preset_lambda, stabilizer_G_lambda,
                      verify_group_law)
-from .oracle import StabilizerResult, component_index, identify_group, stabilizer
+from .oracle import StabilizerResult, stabilizer
 from .witness import (PHI, PSI, cyclic_witness, dihedral_witness,
                       polyhedral_orbit, trivial_witness, witness)
 
@@ -27,10 +26,9 @@ __all__ = [
     "ANHARMONIC_GROUP", "ClassificationEntry", "DEFAULT_TOL", "GroupLabel",
     "LambdaTuple", "MobiusMap", "PHI", "PSI", "Permutation", "PointSet",
     "RiemannPoint", "StabilizerResult", "cardinality_of", "cardinality_set",
-    "chordal_distance", "classify", "classify_lines", "component_index",
-    "cyclic_witness", "dihedral_witness", "f_sigma", "g_sigma",
-    "identify_group", "maps_equal", "mobius_through_triple", "parse_entry",
-    "phi_check", "polyhedral_orbit", "preset_lambda", "set_equal",
+    "chordal_distance", "classify", "classify_lines", "cyclic_witness",
+    "dihedral_witness", "f_sigma", "g_sigma", "mobius_through_triple",
+    "parse_entry", "phi_check", "polyhedral_orbit", "preset_lambda",
     "stabilizer", "stabilizer_G_lambda", "trivial_witness",
     "verify_group_law", "witness",
 ]

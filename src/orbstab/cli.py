@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--entry", required=True,
                    help="entry selector, e.g. 'Z_2,(1,2)' or '(0)'")
-    p.add_argument("--retry-bound", type=int, default=16)
     _add_common(p, cmd_witness)
 
     p = sub.add_parser("verify",
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check that sampled configurations only ever "
                         "produce listed entries (n <= 7)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retry-bound", type=int, default=16)
     _add_common(p, cmd_verify)
 
     p = sub.add_parser("moduli", help="parameter-space action checks")
@@ -140,7 +138,7 @@ def cmd_witness(args, out: _Output) -> int:
               file=sys.stderr)
         return 4
     try:
-        ps = witness(args.n, entry, tol=args.tol, retry_bound=args.retry_bound)
+        ps = witness(args.n, entry, tol=args.tol)
     except (WitnessSearchExhausted, UnrealizableIndex) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -208,8 +206,7 @@ def cmd_verify(args, out: _Output) -> int:
             if entry.label.kind == cl.INFINITE:
                 continue
             try:
-                ps = witness(n, entry, tol=args.tol,
-                             retry_bound=args.retry_bound)
+                ps = witness(n, entry, tol=args.tol)
                 got = stabilizer(ps)
                 ok = (got.label == entry.label and got.index == entry.index
                       and ps.n == n)
@@ -255,8 +252,7 @@ def cmd_verify(args, out: _Output) -> int:
             for entry in cl.classify(n):
                 if entry.label.kind == cl.INFINITE:
                     continue
-                ps = witness(n, entry, tol=args.tol,
-                             retry_bound=args.retry_bound)
+                ps = witness(n, entry, tol=args.tol)
                 g = _random_mobius(rng)
                 moved = PointSet([g.apply(p) for p in ps.points], tol=args.tol)
                 check_sample("conjugated", moved, expect=entry)

@@ -6,8 +6,9 @@ class OrbstabError(Exception):
 
 
 class InvalidCardinality(OrbstabError, ValueError):
-    """A cardinality outside the domain of the classification (n < 1),
-    or a request for a witness size the construction cannot realize."""
+    """A cardinality outside the domain of the classification (n < 1), a
+    witness size the construction cannot realize, or a set of fewer than 3
+    points, whose stabilizer is infinite, handed to the oracle."""
 
 
 class NearDegenerateTriple(OrbstabError, ValueError):

@@ -253,6 +253,7 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
+    # Kept only for projective_order, which the benchmark wraps (ROADMAP item 1).
     def power(self, m: int) -> "MobiusMap":
         """m-th iterate by binary exponentiation; m may be negative."""
         if m < 0:
@@ -292,9 +293,17 @@ class MobiusMap:
         return points[0], points[1]
 
 
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
 def maps_equal(f: MobiusMap, g: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """Projective equality: f g^-1 is a scalar multiple of the identity."""
     return f.compose(g.inverse()).is_identity(tol)
+
+
+def matrix_condition(a, b, c, d):
+    """|M|_F^2 / |det M|, within a factor 2 of the condition number, of the
+    2x2 matrix with entries (a, b, c, d): on scalars, or entrywise on arrays."""
+    return ((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+            / abs(a * d - b * c))
 
 
 def zero_one_inf_scales(z1, w1, z2, w2, z3, w3):
@@ -442,21 +451,6 @@ class PointSet:
         """Homogeneous coordinates as (z, w, norm) ndarrays."""
         return self._arrays
 
-    def distance_matrix(self, other: "PointSet") -> np.ndarray:
-        z1, w1, n1 = self.arrays()
-        return chordal_distances(z1[:, None], w1[:, None], n1[:, None],
-                                 *other.arrays())
-
-    def apply_map(self, f: MobiusMap) -> "PointSet":
-        return PointSet((f.apply(p) for p in self.points), tol=self.tol)
-
-    def index_of(self, p: RiemannPoint) -> int:
-        """Index of the unique point within tol of p, or -1."""
-        for i, q in enumerate(self.points):
-            if chordal_distance(p, q) <= self.tol:
-                return i
-        return -1
-
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_TOL) -> "PointSet":
         return cls.from_arrays(*homogeneous_arrays(values), tol=tol)
@@ -467,25 +461,6 @@ class PointSet:
     @classmethod
     def from_json(cls, data, tol: float = DEFAULT_TOL) -> "PointSet":
         return cls((point_from_str(s) for s in data), tol=tol)
-
-
-def set_equal(a: PointSet, b: PointSet) -> bool:
-    """Whether two point sets agree up to tolerance-ball matching.
-
-    True when the sets have the same size and nearest-neighbour matching
-    pairs them off bijectively within tol.  Raises AmbiguousMatching if a
-    point of one set lies within tol of two points of the other.
-    """
-    if a.n != b.n:
-        return False
-    tol = max(a.tol, b.tol)
-    d = a.distance_matrix(b)
-    hits = d <= tol
-    per_row = hits.sum(axis=1)
-    per_col = hits.sum(axis=0)
-    if (per_row > 1).any() or (per_col > 1).any():
-        raise AmbiguousMatching("tolerance balls overlap during set matching")
-    return bool((per_row == 1).all())
 
 
 # ---------------------------------------------------------------------------

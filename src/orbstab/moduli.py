@@ -54,8 +54,8 @@ import numpy as np
 from .errors import ClosedFormMismatch
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                        check_separation, homogeneous_arrays,
-                       mobius_through_triple, normalized_entries,
-                       zero_one_inf_entries)
+                       matrix_condition, mobius_through_triple,
+                       normalized_entries, zero_one_inf_entries)
 from .kernels import _mul, _row_blocks, _row_keys
 from .oracle import stabilizer
 
@@ -377,9 +377,7 @@ def _image_separation(lam: LambdaTuple, entries) -> float:
     det A times that of p and q, and |Ap| <= |A|_F |p|.  kappa does not
     depend on A's scale, so A need not be normalized.
     """
-    a, b, c, d = entries
-    kappa = ((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-             / abs(a * d - b * c))
+    kappa = matrix_condition(*entries)
     return (lam._separation_bound / kappa * (1.0 - _BOUND_RELATIVE_MARGIN)
             - _BOUND_ABSOLUTE_MARGIN * kappa)
 

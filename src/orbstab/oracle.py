@@ -31,11 +31,12 @@ import math
 import numpy as np
 
 from . import classifier as cl
-from .errors import (AmbiguousDecision, DegenerateMap, OrbitSizeMismatch,
-                     UnrecognizedGroup)
+from .errors import (AmbiguousDecision, DegenerateMap, InvalidCardinality,
+                     OrbitSizeMismatch, UnrecognizedGroup)
 from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
                        RiemannPoint, chordal_distances, format_complex,
-                       zero_one_inf_entries, zero_one_inf_scales)
+                       matrix_condition, zero_one_inf_entries,
+                       zero_one_inf_scales)
 from .kernels import _row_blocks, scan_stabilizer_triples
 
 
@@ -192,23 +193,15 @@ def _chordal_terms(ZW, nrm, f, rows):
     return 2.0 * cross, inrm, nrm.take(rows)
 
 
-def _condition(a, b, c, d):
-    """|M|^2 / |det M| (Frobenius norm) of the 2x2 matrices with entries
-    (a, b, c, d): within a factor 2 of the condition number, inf when M is
-    singular."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ((abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-                / abs(a * d - b * c))
-
-
 def _solve_conditions(f, m) -> np.ndarray:
     """cond(m) cond(A) for each map f = A m, with entries f as the rows of
     a (4, maps) array and m the base triple's matrix: A is f adj(m) up to
-    a scalar."""
+    a scalar; inf where either is singular."""
     m0, m1, m2, m3 = m
-    a = _condition(f[0] * m3 - f[1] * m2, f[1] * m0 - f[0] * m1,
-                   f[2] * m3 - f[3] * m2, f[3] * m0 - f[2] * m1)
-    return _condition(*m) * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = matrix_condition(f[0] * m3 - f[1] * m2, f[1] * m0 - f[0] * m1,
+                             f[2] * m3 - f[3] * m2, f[3] * m0 - f[2] * m1)
+        return matrix_condition(*m) * a
 
 
 def _passes_chordal_test(ZW, nrm, f, rows, tol):
@@ -283,21 +276,7 @@ def _canonical_order(f) -> np.ndarray:
     return np.lexsort(key.T[::-1])
 
 
-def _permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
-    """The permutation of the set induced by f (image indices), or raise."""
-    z, w, nrm = ps.arrays()
-    iz = f.a * z + f.b * w
-    iw = f.c * z + f.d * w
-    inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
-    dist = chordal_distances(iz[:, None], iw[:, None], inrm[:, None], z, w, nrm)
-    idx = dist.argmin(axis=1)
-    if (dist[np.arange(ps.n), idx] > ps.tol).any():
-        raise OrbitSizeMismatch("map does not permute the set within tolerance")
-    if len(set(idx.tolist())) != ps.n:
-        raise OrbitSizeMismatch("map images collapse two points of the set")
-    return idx
-
-
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
 def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
     """Order of f in the Mobius group, which must be at most cap.
 
@@ -353,6 +332,7 @@ def _label_of(n: int, m: int) -> cl.GroupLabel:
         "group; closure check or tolerance failure")
 
 
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
 def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
     """Identify a finite Mobius group from its element list, by the
     signature of ``_label_of``."""
@@ -477,18 +457,6 @@ def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
     return [flat[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(flat)])]
 
 
-def component_index(ps: PointSet, elements, label: cl.GroupLabel) -> tuple[int, ...]:
-    """Component index of a set under a group that stabilizes it.
-
-    Counts the orbits of each size and fills the slots of the label's
-    orbit-size table; the generic (full-size) orbit count comes last.
-    """
-    if label.kind == cl.TRIVIAL:
-        return ()
-    perms = np.array([_permutation_of(ps, f) for f in elements])
-    return _component_index(perms, label)[0]
-
-
 def _component_index(perms: np.ndarray, label: cl.GroupLabel):
     """The component index and the orbits, as point index tuples, of the
     group whose every element has a row in perms."""
@@ -604,8 +572,9 @@ def stabilizer(ps: PointSet) -> StabilizerResult:
     its elements or orbits are read.
     """
     if ps.n < 3:
-        raise ValueError("stabilizers of sets with fewer than 3 points are "
-                         "infinite; the oracle handles only finite ones")
+        raise InvalidCardinality("stabilizers of sets with fewer than 3 points "
+                                 "are infinite; the oracle handles only "
+                                 "finite ones")
     base_triple = _pick_base_triple(ps)
     z, w, _ = ps.arrays()
     proposals = scan_stabilizer_triples(z, w, ps.tol)

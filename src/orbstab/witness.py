@@ -388,8 +388,12 @@ def _generic_seeds(order: int, k: int, attempt: int) -> list[RiemannPoint]:
             for l in range(1, k + 1)]
 
 
-def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
-            retry_bound: int = 16) -> PointSet:
+#: Seeds ``witness`` tries for a polyhedral entry; the others have no seed.
+_POLYHEDRAL_ATTEMPTS = 16
+
+
+def witness(n: int, entry: cl.ClassificationEntry,
+            tol: float = DEFAULT_TOL) -> PointSet:
     """A verified n-point witness for a classification entry.
 
     The construction is proposed, checked by the stabilizer oracle, and
@@ -398,8 +402,6 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
     attempts and the first and last failure, if the oracle never confirms
     the entry, and ValueError for entries not in classify(n).
     """
-    if retry_bound < 1:
-        raise ValueError("retry_bound must be >= 1")
     # the entry's own label block, not all of classify(n)
     if entry not in cl._entries(entry.label, n):
         raise ValueError(f"entry {entry} is not in the classification of n = {n}")
@@ -407,7 +409,7 @@ def witness(n: int, entry: cl.ClassificationEntry, tol: float = DEFAULT_TOL,
     if kind == cl.INFINITE:
         raise ValueError("infinite stabilizers have no finite witness")
 
-    attempts = retry_bound if kind in _SPECIAL_TAGS else 1
+    attempts = _POLYHEDRAL_ATTEMPTS if kind in _SPECIAL_TAGS else 1
     failures: list[str] = []
     for attempt in range(attempts):
         # a seed on a special locus, or orbits closer than 2*tol, fail the

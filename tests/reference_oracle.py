@@ -10,6 +10,10 @@ candidate block, and the oracle solves them again; the row orders walk the
 cycles one step per numpy pass; the checks take the maps as four arrays.
 The centered cloud, the grid and the oracle's label, index, orbits and
 rows must come out the same as the fast oracle's.
+
+The last section matches sets and reads permutations and component
+indices through Mobius maps, one point and one map at a time: the
+references for the oracle's work on permutation rows.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ import math
 
 import numpy as np
 
-from orbstab.errors import (CenteringFailed, DegenerateMap, OrbitSizeMismatch,
-                            UnrecognizedGroup)
-from orbstab.geometry import DET_FLOOR, PointSet
+from orbstab import classifier as cl
+from orbstab.errors import (AmbiguousMatching, CenteringFailed, DegenerateMap,
+                            OrbitSizeMismatch, UnrecognizedGroup)
+from orbstab.geometry import (DET_FLOOR, MobiusMap, PointSet, RiemannPoint,
+                              chordal_distance, chordal_distances)
 from orbstab.kernels import (_ANCHORS, _BLOCK, _CELLS, _HALVINGS, _MAX_STEP,
                              CENTERING_RESIDUAL, CENTERING_SHIFT, CENTERING_STEPS,
                              _boost, _mul, _newton_direction, _second_moment)
@@ -463,3 +469,68 @@ def stabilizer(ps: PointSet,
     for a in (*maps, perms):
         a.flags.writeable = False
     return StabilizerResult(label, index, maps, perms, orbits, ps)
+
+
+# ---------------------------------------------------------------------------
+# Set matching and identification through Mobius maps.
+
+def distance_matrix(a: PointSet, b: PointSet) -> np.ndarray:
+    """The chordal distance from each point of a (a row) to each of b."""
+    z1, w1, n1 = a.arrays()
+    return chordal_distances(z1[:, None], w1[:, None], n1[:, None], *b.arrays())
+
+
+def apply_map(ps: PointSet, f: MobiusMap) -> PointSet:
+    """The image of the set under f, at the set's tol."""
+    return PointSet((f.apply(p) for p in ps.points), tol=ps.tol)
+
+
+def index_of(ps: PointSet, p: RiemannPoint) -> int:
+    """Index of the unique point of the set within tol of p, or -1."""
+    for i, q in enumerate(ps.points):
+        if chordal_distance(p, q) <= ps.tol:
+            return i
+    return -1
+
+
+def set_equal(a: PointSet, b: PointSet) -> bool:
+    """Whether two point sets agree up to tolerance-ball matching.
+
+    True when the sets have the same size and nearest-neighbour matching
+    pairs them off bijectively within tol.  Raises AmbiguousMatching if a
+    point of one set lies within tol of two points of the other.
+    """
+    if a.n != b.n:
+        return False
+    tol = max(a.tol, b.tol)
+    hits = distance_matrix(a, b) <= tol
+    per_row = hits.sum(axis=1)
+    per_col = hits.sum(axis=0)
+    if (per_row > 1).any() or (per_col > 1).any():
+        raise AmbiguousMatching("tolerance balls overlap during set matching")
+    return bool((per_row == 1).all())
+
+
+def permutation_of(ps: PointSet, f: MobiusMap) -> np.ndarray:
+    """The permutation of the set induced by f (image indices), or raise."""
+    z, w, nrm = ps.arrays()
+    iz = f.a * z + f.b * w
+    iw = f.c * z + f.d * w
+    inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
+    dist = chordal_distances(iz[:, None], iw[:, None], inrm[:, None], z, w, nrm)
+    idx = dist.argmin(axis=1)
+    if (dist[np.arange(ps.n), idx] > ps.tol).any():
+        raise OrbitSizeMismatch("map does not permute the set within tolerance")
+    if len(set(idx.tolist())) != ps.n:
+        raise OrbitSizeMismatch("map images collapse two points of the set")
+    return idx
+
+
+def component_index(ps: PointSet, elements, label: cl.GroupLabel) -> tuple[int, ...]:
+    """Component index of a set under a group, given by its maps, that
+    stabilizes it: the oracle's ``_component_index`` on the permutations
+    the maps induce."""
+    if label.kind == cl.TRIVIAL:
+        return ()
+    perms = np.array([permutation_of(ps, f) for f in elements])
+    return _component_index(perms, label)[0]

@@ -41,6 +41,14 @@ def test_tol_at_its_bound_is_accepted(capsys, argv):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_retry_bound_is_not_an_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*COMMANDS[command], "--retry-bound", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --retry-bound 0" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_golden_2018(self, capsys):
         code, out, err = run(capsys, "classify", "2018")

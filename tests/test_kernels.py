@@ -9,8 +9,9 @@ from orbstab.errors import AmbiguousMatching, CenteringFailed
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
                               chordal_distance, mobius_through_triple)
 from orbstab.kernels import active_backend, scan_stabilizer_triples
-from orbstab.oracle import _permutation_of, _pick_base_triple, stabilizer
+from orbstab.oracle import _pick_base_triple, stabilizer
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
+from reference_oracle import permutation_of
 
 INFINITY = RiemannPoint.infinity()
 
@@ -186,7 +187,7 @@ def assert_rows_are_the_permutations_of_their_maps(ps, base, rows):
     for row in rows:
         assert sorted(row.tolist()) == list(range(ps.n))
         f = mobius_through_triple(src, [ps.points[t] for t in row[base]])
-        assert row.tolist() == _permutation_of(ps, f).tolist()
+        assert row.tolist() == permutation_of(ps, f).tolist()
 
 
 @SHAPES

@@ -15,7 +15,7 @@ import pytest
 from orbstab import classifier as cl, cli, geometry, kernels, oracle
 from orbstab.classifier import classify, cyclic, dihedral
 from orbstab.errors import (AmbiguousMatching, DegenerateMap, OrbitSizeMismatch,
-                            UnrecognizedGroup)
+                            OrbstabError, UnrecognizedGroup)
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, format_complex,
                               maps_equal, mobius_through_triple)
 from orbstab.kernels import _mul, scan_stabilizer_triples
@@ -24,9 +24,9 @@ from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orde
                             _check_nondegenerate, _component_index, _decide,
                             _label_of, _orbit_partition, base_triple_maps,
                             _pick_base_triple, _reach, _row_orders,
-                            component_index,
                             identify_group, projective_order, stabilizer)
 from orbstab.witness import dihedral_witness, polyhedral_orbit, witness
+from reference_oracle import component_index, distance_matrix, index_of
 
 
 def values(*vs):
@@ -72,6 +72,11 @@ class TestStabilizerExamples:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             stabilizer(values(0, 1))
+
+    def test_too_few_points_is_a_named_error(self):
+        for points in [(), (0,), (0, 1)]:
+            with pytest.raises(OrbstabError, match="fewer than 3 points"):
+                stabilizer(values(*points))
 
     def test_crowded_set_rejected_at_construction(self):
         with pytest.raises(AmbiguousMatching):
@@ -214,6 +219,13 @@ class TestProjectiveOrder:
         assert out.stdout.strip() == "[]"
 
 
+def test_the_package_offers_one_identification_path():
+    import orbstab
+    for name in ("component_index", "set_equal", "identify_group", "maps_equal"):
+        assert name not in orbstab.__all__ and not hasattr(orbstab, name)
+    assert "stabilizer" in orbstab.__all__
+
+
 class TestComponentIndex:
     def test_roots_under_their_dihedral_group(self):
         p = 5
@@ -268,7 +280,7 @@ def test_orbit_partition_matches_union_find(n):
     for entry in classify(n):
         ps = witness(n, entry)
         res = stabilizer(ps)
-        perms = np.array([[ps.index_of(f.apply(p)) for p in ps.points]
+        perms = np.array([[index_of(ps, f.apply(p)) for p in ps.points]
                           for f in res.elements])
         assert _orbit_partition(perms) == _orbit_partition_reference(perms, ps.n)
 
@@ -696,7 +708,7 @@ def test_verify_builds_no_objects_inside_the_oracle(monkeypatch):
 def dense_base_triple(ps):
     """The base triple before it was O(n): the farthest pair of the whole
     n x n distance matrix, then the point farthest from both."""
-    d = ps.distance_matrix(ps)
+    d = distance_matrix(ps, ps)
     i, j = np.unravel_index(np.argmax(d), d.shape)
     rest = np.minimum(d[i], d[j])
     rest[[i, j]] = -1.0
@@ -704,7 +716,7 @@ def dense_base_triple(ps):
 
 
 def triple_separation(ps, triple):
-    d = ps.distance_matrix(ps)
+    d = distance_matrix(ps, ps)
     i, j, k = triple
     return min(d[i, j], d[i, k], d[j, k])
 

@@ -7,12 +7,13 @@ import math
 import pytest
 
 import reference_witness as ref
+from reference_oracle import set_equal
 from orbstab import classifier as cl, geometry
 from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
                                 cyclic, dihedral, parse_entry)
 from orbstab.errors import (AmbiguousDecision, InvalidCardinality, SeedOnSpecialLocus,
                             UnrealizableIndex, WitnessSearchExhausted)
-from orbstab.geometry import PointSet, RiemannPoint, set_equal
+from orbstab.geometry import PointSet, RiemannPoint
 from orbstab.oracle import stabilizer
 from orbstab.witness import (PHI, PSI, _generators, _generic_seeds,
                              _orbit_of, _polyhedral_assembly, _special_orbits,
