@@ -45,8 +45,8 @@ class OrbitSizeMismatch(OrbstabError, RuntimeError):
 
 
 class UnrealizableIndex(OrbstabError, ValueError):
-    """The requested component index forces a strictly larger stabilizer
-    and therefore has no witness with the requested group."""
+    """The requested entry has no witness: its component index forces a
+    larger stabilizer, it is not in classify(n), or it is infinite."""
 
 
 class WitnessSearchExhausted(OrbstabError, RuntimeError):

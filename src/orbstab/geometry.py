@@ -273,9 +273,6 @@ class MobiusMap:
         return (abs(self.b) <= tol * scale and abs(self.c) <= tol * scale
                 and abs(self.a - self.d) <= tol * scale)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
     def fixed_points(self) -> tuple[RiemannPoint, RiemannPoint]:
         """Fixed points as eigenvectors of the matrix.
 

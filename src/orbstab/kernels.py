@@ -310,6 +310,13 @@ def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return grid.lookup(F[0] * coords[0] + F[1] * coords[1] + F[2] * coords[2])
 
 
+def _crowds(dist, profiles, slack: float) -> np.ndarray:
+    """How many points lie within slack of each distance ``dist[r, b]`` from
+    option r, by binary search in its sorted distances ``profiles[r]``."""
+    return np.array([p.searchsorted(hi, side="right") - p.searchsorted(lo)
+                     for p, hi, lo in zip(profiles, dist + slack, dist - slack)])
+
+
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """One hashable key per row of a 2-d array: the row's bytes."""
     rows = np.ascontiguousarray(rows)
@@ -368,10 +375,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     # each option's partner b: far from the line through the anchor, with
     # the fewest points at its distance from the anchor ("crowd")
     off_line = np.sqrt(np.maximum(0.0, 1.0 - (1.0 - dist * dist / 2.0) ** 2))
-    crowd = np.empty(dist.shape, dtype=np.int64)
-    for blk in _row_blocks(n, n * len(options)):
-        gap = dist[:, blk, None] - dist[:, None, :]
-        np.add.reduce(np.abs(gap, out=gap) <= slack, axis=2, out=crowd[:, blk])
+    crowd = _crowds(dist, profiles, slack)
     far = off_line >= 0.5 * np.maximum.reduce(off_line, axis=1, keepdims=True)
     partner = np.where(far, crowd - 0.5 * off_line, np.inf).argmin(axis=1)
     # the option whose candidate pairs (a', b') are fewest

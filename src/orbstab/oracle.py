@@ -178,21 +178,6 @@ _ROUNDING = 1e7
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _chordal_terms(ZW, nrm, f, rows):
-    """2 |image x partner|, |image| and |partner| for each point and each
-    map with entries f, one map per row (ZW = (Z, W) stacked): the
-    chordal distance from the image of a point to its partner in the row
-    is the first over the product of the other two."""
-    f = f.reshape(2, 2, -1, 1)
-    # (iz, iw) = (a Z + b W, c Z + d W), and (Z, W) of the partners
-    image = f[:, 0] * ZW[0] + f[:, 1] * ZW[1]
-    size = np.abs(image) ** 2
-    inrm = np.sqrt(size[0] + size[1])
-    partner = ZW.take(rows, axis=1)
-    cross = np.abs(image[0] * partner[1] - partner[0] * image[1])
-    return 2.0 * cross, inrm, nrm.take(rows)
-
-
 def _solve_conditions(f, m) -> np.ndarray:
     """cond(m) cond(A) for each map f = A m, with entries f as the rows of
     a (4, maps) array and m the base triple's matrix: A is f adj(m) up to
@@ -204,42 +189,37 @@ def _solve_conditions(f, m) -> np.ndarray:
         return matrix_condition(*m) * a
 
 
-def _passes_chordal_test(ZW, nrm, f, rows, tol):
-    """Whether the maps with entries f, one per row, send every point
-    within tol of its partner in the row, and whether they do within
-    _GAP tol (two bools per row)."""
-    twice_cross, inrm, pnrm = _chordal_terms(ZW, nrm, f, rows)
-    bound = tol * inrm * pnrm
-    kept = (twice_cross <= bound).all(axis=1)
-    if kept.all():  # no row failed, so none can lie in the gap
-        return kept, kept
-    return kept, (twice_cross <= _GAP * bound).all(axis=1)
-
-
-def _misses(ZW, nrm, f, rows) -> np.ndarray:
-    """Each chordal miss, one row per map and one column per point."""
-    twice_cross, inrm, pnrm = _chordal_terms(ZW, nrm, f, rows)
-    return twice_cross / (inrm * pnrm)
+def _misses(z, w, nrm, f, rows) -> np.ndarray:
+    """The chordal miss of each point's image under the maps with entries
+    f, one map per row, from its partner in the row: a (maps, n) array."""
+    f = f.reshape(2, 2, -1, 1)
+    # (iz, iw) = (a z + b w, c z + d w)
+    iz, iw = f[:, 0] * z + f[:, 1] * w
+    inrm = np.sqrt(np.abs(iz) ** 2 + np.abs(iw) ** 2)
+    return chordal_distances(iz, iw, inrm, z.take(rows), w.take(rows),
+                             nrm.take(rows))
 
 
 def _decide(ps: PointSet, base, proposals: np.ndarray):
     """The proposed rows that are stabilizer elements, and their maps as
     one (4, kept) array: each row's map is solved through the base triple
-    and the row is kept when the map passes the chordal test.  Raises
-    AmbiguousDecision when a row fails the test at tol but lies in the
+    and the row is kept when its worst miss is at most tol.  Raises
+    AmbiguousDecision when a row misses by more than tol but lies in the
     decision gap."""
     z, w, nrm = ps.arrays()
+    tol = ps.tol
     maps = base_triple_maps(z, w, base, proposals)
-    ZW = np.array((z, w))
-    kept = np.ones(len(proposals), dtype=bool)
-    near = kept.copy()
+    worst = np.empty(len(proposals))
+    doubted = []  # the misses of the rows that miss by tol to _GAP tol
     for blk in _row_blocks(len(proposals), ps.n):
-        kept[blk], near[blk] = _passes_chordal_test(
-            ZW, nrm, maps[:, blk], proposals[blk], ps.tol)
-    torn = near & ~kept
+        miss = _misses(z, w, nrm, maps[:, blk], proposals[blk])
+        top = np.maximum.reduce(miss, axis=1, out=worst[blk])
+        doubted.append(miss[(top > tol) & (top <= _GAP * tol)])
+    kept = worst <= tol
+    torn = ~kept & (worst <= _GAP * tol)
     if torn.any():
         # the other two edges, on the few rows that the first left in the gap
-        rows, f = proposals[torn], maps[:, torn]
+        rows, f, miss = proposals[torn], maps[:, torn], np.concatenate(doubted)
         b0, b1, b2 = base
         m = zero_one_inf_entries(z[b0], w[b0], z[b1], w[b1], z[b2], w[b2])
         d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
@@ -247,15 +227,13 @@ def _decide(ps: PointSet, base, proposals: np.ndarray):
         edge = np.minimum(
             _ROUNDING * _EPS * _solve_conditions(f, m)[:, None],
             d.min(axis=1).take(rows) / 4.0)
-        miss = _misses(ZW, nrm, f, rows)
         inside = (miss <= edge).all(axis=1)
         if inside.any():
-            kept_miss = _misses(ZW, nrm, maps[:, kept], proposals[kept])
             raise AmbiguousDecision(
                 f"{int(inside.sum())} proposed element(s) fail the chordal "
                 f"test at tol but lie in the decision gap: smallest such miss "
-                f"{miss[inside].max(axis=1).min() / ps.tol:.3g} tol, largest "
-                f"kept miss {kept_miss.max(initial=0.0) / ps.tol:.3g} tol")
+                f"{worst[torn][inside].min() / tol:.3g} tol, largest kept "
+                f"miss {worst[kept].max(initial=0.0) / tol:.3g} tol")
     return proposals[kept], maps[:, kept]
 
 

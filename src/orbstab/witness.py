@@ -396,18 +396,19 @@ def witness(n: int, entry: cl.ClassificationEntry,
             tol: float = DEFAULT_TOL) -> PointSet:
     """A verified n-point witness for a classification entry.
 
-    The construction is proposed, checked by the stabilizer oracle, and
-    (for polyhedral generic orbits) retried on a deterministic seed
-    schedule.  Raises WitnessSearchExhausted, naming the number of
-    attempts and the first and last failure, if the oracle never confirms
-    the entry, and ValueError for entries not in classify(n).
+    The construction is proposed, checked by the stabilizer oracle and,
+    for polyhedral generic orbits, retried on a deterministic seed
+    schedule.  Raises WitnessSearchExhausted, naming the number of attempts
+    and the first and last failure, if the oracle never confirms the entry,
+    and UnrealizableIndex for the infinite entry or one not in classify(n).
     """
     # the entry's own label block, not all of classify(n)
     if entry not in cl._entries(entry.label, n):
-        raise ValueError(f"entry {entry} is not in the classification of n = {n}")
+        raise UnrealizableIndex(
+            f"entry {entry} is not in the classification of n = {n}")
     kind = entry.label.kind
     if kind == cl.INFINITE:
-        raise ValueError("infinite stabilizers have no finite witness")
+        raise UnrealizableIndex("infinite stabilizers have no finite witness")
 
     attempts = _POLYHEDRAL_ATTEMPTS if kind in _SPECIAL_TAGS else 1
     failures: list[str] = []

@@ -244,6 +244,47 @@ def test_frames_in_one_call_equal_separate_calls():
     assert np.array_equal(both[1:], kernels._frame(X[pairs[:, 0]], X[pairs[:, 1]]))
 
 
+def scan_distances(ps):
+    """The anchor options' distances to the centered cloud, their sorted
+    rows and the matching slack, as ``scan_stabilizer_triples`` derives
+    them."""
+    z, w, _ = ps.arrays()
+    X, stretch, *_ = kernels._center(z, w)
+    C, n = X.T, ps.n
+    options = sorted({i * (n - 1) // (kernels._ANCHORS - 1)
+                      for i in range(kernels._ANCHORS)})
+    dist = kernels._distances(C, C[:, options])
+    sep = np.sort(kernels._distances(C, C), axis=1)[:, 1].min()
+    return dist, np.sort(dist, axis=1), max(sep / 4.0, 2.0 * ps.tol * stretch)
+
+
+def crowd_sets():
+    """Random clouds, witnesses with repeated distances, and a large set."""
+    rng = np.random.default_rng(22)
+    for n in (5, 8, 13, 30, 47, 80):
+        xyz = rng.normal(size=(n, 3))
+        xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+        yield f"sphere n={n}", PointSet([RiemannPoint.from_sphere(*r) for r in xyz])
+    for p in (5, 12, 40):
+        roots = [complex(math.cos(2 * math.pi * k / p), math.sin(2 * math.pi * k / p))
+                 for k in range(p)]
+        yield f"{p}-gon", PointSet.from_values(roots)
+        yield f"{p}-gon and poles", PointSet.from_values([0.0, math.inf] + roots)
+    yield "V12", polyhedral_orbit(cl.A5, "V12")
+    yield "V30", polyhedral_orbit(cl.A5, "V30")
+    yield "trivial n=2018", trivial_witness(2018)
+
+
+def test_crowds_equal_the_dense_count():
+    # two binary searches per point in its option's sorted row count what
+    # comparing the point's distance with every other distance counts
+    for name, ps in crowd_sets():
+        dist, profiles, slack = scan_distances(ps)
+        for s in (0.0, slack, 8.0 * slack):
+            dense = [(np.abs(row[:, None] - row) <= s).sum(axis=1) for row in dist]
+            assert np.array_equal(kernels._crowds(dist, profiles, s), dense), (name, s)
+
+
 @pytest.mark.parametrize("slack", [0.01, 0.1, 0.6])
 def test_grid_depth_is_the_largest_cell_count(slack):
     rng = np.random.default_rng(19)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from orbstab import classifier as cl, cli, geometry, kernels, oracle
-from orbstab.classifier import classify, cyclic, dihedral
-from orbstab.errors import (AmbiguousMatching, DegenerateMap, OrbitSizeMismatch,
-                            OrbstabError, UnrecognizedGroup)
+from orbstab.classifier import classify, cyclic, dihedral, parse_entry
+from orbstab.errors import (AmbiguousDecision, AmbiguousMatching, DegenerateMap,
+                            OrbitSizeMismatch, OrbstabError, UnrecognizedGroup)
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, format_complex,
                               maps_equal, mobius_through_triple)
 from orbstab.kernels import _mul, scan_stabilizer_triples
@@ -544,9 +544,23 @@ def test_the_kernel_proposes_and_the_oracle_decides():
     # the base triple, the map solve and the chordal test live in the oracle
     assert list(inspect.signature(kernels.scan_stabilizer_triples).parameters) == \
         ["Z", "W", "tol"]
-    for name in ("base_triple_maps", "_passes_chordal_test"):
+    for name in ("base_triple_maps", "_misses"):
         assert not hasattr(kernels, name)
         assert callable(getattr(oracle, name))
+
+
+def test_ambiguous_decision_states_both_margins():
+    # the K_4 (1, 2) witness squeezed into a cap of radius 1e-5: two true
+    # elements miss by more than tol, through rounding in the map solve
+    points = witness(10, parse_entry("K_4,(1,2)")).points
+    ps = PointSet.from_values([p.value() if p.w == 0 else 1e-5 * p.value() + 0.3
+                               for p in points])
+    with pytest.raises(AmbiguousDecision) as caught:
+        stabilizer(ps)
+    assert str(caught.value) == (
+        "2 proposed element(s) fail the chordal test at tol but lie in the "
+        "decision gap: smallest such miss 84.7 tol, largest kept miss "
+        "1.55e-08 tol")
 
 
 def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):

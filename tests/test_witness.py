@@ -11,8 +11,9 @@ from reference_oracle import set_equal
 from orbstab import classifier as cl, geometry
 from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
                                 cyclic, dihedral, parse_entry)
-from orbstab.errors import (AmbiguousDecision, InvalidCardinality, SeedOnSpecialLocus,
-                            UnrealizableIndex, WitnessSearchExhausted)
+from orbstab.errors import (AmbiguousDecision, InvalidCardinality, OrbstabError,
+                            SeedOnSpecialLocus, UnrealizableIndex,
+                            WitnessSearchExhausted)
 from orbstab.geometry import PointSet, RiemannPoint
 from orbstab.oracle import stabilizer
 from orbstab.witness import (PHI, PSI, _generators, _generic_seeds,
@@ -281,6 +282,17 @@ class TestWitnessDispatcher:
             witness(7, ClassificationEntry(dihedral(4), (1, 0, 1)))
         with pytest.raises(InvalidCardinality):
             witness(0, ClassificationEntry(cl.LABEL_INFINITE, ()))
+
+    def test_entries_without_a_witness_are_named_errors(self):
+        # an entry outside classify(n), and the infinite stabilizer
+        for n, entry, message in (
+                (8, parse_entry("D_7,(0,1,0)"),
+                 "entry D_7, (0, 1, 0) is not in the classification of n = 8"),
+                (2, classify(2)[0], "infinite stabilizers have no finite witness")):
+            with pytest.raises(OrbstabError) as caught:
+                witness(n, entry)
+            assert type(caught.value) is UnrealizableIndex  # still a ValueError
+            assert str(caught.value) == message
 
     def test_sets_closer_than_the_tol_fail_the_attempt(self):
         # at tol 1e-3 this entry's generic orbits are closer than 2 tol, on
