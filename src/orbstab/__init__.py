@@ -17,14 +17,14 @@ from .moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation, f_sigma,
                      g_sigma, phi_check, preset_lambda, stabilizer_G_lambda,
                      verify_group_law)
 from .oracle import StabilizerResult, stabilizer
-from .witness import (PHI, PSI, cyclic_witness, dihedral_witness,
-                      polyhedral_orbit, trivial_witness, witness)
+from .witness import (cyclic_witness, dihedral_witness, polyhedral_orbit,
+                      trivial_witness, witness)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ANHARMONIC_GROUP", "ClassificationEntry", "DEFAULT_TOL", "GroupLabel",
-    "LambdaTuple", "MobiusMap", "PHI", "PSI", "Permutation", "PointSet",
+    "LambdaTuple", "MobiusMap", "Permutation", "PointSet",
     "RiemannPoint", "StabilizerResult", "cardinality_of", "cardinality_set",
     "chordal_distance", "classify", "classify_lines", "cyclic_witness",
     "dihedral_witness", "f_sigma", "g_sigma", "mobius_through_triple",

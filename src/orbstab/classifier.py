@@ -181,9 +181,6 @@ class ClassificationEntry:
         object.__setattr__(entry, "index", index)
         return entry
 
-    def cardinality(self) -> int:
-        return cardinality_of(self)
-
     def to_line(self) -> str:
         if self.label.kind == TRIVIAL:
             return "(0)"

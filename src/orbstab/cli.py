@@ -34,6 +34,15 @@ def _tol(text: str) -> float:
     return tol
 
 
+def _count(text: str) -> int:
+    """``--seed`` and ``--trials``: an integer >= 0, else a usage error."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text}")
+    return count
+
+
 def _add_common(parser, run):
     parser.set_defaults(run=run)
     parser.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
@@ -69,18 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-small", action="store_true",
                    help="also check that sampled configurations only ever "
                         "produce listed entries (n <= 7)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     _add_common(p, cmd_verify)
 
     p = sub.add_parser("moduli", help="parameter-space action checks")
     p.add_argument("n", type=int)
     p.add_argument("--group-law", action="store_true")
     p.add_argument("--phi", action="store_true")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--preset", choices=("generic", "d5", "z2"))
-    p.add_argument("--lambda", dest="lambda_csv", metavar="CSV",
-                   help="comma-separated coordinates, e.g. '2+1i,5'")
+    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument("--seed", type=_count, default=0)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=("generic", "d5", "z2"))
+    source.add_argument("--lambda", dest="lambda_csv", metavar="CSV",
+                        help="comma-separated coordinates, e.g. '2+1i,5'")
     _add_common(p, cmd_moduli)
     return parser
 
@@ -88,16 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
 class _Output:
     def __init__(self, out_path):
         self.lines: list[str] = []
-        self.out_path = out_path
+        # opened now, so an unwritable path fails before the command runs
+        self.file = open(out_path, "w") if out_path else None
 
     def emit(self, text: str):
         print(text)
         self.lines.append(text)
 
     def close(self):
-        if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write("\n".join(self.lines) + "\n")
+        if self.file:
+            with self.file:
+                self.file.write("\n".join(self.lines) + "\n")
 
 
 def cmd_classify(args, out: _Output) -> int:
@@ -317,7 +328,11 @@ def cmd_moduli(args, out: _Output) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(getattr(args, "out", None))
+    try:
+        out = _Output(args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.run(args, out)
     finally:

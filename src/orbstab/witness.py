@@ -1,12 +1,10 @@
 """Explicit point sets realizing every classification entry.
 
-Polyhedral witnesses are assembled from the rotation groups themselves:
-the group is generated as Mobius maps, its special orbits (vertex, face
-and edge classes) are recovered as orbits of the fixed points of its
-elements, and generic orbits come from a deterministic seed schedule.
-Dihedral, cyclic and trivial witnesses use closed-form constructions on
-the unit circle.  Every witness is verified by the stabilizer oracle
-before it is returned.
+A witness takes the first ``count`` point families of each special index
+slot, then k generic orbits on one schedule per kind.  The dihedral and
+cyclic families lie on the unit circle; the polyhedral ones are the
+special orbits of the rotation group, generated as Mobius maps.  Every
+witness is verified by the stabilizer oracle before it is returned.
 """
 
 from __future__ import annotations
@@ -26,13 +24,6 @@ from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                        mobius_through_triple, point_arrays, snap_arrays,
                        snap_point)
 from .oracle import stabilizer
-
-#: Conjugators carrying the standard dihedral orbit families to the two
-#: rotated copies that arise when a Klein four-group sits inside a larger
-#: dihedral group in a non-standard position.  phi fixes +-i, psi fixes +-1.
-PHI = MobiusMap(1.0, -1.0, 1.0, 1.0)   # z -> (z - 1)/(z + 1)
-PSI = MobiusMap(1.0, 1j, 1j, 1.0)      # z -> (z + i)/(i z + 1)
-
 
 # ---------------------------------------------------------------------------
 # Rotations as Mobius maps, and the polyhedral rotation groups.
@@ -220,7 +211,7 @@ def polyhedral_orbit(kind: str, tag_or_seed, tol: float = DEFAULT_TOL) -> PointS
 
 
 # ---------------------------------------------------------------------------
-# Dihedral / cyclic / trivial constructions on the unit circle.
+# Point families on the unit circle and the real line.
 
 def _pointset(values, tol: float) -> PointSet:
     """Points from complex values, with float dust snapped off; no
@@ -243,114 +234,6 @@ def _dihedral_orbit(p: int, z: complex) -> list[complex]:
            [_unit(k / p) / z for k in range(p)]
 
 
-def _cyclic_orbit(p: int, z: complex) -> list[complex]:
-    return [z * _unit(k / p) for k in range(p)]
-
-
-def dihedral_witness(p: int, index: tuple[int, ...],
-                     tol: float = DEFAULT_TOL, force: bool = False) -> PointSet:
-    """A point set whose stabilizer is dihedral of rotation order p >= 2
-    (the Klein four-group for p = 2) with the given component index.
-
-    Generic orbits follow the angle schedule l/(8 k^2 p) of a turn, which
-    keeps them clear of the root-of-unity rays and of each other.  Indices
-    that force a strictly larger stabilizer raise UnrealizableIndex unless
-    ``force`` is set (used to exercise exactly that prediction).
-    """
-    if p < 2:
-        raise ValueError("dihedral witness needs p >= 2")
-    if p == 2:
-        nu, k = index
-        if not 0 <= nu <= 3:
-            raise ValueError(f"K4 index out of range: {index}")
-        if not (force or cl.realizable(cl.LABEL_K4, index)):
-            raise UnrealizableIndex(
-                f"K4 with index {index}: without a generic orbit the "
-                "stabilizer is infinite, D_4 or S_4")
-        values: list[complex] = []
-        if nu >= 1:
-            values += [0.0, complex("inf")]
-        if nu >= 2:
-            values += [1.0, -1.0]
-        if nu >= 3:
-            values += [1j, -1j]
-        for l in range(1, k + 1):
-            values += _dihedral_orbit(2, _unit(l / (16.0 * k * k)))
-        return _pointset(values, tol)
-
-    nu, eps, k = index
-    if not (0 <= nu <= 1 and 0 <= eps <= 2):
-        raise ValueError(f"dihedral index out of range: {index}")
-    if not (force or cl.realizable(cl.dihedral(p), index)):
-        reasons = {
-            (0, 2, 0): f"both root families alone are D_{2 * p}-invariant",
-            (1, 2, 0): f"both root families plus poles are D_{2 * p}-invariant",
-            (1, 1, 0): "poles plus one root family of order 4 form the "
-                       "octahedron (S_4)",
-            (1, 0, 0): "the pole pair alone has infinite stabilizer",
-            (0, 0, 0): "empty index",
-        }
-        raise UnrealizableIndex(
-            f"D_{p} with index {index}: "
-            f"{reasons.get(index, 'not realizable without a generic orbit')}")
-    values = []
-    if nu >= 1:
-        values += [0.0, complex("inf")]
-    if eps >= 1:
-        values += _roots(p)
-    if eps >= 2:
-        values += _roots(p, offset_turns=1.0 / (2.0 * p))
-    for l in range(1, k + 1):
-        values += _dihedral_orbit(p, _unit(l / (8.0 * k * k * p)))
-    return _pointset(values, tol)
-
-
-def cyclic_witness(p: int, index: tuple[int, ...],
-                   tol: float = DEFAULT_TOL, force: bool = False) -> PointSet:
-    """A point set whose stabilizer is cyclic of order p >= 2 with the
-    given component index.
-
-    For p >= 3 the generic orbits are rotation orbits at radii 1..k; a
-    fixed point 0 (and, for two fixed points, also inf) is appended per
-    the first index slot.  For p = 2 the sets live on the real line.
-    """
-    if p < 2:
-        raise ValueError("cyclic witness needs p >= 2")
-    nu, k = index
-    if not 0 <= nu <= 2:
-        raise ValueError(f"cyclic index out of range: {index}")
-    if not (force or cl.realizable(cl.cyclic(p), index)):
-        reasons = {
-            (0, 1): f"a single rotation orbit is D_{p}-invariant",
-            (0, 2): f"two rotation orbits admit an inverting symmetry (D_{p})",
-            (2, 1): f"poles plus one rotation orbit are D_{p}-invariant",
-            (2, 2): f"poles plus two rotation orbits are D_{p}-invariant",
-            (1, 1): "0 plus the third roots of unity form a tetrahedron (A_4)",
-        }
-        reason = (reasons.get(index, "not realizable") if p > 2 else
-                  "the stabilizer is strictly larger (dihedral, polyhedral, "
-                  "or infinite)")
-        raise UnrealizableIndex(f"Z_{p} with index {index}: {reason}")
-    if p == 2:
-        if nu == 0:
-            values = [s * (2.0 * j - 1.0) / 2.0
-                      for j in range(1, k + 1) for s in (1.0, -1.0)]
-        else:
-            values = [0.0] + [s * float(j)
-                              for j in range(1, k + 1) for s in (1.0, -1.0)]
-            if nu == 2:
-                values.append(complex("inf"))
-        return _pointset(values, tol)
-    values = []
-    if nu >= 1:
-        values.append(0.0)
-    if nu >= 2:
-        values.append(complex("inf"))
-    for l in range(1, k + 1):
-        values += _cyclic_orbit(p, float(l))
-    return _pointset(values, tol)
-
-
 def trivial_witness(n: int, tol: float = DEFAULT_TOL) -> PointSet:
     """An n-point set with trivial stabilizer: (n-1)-th roots of unity
     plus the point 2.  No set below 5 points has trivial stabilizer."""
@@ -361,31 +244,129 @@ def trivial_witness(n: int, tol: float = DEFAULT_TOL) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# The verified dispatcher.
+# The assembly of every non-trivial witness.  The dihedral families and
+# schedule read p as |G|/2, which is 2 for K4.
 
-def _polyhedral_assembly(kind: str, index: tuple[int, ...], attempt: int,
-                         tol: float) -> PointSet:
-    specials = _special_orbits(kind)
-    order = cl.GroupLabel(kind).order
-    *counts, k = index
-    points: list[RiemannPoint] = []
-    for count, tags in zip(counts, _SPECIAL_TAGS[kind]):
-        for tag in tags[:count]:
-            points.extend(specials[tag])
-    for seed in _generic_seeds(order, k, attempt):
-        points.extend(polyhedral_orbit(kind, seed, tol=tol))
-    return PointSet(points, tol=tol)
+def _dihedral_generic(label, index, attempt, tol) -> list[complex]:
+    """k orbits C_p(z), z at l/(8 k^2 p) of a turn for l = 1..k: clear of
+    the root-of-unity rays and of each other."""
+    p, k = label.order // 2, index[-1]
+    return [v for l in range(1, k + 1)
+            for v in _dihedral_orbit(p, _unit(l / (8.0 * k * k * p)))]
+
+
+def _cyclic_generic(label, index, attempt, tol) -> list[complex]:
+    """k rotation orbits at radii l = 1..k, or l - 1/2 for Z_2 with no
+    fixed point: its sets live on the real line."""
+    (nu, k), p = index, label.p
+    shift = 0.5 if p == 2 and nu == 0 else 0.0
+    return [(l - shift) * _unit(j / p) for l in range(1, k + 1)
+            for j in range(p)]
 
 
 def _generic_seeds(order: int, k: int, attempt: int) -> list[RiemannPoint]:
-    """The seeds of k generic orbits of a group of this order: a fixed
-    generic base point, spun by small angles to keep the k orbits
-    disjoint; the whole base moves on retries."""
+    """The seeds of k generic orbits of a group of this order: a generic
+    base point spun by small angles, the whole base moved on retries."""
     base = 0.2870 + 0.1730j
     base *= (1.0 + 0.0370 * attempt) * cmath.exp(0.6100j * attempt)
     return [RiemannPoint.from_value(
                 base * cmath.exp(2j * math.pi * l / (8.0 * k * k * order)))
             for l in range(1, k + 1)]
+
+
+def _polyhedral_generic(label, index, attempt, tol) -> list[RiemannPoint]:
+    return [q for seed in _generic_seeds(label.order, index[-1], attempt)
+            for q in polyhedral_orbit(label.kind, seed, tol=tol).points]
+
+
+def _special(tag: str):  # the polyhedral special orbit with this tag
+    return lambda label: _special_orbits(label.kind)[tag]
+
+
+#: The dihedral families: the poles, the p-th roots of unity, and those
+#: turned by half a step, 1/(2p) = 1/|G| of a turn.
+_DIHEDRAL = (lambda label: (0.0, complex("inf")),
+             lambda label: _roots(label.order // 2),
+             lambda label: _roots(label.order // 2, 1.0 / label.order))
+
+#: Per kind: the families of each special index slot, in the order an
+#: index takes them, the schedule of the generic orbits, and the set maker.
+_RECIPES = {
+    **{kind: (tuple(tuple(map(_special, slot)) for slot in slots),
+              _polyhedral_generic, PointSet)
+       for kind, slots in _SPECIAL_TAGS.items()},
+    cl.DIHEDRAL: ((_DIHEDRAL[:1], _DIHEDRAL[1:]), _dihedral_generic,
+                  _pointset),
+    cl.K4: ((_DIHEDRAL,), _dihedral_generic, _pointset),  # p = 2, one slot
+    cl.CYCLIC: (((lambda label: (0.0,), lambda label: (complex("inf"),)),),
+                _cyclic_generic, _pointset),
+}
+
+
+def _assemble(label: cl.GroupLabel, index: tuple[int, ...], attempt: int,
+              tol: float) -> PointSet:
+    """The set of any index in the slot ranges, realizable or not; only
+    the polyhedral schedule moves with the attempt."""
+    slots, generic, make = _RECIPES[label.kind]
+    points = [q for count, slot in zip(index, slots)
+              for family in slot[:count] for q in family(label)]
+    points += generic(label, index, attempt, tol)
+    if label == cl.LABEL_Z2:  # inf after the generic orbits
+        points.sort(key=cmath.isinf)
+    return make(points, tol)
+
+
+#: Why a builder rejects an index that forces a larger stabilizer, per
+#: kind (per label for Z_2): the head, the reasons of single indices and
+#: the reason of all others.  {order} = |G|, so D_{order} is D_p's D_2p.
+_UNREALIZABLE = {
+    cl.DIHEDRAL: ("D_{p}", {
+        (0, 2, 0): "both root families alone are D_{order}-invariant",
+        (1, 2, 0): "both root families plus poles are D_{order}-invariant",
+        (1, 1, 0): "poles plus one root family of order 4 form the "
+                   "octahedron (S_4)",
+        (1, 0, 0): "the pole pair alone has infinite stabilizer",
+        (0, 0, 0): "empty index",
+    }, "not realizable without a generic orbit"),
+    cl.K4: ("K4", {}, "without a generic orbit the stabilizer is infinite, "
+                      "D_4 or S_4"),
+    cl.CYCLIC: ("Z_{p}", {
+        (0, 1): "a single rotation orbit is D_{p}-invariant",
+        (0, 2): "two rotation orbits admit an inverting symmetry (D_{p})",
+        (2, 1): "poles plus one rotation orbit are D_{p}-invariant",
+        (2, 2): "poles plus two rotation orbits are D_{p}-invariant",
+        (1, 1): "0 plus the third roots of unity form a tetrahedron (A_4)",
+    }, "not realizable"),
+    cl.LABEL_Z2: ("Z_2", {}, "the stabilizer is strictly larger (dihedral, "
+                             "polyhedral, or infinite)"),
+}
+
+
+def _checked_assembly(label, index, tol: float) -> PointSet:
+    """``_assemble`` at attempt 0; ValueError for an index out of the slot
+    ranges, UnrealizableIndex for one that forces a larger stabilizer."""
+    cl.validate_index(label, index)
+    if not cl.realizable(label, index):
+        head, reasons, other = (_UNREALIZABLE.get(label)
+                                or _UNREALIZABLE[label.kind])
+        why = reasons.get(index, other).format(p=label.p, order=label.order)
+        raise UnrealizableIndex(
+            f"{head.format(p=label.p)} with index {index}: {why}")
+    return _assemble(label, index, 0, tol)
+
+
+def dihedral_witness(p: int, index: tuple[int, ...],
+                     tol: float = DEFAULT_TOL) -> PointSet:
+    """A point set whose stabilizer is dihedral of rotation order p >= 2
+    (the Klein four-group for p = 2) with the given component index."""
+    return _checked_assembly(cl.dihedral(p), index, tol)
+
+
+def cyclic_witness(p: int, index: tuple[int, ...],
+                   tol: float = DEFAULT_TOL) -> PointSet:
+    """A point set whose stabilizer is cyclic of order p >= 2 with the
+    given component index."""
+    return _checked_assembly(cl.cyclic(p), index, tol)
 
 
 #: Seeds ``witness`` tries for a polyhedral entry; the others have no seed.
@@ -416,16 +397,8 @@ def witness(n: int, entry: cl.ClassificationEntry,
         # a seed on a special locus, or orbits closer than 2*tol, fail the
         # attempt: the set it proposes is not one at this tol
         try:
-            if kind == cl.TRIVIAL:
-                ps = trivial_witness(n, tol=tol)
-            elif kind in _SPECIAL_TAGS:
-                ps = _polyhedral_assembly(kind, entry.index, attempt, tol)
-            elif kind == cl.DIHEDRAL:
-                ps = dihedral_witness(entry.label.p, entry.index, tol=tol)
-            elif kind == cl.K4:
-                ps = dihedral_witness(2, entry.index, tol=tol)
-            else:
-                ps = cyclic_witness(entry.label.p, entry.index, tol=tol)
+            ps = (trivial_witness(n, tol=tol) if kind == cl.TRIVIAL
+                  else _assemble(entry.label, entry.index, attempt, tol))
         except (SeedOnSpecialLocus, AmbiguousMatching) as exc:
             failures.append(f"attempt {attempt}: {type(exc).__name__}: {exc}")
             continue

@@ -1,21 +1,30 @@
-"""The polyhedral constructions in their straightforward form: the
+"""The witness constructions in their straightforward form: the
 reference that ``test_witness.py`` compares ``orbstab.witness`` against.
 
-Each function computes the same quantity as its namesake in
+The polyhedral functions compute the same quantity as their namesakes in
 ``orbstab.witness``, one pair at a time: the closure tests each candidate
 against every element found so far with ``maps_equal``, and the orbits
 test each point against every point kept so far with
 ``chordal_distance``.  The elements, their order and every orbit must
 come out bit for bit the same as the fast code's.
+
+``dihedral_witness`` and ``cyclic_witness`` build the dihedral, K4 and
+cyclic sets one kind at a time, each in its own closed form, for any
+index in the slot ranges, realizable or not.  ``_assemble``, which reads
+every kind from one table, must give the same points in the same order,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 
 from orbstab import classifier as cl
-from orbstab.geometry import (MobiusMap, RiemannPoint, chordal_distance,
-                              maps_equal, snap_point)
+from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
+                              chordal_distance, homogeneous_arrays,
+                              maps_equal, snap_arrays, snap_point)
 from orbstab.witness import _SPECIAL_TAGS, _orbit_key
 
 
@@ -66,3 +75,79 @@ def _special_orbits(kind: str, group) -> dict[str, tuple[RiemannPoint, ...]]:
     slots = zip(_SPECIAL_TAGS[kind], cl.GroupLabel(kind).orbit_sizes())
     tags = [tag for slot, _ in slots for tag in slot]
     return dict(zip(tags, orbits))
+
+
+def _pointset(values, tol: float) -> PointSet:
+    z, w, _ = homogeneous_arrays(values)
+    return PointSet.from_arrays(*snap_arrays(z, w), tol=tol)
+
+
+def _unit(angle_turns: float) -> complex:
+    return cmath.exp(2j * math.pi * angle_turns)
+
+
+def _roots(p: int, offset_turns: float = 0.0) -> list[complex]:
+    return [_unit(k / p + offset_turns) for k in range(p)]
+
+
+def _dihedral_orbit(p: int, z: complex) -> list[complex]:
+    return [z * _unit(k / p) for k in range(p)] + \
+           [_unit(k / p) / z for k in range(p)]
+
+
+def _cyclic_orbit(p: int, z: complex) -> list[complex]:
+    return [z * _unit(k / p) for k in range(p)]
+
+
+def dihedral_witness(p: int, index: tuple[int, ...],
+                     tol: float = DEFAULT_TOL) -> PointSet:
+    """The set of a dihedral index of rotation order p, K4 at p = 2."""
+    if p == 2:
+        nu, k = index
+        values: list[complex] = []
+        if nu >= 1:
+            values += [0.0, complex("inf")]
+        if nu >= 2:
+            values += [1.0, -1.0]
+        if nu >= 3:
+            values += [1j, -1j]
+        for l in range(1, k + 1):
+            values += _dihedral_orbit(2, _unit(l / (16.0 * k * k)))
+        return _pointset(values, tol)
+
+    nu, eps, k = index
+    values = []
+    if nu >= 1:
+        values += [0.0, complex("inf")]
+    if eps >= 1:
+        values += _roots(p)
+    if eps >= 2:
+        values += _roots(p, offset_turns=1.0 / (2.0 * p))
+    for l in range(1, k + 1):
+        values += _dihedral_orbit(p, _unit(l / (8.0 * k * k * p)))
+    return _pointset(values, tol)
+
+
+def cyclic_witness(p: int, index: tuple[int, ...],
+                   tol: float = DEFAULT_TOL) -> PointSet:
+    """The set of a cyclic index of order p; Z_2's sets lie on the real
+    line."""
+    nu, k = index
+    if p == 2:
+        if nu == 0:
+            values = [s * (2.0 * j - 1.0) / 2.0
+                      for j in range(1, k + 1) for s in (1.0, -1.0)]
+        else:
+            values = [0.0] + [s * float(j)
+                              for j in range(1, k + 1) for s in (1.0, -1.0)]
+            if nu == 2:
+                values.append(complex("inf"))
+        return _pointset(values, tol)
+    values = []
+    if nu >= 1:
+        values.append(0.0)
+    if nu >= 2:
+        values.append(complex("inf"))
+    for l in range(1, k + 1):
+        values += _cyclic_orbit(p, float(l))
+    return _pointset(values, tol)

@@ -18,8 +18,8 @@ from orbstab.moduli import (ANHARMONIC_GROUP, all_permutations, g_sigma_closed,
                             random_lambda, random_permutation, tuple_deviation,
                             verify_group_law)
 from orbstab.oracle import stabilizer
-from orbstab.witness import cyclic_witness, dihedral_witness, witness
-from orbstab.witness import _dihedral_orbit, _polyhedral_assembly, _unit
+from orbstab.witness import witness
+from orbstab.witness import _assemble, _dihedral_orbit, _unit
 
 DATA = pathlib.Path(__file__).parent / "data"
 N_MAX = 300
@@ -131,16 +131,16 @@ def test_criterion_3_witness_oracle_round_trip():
 def test_criterion_4_unrealizable_indices_oracle_checks():
     with Timer() as t:
         for p in (3, 5):
-            got = stabilizer(dihedral_witness(p, (0, 2, 0), force=True))
+            got = stabilizer(_assemble(dihedral(p), (0, 2, 0), 0, 1e-8))
             assert got.label == dihedral(2 * p)
-        got = stabilizer(dihedral_witness(4, (1, 1, 0), force=True))
+        got = stabilizer(_assemble(dihedral(4), (1, 1, 0), 0, 1e-8))
         assert got.label == cl.LABEL_S4
         for index in ((2, 0, 0), (0, 1, 0), (2, 1, 0)):
-            got = stabilizer(_polyhedral_assembly(cl.A4, index, 0, 1e-8))
+            got = stabilizer(_assemble(cl.LABEL_A4, index, 0, 1e-8))
             assert got.label == cl.LABEL_S4
-        got = stabilizer(cyclic_witness(5, (0, 1), force=True))
+        got = stabilizer(_assemble(cyclic(5), (0, 1), 0, 1e-8))
         assert got.label == dihedral(5)
-        got = stabilizer(dihedral_witness(2, (3, 0), force=True))
+        got = stabilizer(_assemble(cl.LABEL_K4, (3, 0), 0, 1e-8))
         assert got.label == cl.LABEL_S4
     assert t.elapsed < 10.0
     report(4, "excluded indices force the predicted larger groups",

@@ -41,6 +41,43 @@ def test_tol_at_its_bound_is_accepted(capsys, argv):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "5", "5", "--exhaustive-small", "--seed", "-10"], "--seed"),
+    (["moduli", "5", "--group-law", "--seed", "-1", "--trials", "1"], "--seed"),
+    (["moduli", "6", "--phi", "--seed", "-1"], "--seed"),
+    (["moduli", "5", "--group-law", "--trials", "-1"], "--trials"),
+], ids=["verify-seed", "group-law-seed", "phi-seed", "group-law-trials"])
+def test_negative_seed_or_trials_is_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"argument {option}: must be a non-negative integer" in captured.err
+
+
+def test_unwritable_out_is_exit_2_before_the_command_runs(capsys, tmp_path):
+    code, out, err = run(capsys, "witness", "5", "--entry", "(0)",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["witness", "0", "--entry", "(0)"], 2),
+    (["witness", "2", "--entry", "infinity"], 4),
+    (["moduli", "3", "--group-law"], 2),
+    (["moduli", "4", "--phi"], 2),
+], ids=["witness-n-0", "witness-infinity", "moduli-n-3", "phi-n-4"])
+def test_refused_requests_exit_with_an_error_line(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["witness", "verify"])
 def test_retry_bound_is_not_an_option(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -257,6 +294,14 @@ class TestModuli:
         code, out, _ = run(capsys, "moduli", "5", "--phi", "--preset", "d5")
         assert code == 0
         assert "|G_lambda| = 10" in out and "PASS" in out
+
+    def test_preset_and_lambda_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", "5", "--phi", "--preset", "d5", "--lambda", "2,3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --lambda: not allowed with argument --preset" in captured.err
 
     def test_nothing_to_do_is_exit_2(self, capsys):
         code, _, err = run(capsys, "moduli", "6")

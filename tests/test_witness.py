@@ -14,15 +14,20 @@ from orbstab.classifier import (ClassificationEntry, cardinality_of, classify,
 from orbstab.errors import (AmbiguousDecision, InvalidCardinality, OrbstabError,
                             SeedOnSpecialLocus, UnrealizableIndex,
                             WitnessSearchExhausted)
-from orbstab.geometry import PointSet, RiemannPoint
+from orbstab.geometry import MobiusMap, PointSet, RiemannPoint
 from orbstab.oracle import stabilizer
-from orbstab.witness import (PHI, PSI, _generators, _generic_seeds,
-                             _orbit_of, _polyhedral_assembly, _special_orbits,
-                             cyclic_witness, dihedral_witness,
-                             polyhedral_group, polyhedral_orbit,
-                             trivial_witness, witness)
+from orbstab.witness import (_assemble, _generators, _generic_seeds,
+                             _orbit_of, _special_orbits, cyclic_witness,
+                             dihedral_witness, polyhedral_group,
+                             polyhedral_orbit, trivial_witness, witness)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+#: Conjugators carrying the standard dihedral orbit families to the two
+#: rotated copies that arise when a Klein four-group sits inside a larger
+#: dihedral group in a non-standard position.  phi fixes +-i, psi fixes +-1.
+PHI = MobiusMap(1.0, -1.0, 1.0, 1.0)   # z -> (z - 1)/(z + 1)
+PSI = MobiusMap(1.0, 1j, 1j, 1.0)      # z -> (z + i)/(i z + 1)
 
 
 class TestPolyhedralGroups:
@@ -135,6 +140,48 @@ class TestAgainstReference:
             _special_orbits(kind)
 
 
+def _array_bits(ps):
+    return [a.tobytes() for a in ps.arrays()]
+
+
+def _slot_indices(label):
+    """Every index in the slot ranges of a dihedral, K4 or cyclic label
+    with at most three generic orbits, realizable or not."""
+    slots = {cl.DIHEDRAL: [range(2), range(3)], cl.K4: [range(4)],
+             cl.CYCLIC: [range(3)]}[label.kind]
+    return list(itertools.product(*slots, range(4)))
+
+
+#: The reference construction of each closed-form kind; K4 is its p = 2.
+_REFERENCE_BUILDS = {cl.DIHEDRAL: ref.dihedral_witness,
+                     cl.K4: ref.dihedral_witness, cl.CYCLIC: ref.cyclic_witness}
+
+
+class TestAssemblyAgainstReference:
+    """``_assemble`` builds the dihedral, K4 and cyclic sets of
+    ``reference_witness.py``: the same (z, w, norm) arrays, bit for bit."""
+
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_every_slot_index(self, p):
+        for label in (dihedral(p), cyclic(p)):
+            build = _REFERENCE_BUILDS[label.kind]
+            for index in _slot_indices(label):
+                assert _array_bits(_assemble(label, index, 0, 1e-8)) == \
+                    _array_bits(build(p, index)), (label, index)
+
+    def test_every_entry_up_to_sixty(self):
+        checked = 0
+        for n in range(5, 61):
+            for entry in classify(n):
+                if entry.label.kind not in _REFERENCE_BUILDS:
+                    continue
+                build = _REFERENCE_BUILDS[entry.label.kind]
+                assert _array_bits(witness(n, entry)) == \
+                    _array_bits(build(entry.label.p or 2, entry.index)), (n, entry)
+                checked += 1
+        assert checked == 859
+
+
 class TestDihedralWitness:
     def test_generic_orbits_d3(self):
         ps = dihedral_witness(3, (0, 0, 1))
@@ -166,10 +213,10 @@ class TestDihedralWitness:
 
     def test_force_build_reveals_larger_group(self):
         # both root families together are the 2p-th roots of unity
-        got = stabilizer(dihedral_witness(3, (0, 2, 0), force=True))
+        got = stabilizer(_assemble(dihedral(3), (0, 2, 0), 0, 1e-8))
         assert got.label == dihedral(6)
         # poles plus the order-4 roots form the octahedron
-        got = stabilizer(dihedral_witness(4, (1, 1, 0), force=True))
+        got = stabilizer(_assemble(dihedral(4), (1, 1, 0), 0, 1e-8))
         assert got.label == cl.LABEL_S4
 
 
@@ -201,25 +248,25 @@ class TestCyclicWitness:
             cyclic_witness(p, index)
 
     def test_force_build_reveals_larger_group(self):
-        got = stabilizer(cyclic_witness(5, (0, 1), force=True))
+        got = stabilizer(_assemble(cyclic(5), (0, 1), 0, 1e-8))
         assert got.label == dihedral(5)
         # 0 with the third roots of unity is a regular tetrahedron
-        got = stabilizer(cyclic_witness(3, (1, 1), force=True))
+        got = stabilizer(_assemble(cyclic(3), (1, 1), 0, 1e-8))
         assert got.label == cl.LABEL_A4
 
 
 def _rejected_small_indices():
-    """(builder, p, label, index) for every non-empty index with at most two
-    generic orbits and at least 3 points that the classifier rejects."""
+    """(label, index) for every non-empty index with at most two generic
+    orbits and at least 3 points that the classifier rejects."""
     cases = []
     for p in range(2, 9):
         dihedral_slots = [range(4)] if p == 2 else [range(2), range(3)]
-        for build, label, slots in ((dihedral_witness, dihedral(p), dihedral_slots),
-                                    (cyclic_witness, cyclic(p), [range(3)])):
+        for label, slots in ((dihedral(p), dihedral_slots),
+                             (cyclic(p), [range(3)])):
             for index in itertools.product(*slots, range(3)):
                 if (any(index) and not cl.realizable(label, index)
                         and cardinality_of(ClassificationEntry(label, index)) >= 3):
-                    cases.append((build, p, label, index))
+                    cases.append((label, index))
     return cases
 
 
@@ -228,8 +275,8 @@ def test_rejected_indices_have_a_larger_stabilizer():
     # strictly larger group on every index the rule rejects
     cases = _rejected_small_indices()
     assert len(cases) == 44
-    for build, p, label, index in cases:
-        got = stabilizer(build(p, index, force=True))
+    for label, index in cases:
+        got = stabilizer(_assemble(label, index, 0, 1e-8))
         assert got.label != label and got.order > label.order, (label, index)
 
 
@@ -337,5 +384,5 @@ class TestWitnessDispatcher:
 class TestForcedPolyhedralIndices:
     def test_absorbed_a4_indices_give_s4(self):
         for index in ((2, 0, 0), (0, 1, 0), (2, 1, 0)):
-            ps = _polyhedral_assembly(cl.A4, index, 0, 1e-8)
+            ps = _assemble(cl.LABEL_A4, index, 0, 1e-8)
             assert stabilizer(ps).label == cl.LABEL_S4
