@@ -17,11 +17,12 @@ import sys
 import numpy as np
 
 from . import classifier as cl
-from .errors import (InvalidCardinality, OrbstabError, UnrealizableIndex,
-                     WitnessSearchExhausted)
-from .geometry import DEFAULT_TOL, PointSet, RiemannPoint, parse_complex, point_to_str
-from .moduli import (LambdaTuple, phi_check, preset_lambda, random_lambda,
-                     verify_group_law)
+from .errors import (AmbiguousMatching, InvalidCardinality, OrbstabError,
+                     UnrealizableIndex, WitnessSearchExhausted)
+from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
+                       parse_complex, point_to_str)
+from .moduli import (_PRESETS, LambdaTuple, phi_check, preset_lambda,
+                     random_lambda, verify_group_law)
 from .oracle import stabilizer
 from .witness import witness
 
@@ -34,13 +35,19 @@ def _tol(text: str) -> float:
     return tol
 
 
-def _count(text: str) -> int:
-    """``--seed`` and ``--trials``: an integer >= 0, else a usage error."""
+def _count(text: str, least: int = 0) -> int:
+    """``--seed``'s type: an integer >= least, else a usage error."""
     count = int(text)
-    if count < 0:
+    if count < least:
         raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, not {text}")
+            f"must be a {('non-negative', 'positive')[least]} integer, "
+            f"not {text}")
     return count
+
+
+def _trials(text: str) -> int:
+    """``--trials``' type: a positive integer, else a usage error."""
+    return _count(text, least=1)
 
 
 def _add_common(parser, run):
@@ -85,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--group-law", action="store_true")
     p.add_argument("--phi", action="store_true")
-    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument("--trials", type=_trials, default=200)
     p.add_argument("--seed", type=_count, default=0)
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--preset", choices=("generic", "d5", "z2"))
+    source.add_argument("--preset", choices=tuple(_PRESETS))
     source.add_argument("--lambda", dest="lambda_csv", metavar="CSV",
                         help="comma-separated coordinates, e.g. '2+1i,5'")
     _add_common(p, cmd_moduli)
@@ -165,7 +172,6 @@ def cmd_witness(args, out: _Output) -> int:
 
 def _sample_configurations(n: int, rng, tol: float):
     """Random well-separated n-point sets for the exhaustive-small check."""
-    from .errors import AmbiguousMatching
     while True:
         xyz = rng.normal(size=(n, 3))
         xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
@@ -177,7 +183,6 @@ def _sample_configurations(n: int, rng, tol: float):
 
 
 def _random_mobius(rng):
-    from .geometry import MobiusMap
     while True:
         a, b, c, d = (complex(*rng.normal(size=2)) for _ in range(4))
         if abs(a * d - b * c) > 0.2:
@@ -194,30 +199,50 @@ def _jittered(ps: PointSet, rng, scale: float = 1e-3) -> PointSet:
     return PointSet(pts, tol=ps.tol)
 
 
+def _check_sample(report, n: int, listed, tag: str, ps: PointSet,
+                  expect=None) -> None:
+    """Report one sample's stabilizer: its entry must be ``expect`` when
+    given, else one of ``listed``."""
+    head = {"n": n, "sample": tag.strip()}
+    try:
+        got = stabilizer(ps).entry()
+    except OrbstabError as exc:  # report, do not abort the table
+        why = f"{type(exc).__name__}: {exc}"
+        return report(f"n={n:<4d} {tag} FAIL {why}",
+                      {**head, "entry": None, "pass": False, "detail": why})
+    if expect is None:
+        ok, why = got in listed, "entry not listed"
+    else:
+        ok, why = got == expect, f"expected {expect.to_line()}"
+    report(f"n={n:<4d} {tag} -> {got.to_line():<13s} "
+           f"{'PASS' if ok else f'FAIL ({why})'}",
+           {**head, "entry": got.to_json(), "pass": ok,
+            "detail": "" if ok else why})
+
+
 def cmd_verify(args, out: _Output) -> int:
     if not 3 <= args.n_min <= args.n_max:
         print("error: need 3 <= n_min <= n_max", file=sys.stderr)
         return 2
-    failures = 0
-    total = 0
     records = []
 
     def report(text: str, record: dict):
-        """One checked line: printed at once as text, or kept for the JSON."""
-        nonlocal total, failures
-        total += 1
-        failures += 0 if record["pass"] else 1
-        if args.json:
-            records.append(record)
-        else:
+        """One checked line: kept, and printed at once unless --json."""
+        records.append(record)
+        if not args.json:
             out.emit(text)
 
     for n in range(args.n_min, args.n_max + 1):
-        for entry in cl.classify(n):
+        entries = cl.classify(n)
+        sampling = args.exhaustive_small and n <= 7
+        verified = []  # this n's (entry, witness set) pairs, when sampling
+        for entry in entries:
             if entry.label.kind == cl.INFINITE:
                 continue
             try:
                 ps = witness(n, entry, tol=args.tol)
+                if sampling:
+                    verified.append((entry, ps))
                 got = stabilizer(ps)
                 ok = (got.label == entry.label and got.index == entry.index
                       and ps.n == n)
@@ -229,51 +254,27 @@ def cmd_verify(args, out: _Output) -> int:
                    f"{'PASS' if ok else 'FAIL'}{' ' + detail if detail else ''}",
                    {"n": n, "entry": entry.to_json(), "pass": ok,
                     "detail": detail})
-        if args.exhaustive_small and n <= 7:
-            listed = {(e.label, e.index) for e in cl.classify(n)}
-            rng = np.random.default_rng(args.seed + n)
-
-            def check_sample(tag, ps, expect=None):
-                try:
-                    got = stabilizer(ps)
-                except OrbstabError as exc:  # report, do not abort the table
-                    why = f"{type(exc).__name__}: {exc}"
-                    report(f"n={n:<4d} {tag} FAIL {why}",
-                           {"n": n, "sample": tag.strip(), "entry": None,
-                            "pass": False, "detail": why})
-                    return
-                if expect is not None:
-                    ok = got.entry() == expect
-                    why = f"expected {expect.to_line()}"
-                else:
-                    ok = (got.label, got.index) in listed
-                    why = "entry not listed"
-                report(f"n={n:<4d} {tag} -> {got.entry().to_line():<13s} "
-                       f"{'PASS' if ok else f'FAIL ({why})'}",
-                       {"n": n, "sample": tag.strip(),
-                        "entry": got.entry().to_json(), "pass": ok,
-                        "detail": "" if ok else why})
-
-            sampler = _sample_configurations(n, rng, args.tol)
-            for _ in range(25):
-                check_sample("sampled   ", next(sampler))
-            # structured: witnesses moved out of standard position must keep
-            # their exact entry; jittering the symmetry away must still land
-            # on a listed entry (the trivial one for n >= 5)
-            for entry in cl.classify(n):
-                if entry.label.kind == cl.INFINITE:
-                    continue
-                ps = witness(n, entry, tol=args.tol)
-                g = _random_mobius(rng)
-                moved = PointSet([g.apply(p) for p in ps.points], tol=args.tol)
-                check_sample("conjugated", moved, expect=entry)
-                check_sample("jittered  ", _jittered(ps, rng))
+        if not sampling:
+            continue
+        listed = set(entries)
+        rng = np.random.default_rng(args.seed + n)
+        sampler = _sample_configurations(n, rng, args.tol)
+        for _ in range(25):
+            _check_sample(report, n, listed, "sampled   ", next(sampler))
+        # a verified witness moved by a Mobius map keeps its exact entry;
+        # jittered, it lands on a listed one (the trivial one for n >= 5)
+        for entry, ps in verified:
+            g = _random_mobius(rng)
+            moved = PointSet([g.apply(p) for p in ps.points], tol=args.tol)
+            _check_sample(report, n, listed, "conjugated", moved, entry)
+            _check_sample(report, n, listed, "jittered  ", _jittered(ps, rng))
+    passed = sum(record["pass"] for record in records)
     if args.json:
-        out.emit(json.dumps({"entries": records, "passed": total - failures,
-                             "total": total}, indent=2))
+        out.emit(json.dumps({"entries": records, "passed": passed,
+                             "total": len(records)}, indent=2))
     else:
-        out.emit(f"summary: {total - failures}/{total} PASS")
-    return 1 if failures else 0
+        out.emit(f"summary: {passed}/{len(records)} PASS")
+    return 0 if passed == len(records) else 1
 
 
 def cmd_moduli(args, out: _Output) -> int:

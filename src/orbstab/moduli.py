@@ -469,6 +469,8 @@ def verify_group_law(n: int, trials: int = 200, rng_seed: int = 0,
     """
     if n < 4:
         raise ValueError("the action needs n >= 4")
+    if trials < 1:  # no composition checked would pass vacuously
+        raise ValueError(f"need at least one trial, not {trials}")
     rng = np.random.default_rng(rng_seed)
     max_dev = 0.0
     for _ in range(trials):
@@ -678,15 +680,19 @@ def _normalize_to_lambda(values) -> LambdaTuple:
     return LambdaTuple(tuple(f.apply(p).value() for p in pts[3:]))
 
 
+#: The command line's example configurations, name -> builder: 'generic'
+#: (trivial stabilizer), 'd5' (the regular pentagon; order 10) and 'z2'
+#: (the five-point antipodal configuration; order 2).
+_PRESETS = {
+    "generic": lambda: LambdaTuple((2.0 + 1.0j, 5.0)),
+    "d5": lambda: _normalize_to_lambda(
+        [cmath.exp(2j * math.pi * k / 5.0) for k in range(5)]),
+    "z2": lambda: _normalize_to_lambda([0.0, 1.0, 2.0, -1.0, -2.0]),
+}
+
+
 def preset_lambda(name: str) -> LambdaTuple:
-    """Named example configurations: 'generic' (trivial stabilizer),
-    'd5' (the regular pentagon; stabilizer of order 10) and 'z2' (the
-    five-point antipodal configuration; stabilizer of order 2)."""
-    if name == "generic":
-        return LambdaTuple((2.0 + 1.0j, 5.0))
-    if name == "d5":
-        roots = [cmath.exp(2j * math.pi * k / 5.0) for k in range(5)]
-        return _normalize_to_lambda(roots)
-    if name == "z2":
-        return _normalize_to_lambda([0.0, 1.0, 2.0, -1.0, -2.0])
-    raise ValueError(f"unknown preset {name!r} (try generic, d5, z2)")
+    """The named example configuration of ``_PRESETS``."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r} (try {', '.join(_PRESETS)})")
+    return _PRESETS[name]()

@@ -442,21 +442,14 @@ def _component_index(perms: np.ndarray, label: cl.GroupLabel):
         return (), tuple((i,) for i in range(perms.shape[1]))
     orbit_idx = _orbit_partition(perms)
     sizes = label.orbit_sizes()
-    counts = [0] * len(sizes)
-    for orbit in orbit_idx:
-        matched = False
-        for slot, s in enumerate(sizes):
-            # a slot counts every orbit of its size (two A4 tetrahedra,
-            # up to three K4 pairs)
-            if len(orbit) == s:
-                counts[slot] += 1
-                matched = True
-                break
-        if not matched:
-            raise OrbitSizeMismatch(
-                f"orbit of size {len(orbit)} is impossible under {label} "
-                f"(allowed: {sizes})")
-    index = tuple(counts)
+    lengths = [len(orbit) for orbit in orbit_idx]
+    stray = [length for length in lengths if length not in sizes]
+    if stray:
+        raise OrbitSizeMismatch(f"orbit of size {stray[0]} is impossible "
+                                f"under {label} (allowed: {sizes})")
+    # a label's slot sizes are distinct, so a slot counts every orbit of
+    # its size (two A4 tetrahedra, up to three K4 pairs)
+    index = tuple(map(lengths.count, sizes))
     try:
         cl.validate_index(label, index)
     except ValueError as exc:

@@ -1,15 +1,19 @@
+import argparse
+import importlib
 import json
 import pathlib
 
 import pytest
 
-from orbstab import cli
+from orbstab import cli, moduli
 from orbstab.cli import main
 from orbstab.classifier import classify
 from orbstab.errors import AmbiguousDecision
 from orbstab.geometry import format_complex, parse_complex
 
 DATA = pathlib.Path(__file__).parent / "data"
+# the package exports the function witness under the module's name
+witness_module = importlib.import_module("orbstab.witness")
 
 
 def run(capsys, *argv):
@@ -41,20 +45,25 @@ def test_tol_at_its_bound_is_accepted(capsys, argv):
     assert code == 0 and out
 
 
-@pytest.mark.parametrize("argv,option", [
-    (["verify", "5", "5", "--exhaustive-small", "--seed", "-10"], "--seed"),
-    (["moduli", "5", "--group-law", "--seed", "-1", "--trials", "1"], "--seed"),
-    (["moduli", "6", "--phi", "--seed", "-1"], "--seed"),
-    (["moduli", "5", "--group-law", "--trials", "-1"], "--trials"),
-], ids=["verify-seed", "group-law-seed", "phi-seed", "group-law-trials"])
-def test_negative_seed_or_trials_is_exit_2(capsys, argv, option):
+@pytest.mark.parametrize("argv,option,rule", [
+    (["verify", "5", "5", "--exhaustive-small", "--seed", "-10"], "--seed",
+     "non-negative"),
+    (["moduli", "5", "--group-law", "--seed", "-1", "--trials", "1"], "--seed",
+     "non-negative"),
+    (["moduli", "6", "--phi", "--seed", "-1"], "--seed", "non-negative"),
+    (["moduli", "5", "--group-law", "--trials", "-1"], "--trials", "positive"),
+    # no trial would check no composition and still pass
+    (["moduli", "5", "--group-law", "--trials", "0"], "--trials", "positive"),
+], ids=["verify-seed", "group-law-seed", "phi-seed", "group-law-trials",
+        "group-law-no-trials"])
+def test_negative_seed_or_trials_is_exit_2(capsys, argv, option, rule):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert "usage:" in captured.err
-    assert f"argument {option}: must be a non-negative integer" in captured.err
+    assert f"argument {option}: must be a {rule} integer" in captured.err
 
 
 def test_unwritable_out_is_exit_2_before_the_command_runs(capsys, tmp_path):
@@ -267,6 +276,55 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "summary: 129/129 PASS"
 
+    def test_exhaustive_small_builds_each_witness_once(self, capsys,
+                                                       monkeypatch):
+        # the samples reuse the entry pass's sets: one witness() per entry,
+        # and one oracle call per entry in witness(), per entry here and
+        # per sample (25 sampled, one conjugated and one jittered per entry)
+        calls = {"witness": 0, "oracle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "witness", counted("witness", cli.witness))
+        monkeypatch.setattr(cli, "stabilizer",
+                            counted("oracle", cli.stabilizer))
+        monkeypatch.setattr(witness_module, "stabilizer",
+                            counted("oracle", witness_module.stabilizer))
+        code, out, _ = run(capsys, "verify", "5", "7", "--exhaustive-small")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: 129/129 PASS"
+        entries = sum(len(classify(n)) for n in (5, 6, 7))
+        assert calls == {"witness": entries,
+                         "oracle": 3 * 25 + 4 * entries} == {"witness": 18,
+                                                             "oracle": 147}
+
+    def test_an_entry_without_a_witness_gets_no_samples(self, capsys,
+                                                         monkeypatch):
+        build = cli.witness
+        lost = classify(5)[1]
+
+        def witness_but_one(n, entry, tol):
+            if entry == lost:
+                raise RuntimeError("no witness")
+            return build(n, entry, tol=tol)
+
+        monkeypatch.setattr(cli, "witness", witness_but_one)
+        code, out, err = run(capsys, "verify", "5", "5", "--exhaustive-small")
+        assert code == 1 and "Traceback" not in err
+        lines = out.splitlines()
+        assert f"n=5    {lost.to_line():<24s} FAIL RuntimeError: no witness" in lines
+        assert [l for l in lines if " FAIL" in l] == [
+            f"n=5    {lost.to_line():<24s} FAIL RuntimeError: no witness"]
+        conjugated = [l for l in lines if "conjugated" in l]
+        assert len(conjugated) == len(classify(5)) - 1
+        assert not any(f"-> {lost.to_line()} " in l for l in conjugated)
+        assert sum("jittered" in l for l in lines) == len(classify(5)) - 1
+        assert lines[-1] == f"summary: {len(lines) - 2}/{len(lines) - 1} PASS"
+
     def test_fail_lines_stay_short_after_many_attempts(self, capsys):
         # at tol 1e-3 the S_4 and A_4 searches fail all 16 attempts; a line
         # names the count, the first note and the last
@@ -302,6 +360,14 @@ class TestModuli:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "argument --lambda: not allowed with argument --preset" in captured.err
+
+    def test_preset_choices_are_the_preset_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        preset = next(a for a in sub.choices["moduli"]._actions
+                      if a.dest == "preset")
+        assert preset.choices == tuple(moduli._PRESETS)
+        assert preset.choices == ("generic", "d5", "z2")
 
     def test_nothing_to_do_is_exit_2(self, capsys):
         code, _, err = run(capsys, "moduli", "6")

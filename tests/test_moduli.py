@@ -409,6 +409,12 @@ class TestGroupLaw:
         assert rep.faithful_total == 119
         assert rep.faithful_moved == 119
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_an_error(self, trials):
+        # with no composition checked the report would pass vacuously
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_group_law(5, trials=trials)
+
     def test_points_are_built_at_the_given_tol(self, monkeypatch):
         seen = set()
         action = moduli.g_sigma

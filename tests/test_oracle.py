@@ -495,6 +495,16 @@ def test_orbit_sizes_must_fit_the_label():
     assert _component_index(np.array([identity, flip]), cl.LABEL_Z2)[0] == (1, 2)
 
 
+def test_slot_sizes_are_distinct_within_every_label():
+    # _component_index counts the orbits of each slot's size, which is the
+    # index only when no two slots of a label share a size
+    labels = [cl.LABEL_A5, cl.LABEL_S4, cl.LABEL_A4, cl.LABEL_K4,
+              *map(dihedral, range(3, 65)), *map(cyclic, range(2, 65))]
+    for label in labels:
+        sizes = label.orbit_sizes()
+        assert len(set(sizes)) == len(sizes), label
+
+
 def test_orbits_must_cover_the_set(monkeypatch):
     index_of = oracle._component_index
 
