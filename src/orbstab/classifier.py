@@ -125,6 +125,15 @@ class GroupLabel:
         elif self.p is None or self.p < min_p:
             raise ValueError(f"{self.kind} label needs parameter p >= {min_p}")
 
+    @classmethod
+    def _certified(cls, kind: str, p: int) -> "GroupLabel":
+        """The label of a kind that takes a parameter and a Python int p
+        that the caller has bounded by its ``min_p``; checks nothing."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "kind", kind)
+        object.__setattr__(label, "p", p)
+        return label
+
     @property
     def order(self) -> int:
         """Order of the abstract group: the size of its generic orbit."""
@@ -280,8 +289,10 @@ def classify(n: int) -> list[ClassificationEntry]:
     entry (present iff n >= 5).
     """
     ps = _rotation_orders(n)
+    # every p is at least 2: D_2 is K4, and the other labels need no check
     labels = [LABEL_INFINITE, LABEL_A5, LABEL_S4, LABEL_A4,
-              *map(dihedral, ps), *map(cyclic, ps), LABEL_TRIVIAL]
+              *(LABEL_K4 if p == 2 else GroupLabel._certified(DIHEDRAL, p) for p in ps),
+              *(GroupLabel._certified(CYCLIC, p) for p in ps), LABEL_TRIVIAL]
     return [entry for label in labels for entry in _entries(label, n)]
 
 

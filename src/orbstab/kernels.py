@@ -20,6 +20,17 @@ separation, wide enough to survive the stretching of centering, unless
 the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
+Before the grid, the first block of candidates is tried on one third
+point ``c``, the cloud point farthest from the plane of the anchor pair:
+a candidate that sends ``c`` within slack of no cloud point would match
+it to -1, and is dropped.  On a mirror-symmetric set the distance
+profiles cannot tell a point from its mirror image and leave a mirror
+candidate, which sends ``c`` onto the set only if the reflection of ``c``
+across the anchor pair's plane lies near a point of the set; the point
+farthest from that plane seldom does.  When the anchor's own pair is the
+only candidate left, only the identity can survive, and the scan returns
+it without building the grid.
+
 Matching only proposes permutations.  The scan returns the distinct ones
 that are bijections, in the order matching first found them, and the
 oracle decides which of them are stabilizer elements (see ``oracle``).
@@ -39,6 +50,7 @@ call: the 3x3 solve of a Newton step uses the adjugate.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -195,8 +207,8 @@ def _center(Z: np.ndarray, W: np.ndarray):
     return X, stretch, shift, r, steps
 
 
-def _distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """|r - s| for every point r with coordinates R (3, k) and s with
+def _squared_distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """|r - s|^2 for every point r with coordinates R (3, k) and s with
     coordinates C (3, n): a (k, n) array.  The squares are summed axis by
     axis, in order, as a reduction over a length-3 axis would sum them."""
     d2 = R[0][:, None] - C[0]
@@ -205,6 +217,13 @@ def _distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
         d = R[j][:, None] - C[j]
         d *= d
         d2 += d
+    return d2
+
+
+def _distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """|r - s| for every point r with coordinates R (3, k) and s with
+    coordinates C (3, n): a (k, n) array."""
+    d2 = _squared_distances(C, R)
     return np.sqrt(d2, out=d2)
 
 
@@ -310,6 +329,23 @@ def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return grid.lookup(F[0] * coords[0] + F[1] * coords[1] + F[2] * coords[2])
 
 
+def _third_point_lands(frames: np.ndarray, coords: np.ndarray, C: np.ndarray,
+                       slack: float) -> np.ndarray:
+    """Whether each candidate frame places the third point c within slack
+    of some cloud point (coordinates C, (3, n)).
+
+    c is the cloud point farthest from the anchor pair's plane, the one
+    whose third frame coordinate in ``coords`` is largest in modulus.  Its image is
+    computed as ``_match`` computes it, and its squared distances as
+    ``_Grid.lookup`` computes them, so a frame that lands nowhere is one
+    whose matched row has -1 at c.
+    """
+    c = int(np.abs(coords[2]).argmax())
+    F = frames.transpose(1, 2, 0)
+    Y = F[0] * coords[0, c] + F[1] * coords[1, c] + F[2] * coords[2, c]
+    return np.minimum.reduce(_squared_distances(C, Y), axis=1) <= slack ** 2
+
+
 def _crowds(dist, profiles, slack: float) -> np.ndarray:
     """How many points lie within slack of each distance ``dist[r, b]`` from
     option r, by binary search in its sorted distances ``profiles[r]``."""
@@ -394,17 +430,27 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
         near[r, images_a[blk]] = False  # a wide slack meets a' itself
         r, s = near.nonzero()
         ends += [images_a[blk][r], s]
-    frames = _frame(X.take(np.concatenate(ends[::2]), axis=0),
-                    X.take(np.concatenate(ends[1::2]), axis=0))
+    starts, stops = np.concatenate(ends[::2]), np.concatenate(ends[1::2])
+    frames = _frame(X.take(starts, axis=0), X.take(stops, axis=0))
     # the cloud in the anchor's frame, one row per frame axis
     axes = frames[0][:, :, None]
     coords = axes[:, 0] * C[0] + axes[:, 1] * C[1] + axes[:, 2] * C[2]
     frames = frames[1:]
 
+    # the first block's candidates that send the third point near no cloud
+    # point would match it to -1: drop them before the grid, and when the
+    # anchor's own pair is all that is left, only the identity survives
+    blocks = _row_blocks(len(frames), n)
+    first = next(blocks)
+    lands = _third_point_lands(frames[first], coords, C, slack)
+    own = (starts[1:][first] == a) & (stops[1:][first] == b)
+    if first.stop >= len(frames) and (lands == own).all():
+        return np.arange(n, dtype=np.int64)[None]
+
     grid = _Grid(X, slack)
     bijective = [np.empty((0, n), dtype=np.int64)]
-    for blk in _row_blocks(len(frames), n):
-        rows = _match(grid, frames[blk], coords)
+    for F in itertools.chain([frames[first][lands]], (frames[blk] for blk in blocks)):
+        rows = _match(grid, F, coords)
         bijective.append(rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)])
     # a slightly-off candidate rotation can snap onto a true permutation,
     # so each row is proposed once

@@ -11,6 +11,12 @@ triple scan that the tests keep as the reference.  A proposal that fails
 the test by no more than rounding could explain is in the decision gap:
 the oracle raises AmbiguousDecision rather than return a smaller group.
 
+A trivial stabilizer exits early, at one of two points.  When the kernel
+proposes the identity row alone, there is nothing to decide, and no base
+triple is picked; when the decision keeps the identity row alone, the
+checks below have nothing to check.  Either way the result is the
+trivial group, whose one map is exactly the identity.
+
 The rest works on the kept rows and maps in a few numpy passes, with no
 Python arithmetic per element: an element's order is the length of the
 cycle through the first base point it moves, walked for all rows at once
@@ -399,8 +405,6 @@ def _check_finite_orders(normalized, orders: np.ndarray, tol: float) -> None:
     are the identity row, whose map is the identity by construction.
     """
     moving = orders > 1
-    if not moving.any():
-        return
     g, det = normalized
     a, b, c, d = g[:, moving] / np.sqrt(det[moving])
     k = orders[moving]
@@ -437,9 +441,8 @@ def _orbit_partition(perms: np.ndarray) -> list[list[int]]:
 
 def _component_index(perms: np.ndarray, label: cl.GroupLabel):
     """The component index and the orbits, as point index tuples, of the
-    group whose every element has a row in perms."""
-    if label.kind == cl.TRIVIAL:
-        return (), tuple((i,) for i in range(perms.shape[1]))
+    group whose every element has a row in perms; the group is not
+    trivial."""
     orbit_idx = _orbit_partition(perms)
     sizes = label.orbit_sizes()
     lengths = [len(orbit) for orbit in orbit_idx]
@@ -476,8 +479,6 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
     identities = (orders == 1).nonzero()[0]
     if not len(identities):
         raise UnrecognizedGroup("stabilizer scan did not recover the identity")
-    if m == 1:
-        return
     def key(images):
         return (images[:, 0] * n + images[:, 1]) * n + images[:, 2]
 
@@ -531,6 +532,16 @@ def _reach(seen: list[bool], queue: list[int], products: list[list[int]]):
                 queue.append(h)
 
 
+#: The trivial group's one map, exactly the identity, as (4, 1) entries.
+_IDENTITY_MAP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+_IDENTITY_MAP.flags.writeable = False
+
+
+def _identity_alone(rows: np.ndarray) -> bool:
+    """Whether the permutation rows are the identity row and nothing else."""
+    return len(rows) == 1 and bool((rows[0] == np.arange(rows.shape[1])).all())
+
+
 def stabilizer(ps: PointSet) -> StabilizerResult:
     """The full Mobius stabilizer of a well-separated point set (|set| >= 3).
 
@@ -539,6 +550,7 @@ def stabilizer(ps: PointSet) -> StabilizerResult:
     one lands in the decision gap), reads each element's
     order from its row, checks closure on the rows, checks the maps, and
     returns them with the group identification and orbit decomposition.
+    A lone identity row, proposed or kept, is the trivial group at once.
     Builds no ``MobiusMap`` or ``RiemannPoint``; the result does so when
     its elements or orbits are read.
     """
@@ -546,10 +558,15 @@ def stabilizer(ps: PointSet) -> StabilizerResult:
         raise InvalidCardinality("stabilizers of sets with fewer than 3 points "
                                  "are infinite; the oracle handles only "
                                  "finite ones")
-    base_triple = _pick_base_triple(ps)
     z, w, _ = ps.arrays()
-    proposals = scan_stabilizer_triples(z, w, ps.tol)
-    perms, maps = _decide(ps, base_triple, proposals)
+    perms = proposals = scan_stabilizer_triples(z, w, ps.tol)
+    if not _identity_alone(perms):
+        base_triple = _pick_base_triple(ps)
+        perms, maps = _decide(ps, base_triple, proposals)
+    if _identity_alone(perms):
+        perms.flags.writeable = False
+        return StabilizerResult(cl.LABEL_TRIVIAL, (), _IDENTITY_MAP, perms,
+                                tuple((i,) for i in range(ps.n)), ps)
     base = np.array(base_triple)
     # n >= 3 points make the action faithful, so permutation closure is
     # equivalent to group closure of the maps themselves

@@ -463,7 +463,10 @@ def stabilizer(ps: PointSet,
     maps = base_triple_maps(z, w, base, perms)
     _check_finite_orders(_check_nondegenerate(maps), orders, ps.tol)
     label = _label_of(len(perms), int(orders.max()))
-    index, orbits = _component_index(perms, label)
+    if label.kind == cl.TRIVIAL:
+        index, orbits = (), tuple((i,) for i in range(ps.n))
+    else:
+        index, orbits = _component_index(perms, label)
     if sum(len(o) for o in orbits) != ps.n:
         raise OrbitSizeMismatch("orbit sizes do not add up to the set size")
     for a in (*maps, perms):

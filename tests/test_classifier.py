@@ -298,6 +298,21 @@ def test_enumerated_entries_equal_checked_entries():
             assert all(type(i) is int for i in entry.index), entry
 
 
+def test_classify_labels_equal_checked_labels():
+    # classify builds its dihedral and cyclic labels without the checks
+    seen = set()
+    for n in range(3, 203):
+        for entry in classify(n):
+            label = entry.label
+            if label.kind in (cl.DIHEDRAL, cl.CYCLIC) and label.p <= 200:
+                checked = (dihedral if label.kind == cl.DIHEDRAL else cyclic)(label.p)
+                assert label == checked and hash(label) == hash(checked), label
+                assert type(label.p) is int, label
+                seen.add((label.kind, label.p))
+    assert seen == {(cl.DIHEDRAL, p) for p in range(3, 201)} | \
+        {(cl.CYCLIC, p) for p in range(2, 201)}
+
+
 class TestStructuralInvariants:
     def test_trivial_iff_n_at_least_5(self):
         for n in range(1, 40):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from orbstab.errors import AmbiguousMatching, CenteringFailed
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
                               chordal_distance, mobius_through_triple)
 from orbstab.kernels import active_backend, scan_stabilizer_triples
+from orbstab.moduli import random_lambda
 from orbstab.oracle import _pick_base_triple, stabilizer
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
 from reference_oracle import permutation_of
@@ -340,7 +342,7 @@ def witness_sets(n):
         yield f"{entry} near inf", far
 
 
-@pytest.mark.parametrize("n", range(5, 17))
+@pytest.mark.parametrize("n", range(5, 31))
 def test_search_equals_reference_on_every_witness(n):
     for name, ps in witness_sets(n):
         base, rows = run_scan(ps)
@@ -468,3 +470,73 @@ def test_grid_builds_no_corner_where_and_looks_up_without_prefill(monkeypatch):
     monkeypatch.setattr(np, "full", forbidden)
     found = grid.lookup(X.T[:, None, :] + 1e-9)
     assert found.tolist() == [list(range(40))]
+
+
+def asym_round(seed):
+    """The sets of one oracle-asym benchmark round, drawn as the benchmark
+    draws them from its seed."""
+    from test_benchmark_contract import workloads
+    rng = np.random.default_rng([seed, workloads.NAMES.index("oracle-asym")])
+    for kind, n in workloads._ASYM_ROUND:
+        yield f"oracle-asym seed={seed} {kind} n={n}", workloads._asym_set(rng, kind, n)
+
+
+def k_n_sets():
+    """Random K_n points (0, 1, inf and n - 3 generic values), n = 5..12."""
+    rng = np.random.default_rng(25)
+    for n in range(5, 13):
+        for i in range(4):
+            yield f"K_{n} #{i}", random_lambda(n, rng).point_set()
+
+
+#: The asymmetric sets of the third-point corpus, in parts: the
+#: oracle-asym rounds of seeds 1 to 3, and random K_n points.
+ASYMMETRIC_CORPUS = {
+    **{f"oracle-asym {seed}": functools.partial(asym_round, seed) for seed in (1, 2, 3)},
+    "K_n": k_n_sets,
+}
+
+#: The third-point corpus: the witnesses for n = 5..30 as built, moved and
+#: moved near infinity, and the asymmetric sets.
+THIRD_POINT_CORPUS = {
+    "witnesses": lambda: (s for n in range(5, 31) for s in witness_sets(n)),
+    **ASYMMETRIC_CORPUS,
+}
+
+
+def record_third_point(monkeypatch) -> list:
+    """Record each third-point check: its arguments and its result."""
+    calls = []
+    lands = kernels._third_point_lands
+
+    def recorded(frames, coords, C, slack):
+        calls.append((frames, coords, C, slack, lands(frames, coords, C, slack)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(kernels, "_third_point_lands", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("part", THIRD_POINT_CORPUS)
+def test_third_point_drops_exactly_the_frames_that_match_it_to_nothing(
+        monkeypatch, part):
+    calls = record_third_point(monkeypatch)
+    dropped = 0
+    for name, ps in THIRD_POINT_CORPUS[part]():
+        calls.clear()
+        z, w, _ = ps.arrays()
+        scan_stabilizer_triples(z, w, ps.tol)
+        (frames, coords, C, slack, lands), = calls
+        c = int(np.abs(coords[2]).argmax())
+        rows = kernels._match(kernels._Grid(C.T, slack), frames, coords)
+        assert np.array_equal(rows[:, c] != -1, lands), name
+        dropped += int((~lands).sum())
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("part", ASYMMETRIC_CORPUS)
+def test_search_equals_reference_on_asymmetric_sets(part):
+    # the witnesses n = 5..30 are test_search_equals_reference_on_every_witness's
+    for name, ps in ASYMMETRIC_CORPUS[part]():
+        assert row_set(run_scan(ps)[1]) == row_set(run_reference(ps)[1]), name
+

@@ -25,8 +25,11 @@ from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orde
                             _label_of, _orbit_partition, base_triple_maps,
                             _pick_base_triple, _reach, _row_orders,
                             identify_group, projective_order, stabilizer)
-from orbstab.witness import dihedral_witness, polyhedral_orbit, witness
+from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
+import reference_oracle
 from reference_oracle import component_index, distance_matrix, index_of
+from test_kernels import asym_round, record_third_point
+from test_reference_paths import IDENTITY_MAP, sphere_set
 
 
 def values(*vs):
@@ -544,7 +547,9 @@ def test_each_map_is_solved_once_per_call(monkeypatch):
             PointSet.from_values([1, 1j, -1, -1j, 2])]
     for ps in sets:
         stabilizer(ps)
-    assert len(proposed) == len(solved) == len(sets)
+    # the trivial set's scan proposes the identity alone: nothing to solve
+    assert len(proposed) == len(sets) and len(solved) == len(sets) - 1
+    assert proposed[-1].tolist() == [list(range(5))]
     for rows, proposals in zip(solved, proposed):
         assert rows is proposals
         assert len(np.unique(rows, axis=0)) == len(rows)
@@ -600,8 +605,11 @@ def eager_result(ps):
     reference for the properties built on read."""
     base, rows = scan(ps)
     z, w, _ = ps.arrays()
-    maps = base_triple_maps(z, w, base, rows)
-    order = _canonical_order(maps) if len(rows) > 1 else [0]
+    if len(rows) > 1:
+        maps = base_triple_maps(z, w, base, rows)
+        order = _canonical_order(maps)
+    else:  # the trivial group's element is exactly the identity
+        maps, order = IDENTITY_MAP, [0]
     elements = tuple(MobiusMap(*e) for e in zip(*(x[order].tolist() for x in maps)))
     label = _label_of(len(rows), int(_row_orders(rows, base).max()))
     if label.kind == cl.TRIVIAL:
@@ -652,8 +660,8 @@ def test_result_arrays_are_read_only():
                                      (complex("nan"), 0.0, 0.0, 1.0)],
                          ids=["zero determinant", "zero matrix", "nan entry"])
 @pytest.mark.parametrize("ps", [dihedral_witness(5, (0, 0, 1)),
-                                PointSet.from_values([1, 1j, -1, -1j, 2])],
-                         ids=["D_5", "trivial"])
+                                PointSet.from_values([0, 1, -1, 2, -2])],
+                         ids=["D_5", "Z_2"])
 def test_degenerate_maps_raise_at_call_time(monkeypatch, entries, ps):
     # the decision hands on the maps it solved for its chordal test;
     # replace them
@@ -760,3 +768,74 @@ def test_base_triple_is_nearly_as_separated_as_the_dense_choice(witness_rows):
         worst = min(worst, triple_separation(ps, triple)
                     / triple_separation(ps, dense_base_triple(ps)))
     assert worst >= 0.5
+
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
+def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
+    # the third point leaves only the anchor's own pair, so the scan builds
+    # no grid; a lone identity row needs no base triple, solve or decision
+    grids = []
+
+    class CountedGrid(kernels._Grid):
+        def __init__(self, X, slack):
+            grids.append(name)
+            super().__init__(X, slack)
+
+    monkeypatch.setattr(kernels, "_Grid", CountedGrid)
+    for step in ("_pick_base_triple", "base_triple_maps", "_decide"):
+        monkeypatch.setattr(oracle, step, forbidden(step))
+    rng = np.random.default_rng(26)
+    sets = [(f"trivial n={n}", trivial_witness(n)) for n in range(5, 81)]
+    sets += [(f"sphere n={n}", sphere_set(rng.normal(size=(n, 3)))) for n in range(12, 81)]
+    for name, ps in sets:
+        res = stabilizer(ps)
+        assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name
+        assert res.maps.tobytes() == IDENTITY_MAP.tobytes(), name
+        assert res.orbit_indices == tuple((i,) for i in range(ps.n)), name
+    # at n = 8 the anchor's mirror candidate sends the third point onto
+    # another point; the grid then finds -1 elsewhere in its row
+    assert grids == ["trivial n=8"]
+
+
+def test_a_decision_keeping_the_identity_alone_skips_the_checks(monkeypatch):
+    # jittered near-symmetric sets: matching proposes rows that the
+    # decision rejects, and the identity it keeps is the trivial result
+    monkeypatch.setattr(oracle, "_row_orders", forbidden("_row_orders"))
+    jittered = [(name, ps) for name, ps in asym_round(1) if "jittered" in name]
+    assert len(jittered) == 14
+    for name, ps in jittered:
+        z, w, _ = ps.arrays()
+        assert len(scan_stabilizer_triples(z, w, ps.tol)) > 1, name
+        res = stabilizer(ps)
+        assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name
+
+
+def test_candidates_past_the_first_block_match_as_before(monkeypatch):
+    # D_130 on 260 points: at least 260 candidate pairs, in blocks of
+    # _BLOCK // 260 = 252; the third point checks the first block only
+    calls = record_third_point(monkeypatch)
+    matched = []
+    match = kernels._match
+
+    def counted(grid, frames, coords):
+        matched.append(len(frames))
+        return match(grid, frames, coords)
+
+    monkeypatch.setattr(kernels, "_match", counted)
+    ps = dihedral_witness(130, (0, 0, 1))
+    res = stabilizer(ps)
+    (frames, *_, lands), = calls
+    assert len(frames) == kernels._BLOCK // ps.n
+    assert len(matched) >= 2 and matched[0] == lands.sum()
+    assert len(frames) + sum(matched[1:]) >= ps.n
+    want = reference_oracle.stabilizer(ps)
+    assert (res.label, res.index, res.orbit_indices) == \
+        (want.label, want.index, want.orbit_indices) == (dihedral(130), (0, 0, 1),
+                                                         (tuple(range(260)),))
+    assert res.rows.tolist() == want.rows.tolist()
+    assert res.maps.tobytes() == np.array(want.maps).tobytes()

@@ -91,17 +91,37 @@ AMBIGUOUS = {
 }
 
 
+#: The trivial group's map, exactly the identity, as the oracle returns it.
+IDENTITY_MAP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+
+
 def outcome(stabilizer, ps):
     """What the oracle reports: the entry, orbits, row set, rows in order
-    and the bytes of the maps, or the named error it raises."""
+    and the maps, or the named error it raises."""
     try:
         res = stabilizer(ps)
     except OrbstabError as exc:
         return type(exc).__name__, str(exc)
     rows = np.asarray(res.rows)
     return (res.label, res.index, res.orbit_indices,
-            sorted(map(tuple, rows.tolist())), rows.tolist(),
-            np.asarray(res.maps).tobytes())
+            sorted(map(tuple, rows.tolist())), rows.tolist(), np.asarray(res.maps))
+
+
+def assert_same_outcome(ps, got, want, name):
+    """Everything but the maps is equal, and so are the maps' bytes above
+    order 1.  The oracle's trivial map is exactly the identity, and the
+    reference's, solved through its base triple, sends every point within
+    tol of itself."""
+    if isinstance(got[0], str) or isinstance(want[0], str):
+        assert got == want, name
+        return
+    assert got[:-1] == want[:-1], name
+    if len(got[4]) > 1:
+        assert got[-1].tobytes() == want[-1].tobytes(), name
+    else:
+        assert got[-1].tobytes() == IDENTITY_MAP.tobytes(), name
+        z, w, nrm = ps.arrays()
+        assert oracle._misses(z, w, nrm, want[-1], np.array(want[4])).max() <= ps.tol, name
 
 
 def assert_grids_equal(X, slack, name):
@@ -130,7 +150,7 @@ def assert_matches_reference(name, ps, error=None):
     assert_grids_equal(X, max(d.min() / 4.0, 2.0 * ps.tol * rest[0]), name)
     got = outcome(oracle.stabilizer, ps)
     if error is None:
-        assert got == outcome(ref.stabilizer, ps), name
+        assert_same_outcome(ps, got, outcome(ref.stabilizer, ps), name)
     else:
         assert got[0] == error, name
     return got
