@@ -334,12 +334,15 @@ def _label(name: str, p: int | None = None) -> GroupLabel:
 
 
 def parse_entry(text: str) -> ClassificationEntry:
-    """Parse an entry selector such as "Z_2,(1,2)", "D_7, (0, 1, 0)" or "(0)"."""
+    """Parse an entry selector such as "Z_2,(1,2)", "D_7, (0, 1, 0)" or "(0)".
+
+    A bare entry is read from its line, or from its JSON group name in any
+    case, such as "trivial"."""
     s = text.strip()
-    if s == "(0)":
-        return ClassificationEntry(LABEL_TRIVIAL, ())
-    if s.lower() == "infinity":
-        return ClassificationEntry(LABEL_INFINITE, ())
+    for kind in _BARE:
+        entry = ClassificationEntry(GroupLabel(kind), ())
+        if s == entry.to_line() or s.lower() == _NAMES[kind]:
+            return entry
     head, sep, tail = s.partition(",")
     if not sep:
         raise ValueError(f"cannot parse entry {text!r}")

@@ -253,7 +253,7 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
-    # Kept only for projective_order, which the benchmark wraps (ROADMAP item 1).
+    # Kept only for projective_order, which the benchmark wraps (ROADMAP benchmark request B3).
     def power(self, m: int) -> "MobiusMap":
         """m-th iterate by binary exponentiation; m may be negative."""
         if m < 0:
@@ -290,7 +290,7 @@ class MobiusMap:
         return points[0], points[1]
 
 
-# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP benchmark request B3).
 def maps_equal(f: MobiusMap, g: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
     """Projective equality: f g^-1 is a scalar multiple of the identity."""
     return f.compose(g.inverse()).is_identity(tol)

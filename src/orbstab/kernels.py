@@ -98,7 +98,7 @@ _SIDES = np.array([-1.0, 1.0])[:, None, None]
 _EYE = np.eye(3)
 
 
-# Kept only because the benchmark records it (ROADMAP item 1).
+# Kept only because the benchmark records it (ROADMAP benchmark request B3).
 def active_backend() -> str:
     """The scan implementation in use; there is one."""
     return "numpy"

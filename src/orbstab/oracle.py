@@ -157,29 +157,23 @@ def base_triple_maps(Z, W, base, rows) -> np.ndarray:
 
 
 #: The decision gap.  A proposal whose map misses the chordal test at tol
-#: is rejected only when its miss is more than rounding could have made of
-#: a true element; a smaller miss is neither kept nor rejected, and the
-#: oracle raises AmbiguousDecision.  The gap ends, per point, at the least
-#: of three edges:
+#: is rejected only when its worst miss is more than rounding could have
+#: made of a true element; a smaller miss is neither kept nor rejected, and
+#: the oracle raises AmbiguousDecision.  The gap ends at ``_ROUNDING``
+#: machine epsilons times the condition of the row's solve, cond(m) cond(A)
+#: for the map f = A m, m the base triple's matrix to (0, 1, inf): the most
+#: that rounding in the data and the solve can stretch to.  This edge does
+#: not move with tol, so a near-symmetry of the data is rejected at every
+#: tol it misses.
 #:
-#: - ``_GAP`` tol, so that only misses near tol are doubted;
-#: - ``_ROUNDING`` machine epsilons times the condition of the row's solve,
-#:   cond(m) cond(A) for the map f = A m, m the base triple's matrix to
-#:   (0, 1, inf): the most that rounding in the data and the solve can
-#:   stretch to.  This edge does not move with tol, so a near-symmetry of
-#:   the data is rejected at every tol it misses;
-#: - a quarter of the distance from the point's partner to the partner's
-#:   nearest neighbour: an image that far off no longer singles out its
-#:   partner.
-#:
-#: Measured per rejected row at tol 1e-8: true elements that miss through
-#: rounding (sets squeezed into a cap of 1e-4..1e-6, normalized points of
-#: K_n 2e-5 apart) miss by at most 3.5e3 eps cond and 3e-4 of the partner's
-#: separation; the wrong proposals on jittered asymmetric sets, the
-#: benchmark's among them, by at least 7e10 eps cond, and those on sets whose
-#: points lie a few tol apart by 0.1 to 0.9 of the separation.
-#: ``_ROUNDING`` sits near the geometric middle of 3.5e3 and 7e10.
-_GAP = 1e3
+#: Measured per rejected row at tol 1e-8, as worst miss / (eps cond): true
+#: elements of witnesses squeezed into caps of 1e-3..1e-7 (664 rows) miss
+#: by at most 1.5; wrong proposals on jittered asymmetric sets, the
+#: benchmark's among them (3020 rows), by at least 7.7e10, and on sets
+#: whose points lie a few tol apart by at least 2.9e11.  ``_ROUNDING`` lies
+#: 7 orders of magnitude from both.  A squeeze shrinks a wrong proposal's
+#: miss with the cap and grows the condition as the cap's inverse square,
+#: so on a set squeezed far enough a wrong proposal lands in the gap too.
 _ROUNDING = 1e7
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -210,36 +204,27 @@ def _decide(ps: PointSet, base, proposals: np.ndarray):
     """The proposed rows that are stabilizer elements, and their maps as
     one (4, kept) array: each row's map is solved through the base triple
     and the row is kept when its worst miss is at most tol.  Raises
-    AmbiguousDecision when a row misses by more than tol but lies in the
-    decision gap."""
+    AmbiguousDecision when a row misses by more than tol but by no more
+    than the rounding edge of its solve."""
     z, w, nrm = ps.arrays()
     tol = ps.tol
     maps = base_triple_maps(z, w, base, proposals)
     worst = np.empty(len(proposals))
-    doubted = []  # the misses of the rows that miss by tol to _GAP tol
     for blk in _row_blocks(len(proposals), ps.n):
-        miss = _misses(z, w, nrm, maps[:, blk], proposals[blk])
-        top = np.maximum.reduce(miss, axis=1, out=worst[blk])
-        doubted.append(miss[(top > tol) & (top <= _GAP * tol)])
+        np.maximum.reduce(_misses(z, w, nrm, maps[:, blk], proposals[blk]),
+                          axis=1, out=worst[blk])
     kept = worst <= tol
-    torn = ~kept & (worst <= _GAP * tol)
-    if torn.any():
-        # the other two edges, on the few rows that the first left in the gap
-        rows, f, miss = proposals[torn], maps[:, torn], np.concatenate(doubted)
+    if not kept.all():
         b0, b1, b2 = base
         m = zero_one_inf_entries(z[b0], w[b0], z[b1], w[b1], z[b2], w[b2])
-        d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
-        np.fill_diagonal(d, np.inf)
-        edge = np.minimum(
-            _ROUNDING * _EPS * _solve_conditions(f, m)[:, None],
-            d.min(axis=1).take(rows) / 4.0)
-        inside = (miss <= edge).all(axis=1)
-        if inside.any():
+        missed = worst[~kept]
+        doubted = missed[missed <= _ROUNDING * _EPS * _solve_conditions(maps[:, ~kept], m)]
+        if len(doubted):
             raise AmbiguousDecision(
-                f"{int(inside.sum())} proposed element(s) fail the chordal "
-                f"test at tol but lie in the decision gap: smallest such miss "
-                f"{worst[torn][inside].min() / tol:.3g} tol, largest kept "
-                f"miss {worst[kept].max(initial=0.0) / tol:.3g} tol")
+                f"{len(doubted)} proposed element(s) fail the chordal test at tol "
+                f"but lie in the decision gap: smallest such miss "
+                f"{doubted.min() / tol:.3g} tol, largest kept miss "
+                f"{worst[kept].max(initial=0.0) / tol:.3g} tol")
     return proposals[kept], maps[:, kept]
 
 
@@ -260,7 +245,7 @@ def _canonical_order(f) -> np.ndarray:
     return np.lexsort(key.T[::-1])
 
 
-# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP benchmark request B3).
 def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
     """Order of f in the Mobius group, which must be at most cap.
 
@@ -316,7 +301,7 @@ def _label_of(n: int, m: int) -> cl.GroupLabel:
         "group; closure check or tolerance failure")
 
 
-# Kept only because the benchmark's tracer wraps it by name (ROADMAP item 1).
+# Kept only because the benchmark's tracer wraps it by name (ROADMAP benchmark request B3).
 def identify_group(elements, tol: float = DEFAULT_TOL) -> cl.GroupLabel:
     """Identify a finite Mobius group from its element list, by the
     signature of ``_label_of``."""

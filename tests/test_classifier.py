@@ -404,6 +404,12 @@ class TestSerialization:
     def test_line_round_trip(self, text):
         assert parse_entry(text).to_line() == text
 
+    @pytest.mark.parametrize("kind", list(cl._BARE))
+    def test_bare_entries_parse_from_their_line_and_their_json_name(self, kind):
+        entry = ClassificationEntry(GroupLabel(kind), ())
+        assert parse_entry(entry.to_line()) == entry
+        assert parse_entry(entry.to_json()["group"]) == entry
+
     def test_parse_tolerates_spacing(self):
         assert parse_entry("Z_2,(1,2)") == parse_entry("Z_2, (1, 2)")
 

@@ -6,7 +6,7 @@ import pytest
 
 from orbstab import classifier as cl, kernels, oracle
 from orbstab.classifier import classify, parse_entry
-from orbstab.errors import AmbiguousMatching, CenteringFailed
+from orbstab.errors import AmbiguousDecision, AmbiguousMatching, CenteringFailed
 from orbstab.geometry import (MobiusMap, PointSet, RiemannPoint, _matrix_to_zero_one_inf,
                               chordal_distance, mobius_through_triple)
 from orbstab.kernels import active_backend, scan_stabilizer_triples
@@ -369,6 +369,13 @@ def squeezed(ps, eps, rng):
     return PointSet([g.apply(p) for p in ps.points], tol=ps.tol)
 
 
+#: The (eps, n) of the squeezed trivial witness on which a proposal misses
+#: at tol by less than rounding in its solve could explain: the oracle
+#: raises AmbiguousDecision, and the reference, which has no decision gap,
+#: keeps the identity alone.
+AMBIGUOUS_SQUEEZED = {(1e-7, 6)}
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-7])
 def test_squeezed_sets_are_centered(eps):
     # rounding stops centering short of its residual when the set lies in a
@@ -376,6 +383,11 @@ def test_squeezed_sets_are_centered(eps):
     rng = np.random.default_rng(11)
     for n in (6, 9, 12):
         ps = squeezed(trivial_witness(n), eps, rng)
+        if (eps, n) in AMBIGUOUS_SQUEEZED:
+            assert row_set(run_reference(ps)[1]) == [tuple(range(n))]
+            with pytest.raises(AmbiguousDecision):
+                stabilizer(ps)
+            continue
         assert row_set(run_scan(ps)[1]) == row_set(run_reference(ps)[1]) == [
             tuple(range(n))]
         assert stabilizer(ps).label == cl.LABEL_TRIVIAL
