@@ -21,15 +21,21 @@ the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
 Before the grid, the first block of candidates is tried on one third
-point ``c``, the cloud point farthest from the plane of the anchor pair:
-a candidate that sends ``c`` within slack of no cloud point would match
-it to -1, and is dropped.  On a mirror-symmetric set the distance
-profiles cannot tell a point from its mirror image and leave a mirror
-candidate, which sends ``c`` onto the set only if the reflection of ``c``
-across the anchor pair's plane lies near a point of the set; the point
-farthest from that plane seldom does.  When the anchor's own pair is the
-only candidate left, only the identity can survive, and the scan returns
-it without building the grid.
+point ``c``, the cloud point farthest from the plane of the anchor pair.
+The check uses a window, not the slack: how far the frame of a true
+symmetry can send ``c`` from its partner, derived from tol, the stretch
+and the remaining shift of centering, the barycenter's sensitivity and
+the partner's distance from the anchor's line (``_rotation_miss``,
+``_third_point_window``), and never wider than the slack.  A candidate
+that sends ``c`` outside the window of every cloud point is dropped.  On
+a near-symmetric set, a symmetric set moved by far more than tol, every
+frame but the anchor's own misses ``c`` by far more than the window,
+though often by less than the slack.  On a mirror-symmetric set the
+distance profiles cannot tell a point from its mirror image and leave a
+mirror candidate, which sends ``c`` onto the set only if the reflection
+of ``c`` across the anchor pair's plane lies near a point of the set.
+When the anchor's own pair is the only candidate left, only the identity
+can survive, and the scan returns it without building the grid.
 
 Matching only proposes permutations.  The scan returns the distinct ones
 that are bijections, in the order matching first found them, and the
@@ -45,7 +51,7 @@ arrays, which a grid lookup compares with the listed points one pass per
 cell depth.  The profiles cost ``O(n^2 log n)`` and each candidate
 ``O(n log n)``; memory stays at ``O(n)`` per candidate block, and no
 candidates-by-n-by-n array is built.  The kernel makes no BLAS or LAPACK
-call: the 3x3 solve of a Newton step uses the adjugate.
+call: the 3x3 solve of a Newton step, and kappa, use the adjugate.
 """
 
 from __future__ import annotations
@@ -97,6 +103,13 @@ _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
 _EYE = np.eye(3)
 
+#: Machine epsilon of the float64 arithmetic throughout.
+_EPS = float(np.finfo(np.float64).eps)
+
+#: Rounding of a computed centered point, in machine epsilons times the
+#: stretch (derived in ``_rotation_miss``).
+_CLOUD_ULPS = 16
+
 
 # Kept only because the benchmark records it (ROADMAP benchmark request B3).
 def active_backend() -> str:
@@ -130,16 +143,26 @@ def _mul(g, h):
             g[2] * h[0] + g[3] * h[2], g[2] * h[1] + g[3] * h[3])
 
 
-def _newton_direction(M: np.ndarray, c: np.ndarray) -> tuple[float, float, float]:
-    """(I - M)^-1 c for a symmetric 3x3 M, by the adjugate."""
+def _adjugate(M: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """The adjugate of I - M for a symmetric 3x3 M, as its upper entries
+    (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), and the determinant."""
     (a, b, e), (_, d, f), (_, _, g) = (_EYE - M).tolist()
-    x, y, z = c.tolist()
     ad = (d * g - f * f, e * f - b * g, b * f - e * d,
           a * g - e * e, b * e - a * f, a * d - b * b)
-    det = a * ad[0] + b * ad[1] + e * ad[2]
+    return ad, a * ad[0] + b * ad[1] + e * ad[2]
+
+
+def _adjugate_solve(ad, det: float, c: np.ndarray) -> tuple[float, float, float]:
+    """adj c / det for the adjugate and determinant that ``_adjugate`` gives."""
+    x, y, z = c.tolist()
     return ((ad[0] * x + ad[1] * y + ad[2] * z) / det,
             (ad[1] * x + ad[3] * y + ad[4] * z) / det,
             (ad[2] * x + ad[4] * y + ad[5] * z) / det)
+
+
+def _newton_direction(M: np.ndarray, c: np.ndarray) -> tuple[float, float, float]:
+    """(I - M)^-1 c for a symmetric 3x3 M, by the adjugate."""
+    return _adjugate_solve(*_adjugate(M), c)
 
 
 def _second_moment(X: np.ndarray) -> np.ndarray:
@@ -173,8 +196,10 @@ def _center(Z: np.ndarray, W: np.ndarray):
 
     Returns the centered cloud, the largest stretch of chordal distances
     by H at a point, the length of the Newton step still to go (about how
-    far the barycenter is from 0), the centroid norm and the number of
-    steps taken.
+    far the barycenter is from 0), kappa, a bound on ||(I - M)^-1|| for
+    the centered cloud's M (how far moving the points moves the
+    barycenter, see ``_rotation_miss``), the centroid norm and the number
+    of steps taken.
     """
     H = (1.0, 0.0, 0.0, 1.0)
     P = np.array((Z, W))
@@ -200,11 +225,15 @@ def _center(Z: np.ndarray, W: np.ndarray):
             t /= 2.0
         else:
             break
-    shift = math.hypot(*_newton_direction(_second_moment(X), c))
+    ad, det = _adjugate(_second_moment(X))
+    shift = math.hypot(*_adjugate_solve(ad, det, c))
+    # the Frobenius norm of (I - M)^-1, at least its spectral norm
+    kappa = math.sqrt(ad[0] * ad[0] + ad[3] * ad[3] + ad[5] * ad[5]
+                      + 2.0 * (ad[1] * ad[1] + ad[2] * ad[2] + ad[4] * ad[4])) / det
     # H has determinant 1, so it stretches chordal distances at p by
     # |p|^2 / |H p|^2, both pair norms already at hand (1 when no step)
     stretch = float(np.maximum.reduce(norm2_in / norm2))
-    return X, stretch, shift, r, steps
+    return X, stretch, shift, kappa, r, steps
 
 
 def _squared_distances(C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -329,21 +358,86 @@ def _match(grid: _Grid, frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return grid.lookup(F[0] * coords[0] + F[1] * coords[1] + F[2] * coords[2])
 
 
+def _rotation_miss(tol: float, stretch: float, shift: float, kappa: float) -> float:
+    """delta: how far from its partner the rotation part of a true
+    symmetry can send each centered point.
+
+    A true symmetry is a Mobius map g that sends every point within tol of
+    its partner.  In centered coordinates it is h = H g H^-1, for the
+    centering map H of ``_center``, and three bounds follow.
+
+    - The miss of h on the computed cloud is at most
+      eps = 2 (tol + 16 ulps) stretch.  H has determinant 1 and stretches
+      chordal distances at a point p by s(p) = |p|^2 / |H p|^2, and
+      between p and q by sqrt(s(p) s(q)).  On a centered cloud some point
+      lies in the closed hemisphere that H blows up most (else the
+      centroid would not be 0), so stretch >= ||H||_F^2 / 2 >= 1 up to the
+      centroid's residual.  Across a tol ball, s then changes by a factor
+      below 2 while tol stretch < 1/16, which holds wherever the window
+      below is narrower than the slack: the ball's image has radius at
+      most 2 tol stretch.  Forming H p costs 4 ulps of ||H||_F |p| per
+      coordinate, a chordal error of at most 8 sqrt(2) ulps times the
+      stretch, and ``_sphere`` a few ulps more: each computed point is
+      within 16 ulps times the stretch of the exact one, at both ends of
+      a miss.
+    - h = U B, with U a rotation and B a boost of hyperbolic length
+      l = d(0, h(0)) in the units of ``_boost``.  B moves each sphere
+      point by at most 2 tanh(l / 2) <= l, so U misses by at most eps + l.
+    - The conformal barycenter moves with the set (Douady & Earle), so the
+      barycenter of the cloud's image under h is h(beta), for beta the
+      cloud's own barycenter, which lies about ``shift`` from 0.  That
+      image lies within eps of the permuted cloud, whose barycenter is
+      beta.  Moving the points by eps moves the centroid by eps, and so
+      the Newton step (I - M)^-1 c by at most kappa eps, so
+      d(0, h(beta)) <= shift + kappa eps.  Hence
+      l <= d(0, h(beta)) + d(h(beta), h(0)) <= kappa eps + 2 shift to
+      first order, and eta = 2 (kappa eps + shift) bounds it: the doubled
+      kappa eps is room for the second-order terms, products of these
+      same small quantities.
+
+    So delta = eps + eta.  No constant here is fitted to data.
+    """
+    eps = 2.0 * (tol + _CLOUD_ULPS * _EPS) * stretch
+    return eps + 2.0 * (kappa * eps + shift)
+
+
+def _third_point_window(delta: float, h: float) -> float:
+    """W: how far from its partner a candidate frame built on a true
+    symmetry's images (a', b') of the anchor pair can send a third point.
+
+    The rotation U of ``_rotation_miss`` sends a and b within delta of a'
+    and b', so the frame of (a', b') is U's image of the anchor's frame
+    turned by a small rotation with vector w.  Its first axis moves by at
+    most delta.  Its second, the unit part of b' orthogonal to a', moves
+    by at most 2 delta / h, where h = |b - (a.b) a| is the partner's
+    distance from the anchor's line, kept large by the partner rule.  An
+    axis x moves by |w x x|, so |w|^2 <= delta^2 + (2 delta / h)^2, and
+    the frame sends a third point c at most |w| <= delta (1 + 2 / h) from
+    U c, which lies within delta of c's partner:
+
+        W = delta (2 + 2 / h).
+
+    The frames' own arithmetic, a few ulps per axis divided by h, stays
+    inside the 32 ulps of delta that the factor (2 + 2 / h) multiplies.
+    """
+    return delta * (2.0 + 2.0 / h)
+
+
 def _third_point_lands(frames: np.ndarray, coords: np.ndarray, C: np.ndarray,
-                       slack: float) -> np.ndarray:
-    """Whether each candidate frame places the third point c within slack
-    of some cloud point (coordinates C, (3, n)).
+                       window: float) -> np.ndarray:
+    """Whether each candidate frame places the third point c within
+    ``window`` of some cloud point (coordinates C, (3, n)).
 
     c is the cloud point farthest from the anchor pair's plane, the one
     whose third frame coordinate in ``coords`` is largest in modulus.  Its image is
     computed as ``_match`` computes it, and its squared distances as
     ``_Grid.lookup`` computes them, so a frame that lands nowhere is one
-    whose matched row has -1 at c.
+    whose row, matched in a grid of radius ``window``, has -1 at c.
     """
     c = int(np.abs(coords[2]).argmax())
     F = frames.transpose(1, 2, 0)
     Y = F[0] * coords[0, c] + F[1] * coords[1, c] + F[2] * coords[2, c]
-    return np.minimum.reduce(_squared_distances(C, Y), axis=1) <= slack ** 2
+    return np.minimum.reduce(_squared_distances(C, Y), axis=1) <= window ** 2
 
 
 def _crowds(dist, profiles, slack: float) -> np.ndarray:
@@ -382,7 +476,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     Z = np.ascontiguousarray(Z, dtype=np.complex128)
     W = np.ascontiguousarray(W, dtype=np.complex128)
     n = Z.shape[0]
-    X, stretch, shift, residual, steps = _center(Z, W)
+    X, stretch, shift, kappa, residual, steps = _center(Z, W)
     C = np.ascontiguousarray(X.T)
 
     # distance profiles: every point's sorted distances to the cloud,
@@ -437,12 +531,15 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     coords = axes[:, 0] * C[0] + axes[:, 1] * C[1] + axes[:, 2] * C[2]
     frames = frames[1:]
 
-    # the first block's candidates that send the third point near no cloud
-    # point would match it to -1: drop them before the grid, and when the
-    # anchor's own pair is all that is left, only the identity survives
+    # the first block's candidates that send the third point farther than
+    # any true symmetry's frame could are no symmetry: drop them before the
+    # grid, and when the anchor's own pair is all that is left, only the
+    # identity survives
+    window = min(slack, _third_point_window(
+        _rotation_miss(tol, stretch, shift, kappa), float(off_line[k, b])))
     blocks = _row_blocks(len(frames), n)
     first = next(blocks)
-    lands = _third_point_lands(frames[first], coords, C, slack)
+    lands = _third_point_lands(frames[first], coords, C, window)
     own = (starts[1:][first] == a) & (stops[1:][first] == b)
     if first.stop >= len(frames) and (lands == own).all():
         return np.arange(n, dtype=np.int64)[None]

@@ -43,7 +43,7 @@ from .geometry import (DEFAULT_TOL, DET_FLOOR, MobiusMap, PointSet,
                        RiemannPoint, chordal_distances, format_complex,
                        matrix_condition, zero_one_inf_entries,
                        zero_one_inf_scales)
-from .kernels import _row_blocks, scan_stabilizer_triples
+from .kernels import _EPS, _row_blocks, scan_stabilizer_triples
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -175,7 +175,6 @@ def base_triple_maps(Z, W, base, rows) -> np.ndarray:
 #: miss with the cap and grows the condition as the cap's inverse square,
 #: so on a set squeezed far enough a wrong proposal lands in the gap too.
 _ROUNDING = 1e7
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _solve_conditions(f, m) -> np.ndarray:

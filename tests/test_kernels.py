@@ -463,7 +463,7 @@ def test_centering_applies_each_trial_map_once(monkeypatch):
         z, w, _ = ps.arrays()
         _Counted.reads = 0
         trials.clear(), applied.clear()
-        X, stretch, shift, r, steps = kernels._center(z.view(_Counted), w.view(_Counted))
+        X, stretch, shift, kappa, r, steps = kernels._center(z.view(_Counted), w.view(_Counted))
         assert steps > 0 and len(applied) == len(trials) >= steps
         assert _Counted.reads == 0
 
@@ -521,8 +521,8 @@ def record_third_point(monkeypatch) -> list:
     calls = []
     lands = kernels._third_point_lands
 
-    def recorded(frames, coords, C, slack):
-        calls.append((frames, coords, C, slack, lands(frames, coords, C, slack)))
+    def recorded(frames, coords, C, window):
+        calls.append((frames, coords, C, window, lands(frames, coords, C, window)))
         return calls[-1][-1]
 
     monkeypatch.setattr(kernels, "_third_point_lands", recorded)
@@ -538,12 +538,59 @@ def test_third_point_drops_exactly_the_frames_that_match_it_to_nothing(
         calls.clear()
         z, w, _ = ps.arrays()
         scan_stabilizer_triples(z, w, ps.tol)
-        (frames, coords, C, slack, lands), = calls
+        (frames, coords, C, window, lands), = calls
         c = int(np.abs(coords[2]).argmax())
-        rows = kernels._match(kernels._Grid(C.T, slack), frames, coords)
+        rows = kernels._match(kernels._Grid(C.T, window), frames, coords)
         assert np.array_equal(rows[:, c] != -1, lands), name
         dropped += int((~lands).sum())
     assert dropped > 0
+
+
+def within_tol_sets():
+    """Every classify(n) witness for n = 5..40 under a random Mobius map
+    drawn as the benchmark draws them, every other one sending a point near
+    infinity, with each point then moved chordally by at most tol / 2 in a
+    random direction; with the rows of the witness's stabilizer."""
+    from test_benchmark_contract import workloads
+    rng = np.random.default_rng(27)
+    for n in range(5, 41):
+        for i, entry in enumerate(classify(n)):
+            ps = witness(n, entry)
+            g = workloads._random_mobius(rng, ps.points, near_infinity=bool(i % 2))
+            xyz = np.array([g.apply(p).to_sphere() for p in ps.points])
+            step = rng.normal(size=xyz.shape)
+            step -= (step * xyz).sum(axis=1, keepdims=True) * xyz
+            step *= ps.tol / 2 * rng.random((n, 1)) / np.linalg.norm(step, axis=1,
+                                                                   keepdims=True)
+            # a tangent step of length t moves a point by a chord below t
+            xyz += step
+            xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+            moved_ps = PointSet([RiemannPoint.from_sphere(*r) for r in xyz], tol=ps.tol)
+            yield f"{entry} #{i}", moved_ps, stabilizer(ps).rows
+
+
+def test_third_point_window_keeps_every_symmetry_within_tol(monkeypatch):
+    # no frame of a true symmetry sends the third point outside the window,
+    # which is narrower than the slack on all but five of these sets
+    calls = record_third_point(monkeypatch)
+    windows = []
+    window = kernels._third_point_window
+
+    def recorded(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(kernels, "_third_point_window", recorded)
+    sets = tight = 0
+    for name, ps, rows in within_tol_sets():
+        calls.clear(), windows.clear()
+        z, w, _ = ps.arrays()
+        proposed = set(map(tuple, scan_stabilizer_triples(z, w, ps.tol).tolist()))
+        assert set(map(tuple, rows.tolist())) <= proposed, name
+        assert calls[0][3] <= windows[0], name
+        tight += calls[0][3] == windows[0]
+        sets += 1
+    assert (sets, tight) == (541, 536)
 
 
 @pytest.mark.parametrize("part", ASYMMETRIC_CORPUS)

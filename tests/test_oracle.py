@@ -28,7 +28,7 @@ from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orde
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
 import reference_oracle
 from reference_oracle import component_index, distance_matrix, index_of
-from test_kernels import asym_round, record_third_point
+from test_kernels import record_third_point
 from test_reference_paths import IDENTITY_MAP, sphere_set
 
 
@@ -777,8 +777,9 @@ def forbidden(name):
 
 
 def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
-    # the third point leaves only the anchor's own pair, so the scan builds
-    # no grid; a lone identity row needs no base triple, solve or decision
+    # the third point, checked at the window of true symmetries, leaves only
+    # the anchor's own pair, so the scan builds no grid; a lone identity row
+    # needs no base triple, solve or decision
     grids = []
 
     class CountedGrid(kernels._Grid):
@@ -797,18 +798,36 @@ def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
         assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name
         assert res.maps.tobytes() == IDENTITY_MAP.tobytes(), name
         assert res.orbit_indices == tuple((i,) for i in range(ps.n)), name
-    # at n = 8 the anchor's mirror candidate sends the third point onto
-    # another point; the grid then finds -1 elsewhere in its row
-    assert grids == ["trivial n=8"]
+    # at n = 8 the anchor's mirror candidate sends the third point within
+    # the slack of another point, but not within the window
+    assert grids == []
+
+
+def one_point_moved(ps, rng):
+    """ps with the first point of its largest orbit moved chordally by
+    50 tol in a random direction."""
+    t = max(stabilizer(ps).orbit_indices, key=len)[0]
+    x = np.array(ps.points[t].to_sphere())
+    step = rng.normal(size=3)
+    step -= (step @ x) * x
+    x += 50.0 * ps.tol * step / np.linalg.norm(step)
+    points = list(ps.points)
+    points[t] = RiemannPoint.from_sphere(*(x / np.linalg.norm(x)))
+    return PointSet(points, tol=ps.tol)
 
 
 def test_a_decision_keeping_the_identity_alone_skips_the_checks(monkeypatch):
-    # jittered near-symmetric sets: matching proposes rows that the
-    # decision rejects, and the identity it keeps is the trivial result
+    # polyhedral and D_13 witnesses with one point moved by 50 tol, none of
+    # the scan's anchor, partner and third point: the true symmetries' frames
+    # still land the third point, so matching proposes rows that the decision
+    # rejects, and the identity it keeps is the trivial result
+    rng = np.random.default_rng(27)
+    moved = [(f"{entry} n={n}", one_point_moved(witness(n, entry), rng))
+             for n in range(8, 25) for entry in classify(n)
+             if entry.label.kind in (cl.S4, cl.A4, cl.A5) or entry.label == dihedral(13)]
+    assert len(moved) == 17
     monkeypatch.setattr(oracle, "_row_orders", forbidden("_row_orders"))
-    jittered = [(name, ps) for name, ps in asym_round(1) if "jittered" in name]
-    assert len(jittered) == 14
-    for name, ps in jittered:
+    for name, ps in moved:
         z, w, _ = ps.arrays()
         assert len(scan_stabilizer_triples(z, w, ps.tol)) > 1, name
         res = stabilizer(ps)

@@ -151,13 +151,17 @@ def assert_matches_reference(name, ps, error=None):
     oracle's outcome, unless it is to raise the named ``error``.  Returns
     that outcome."""
     z, w, _ = ps.arrays()
-    X, *rest = kernels._center(z, w)
+    X, stretch, shift, kappa, *rest = kernels._center(z, w)
     X_ref, *rest_ref = ref._center(z, w)
-    assert X.tobytes() == X_ref.tobytes() and rest == rest_ref, name
+    assert X.tobytes() == X_ref.tobytes() and [stretch, shift, *rest] == rest_ref, name
+    # kappa is the Frobenius norm of (I - M)^-1, which bounds its spectral norm
+    inverse = np.linalg.inv(np.eye(3) - X.T @ X / len(X))
+    assert kappa == pytest.approx(np.linalg.norm(inverse), rel=1e-9), name
+    assert kappa >= np.linalg.norm(inverse, 2), name
     # the scan's slack: a quarter of the separation, or the stretched tol balls
     d = np.sqrt(((X[:, None, :] - X) ** 2).sum(axis=2))
     d[np.diag_indices(len(X))] = np.inf
-    assert_grids_equal(X, max(d.min() / 4.0, 2.0 * ps.tol * rest[0]), name)
+    assert_grids_equal(X, max(d.min() / 4.0, 2.0 * ps.tol * stretch), name)
     got = outcome(oracle.stabilizer, ps)
     if error is None:
         assert_same_outcome(ps, got, outcome(ref.stabilizer, ps), name)
@@ -234,7 +238,7 @@ def squeezed_asymmetric_sets():
       "DegenerateMap": 106}),
     (lambda: squeezed_witnesses(range(5, 21), SWEEP_EPSILONS, SWEEP_JITTER),
      {"own": 44, "AmbiguousDecision": 776, "UnrecognizedGroup": 9}),
-    (squeezed_asymmetric_sets, {"own": 606, "AmbiguousDecision": 16}),
+    (squeezed_asymmetric_sets, {"own": 609, "AmbiguousDecision": 13}),
 ], ids=["exact", "perturbed", "asymmetric"])
 def test_wide_squeeze_sweeps_never_read_another_group(sets, counts):
     # a true element that misses through rounding in its solve is in the
