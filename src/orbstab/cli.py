@@ -287,7 +287,7 @@ def cmd_moduli(args, out: _Output) -> int:
         return 2
     if args.phi:  # check the configuration before running anything
         try:
-            if args.lambda_csv:
+            if args.lambda_csv is not None:
                 lam = LambdaTuple(tuple(parse_complex(part)
                                         for part in args.lambda_csv.split(",")),
                                   tol=args.tol)

@@ -131,24 +131,14 @@ def chordal_distances(z1, w1, n1, z2, w2, n2):
     return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
 
 
-def snap_point(p: RiemannPoint, eps: float = 1e-12) -> RiemannPoint:
-    """Zero out homogeneous components below eps (relative).
+def snap_arrays(z, w, eps: float = 1e-12):
+    """Zero out the components of homogeneous pairs below eps times the
+    pair's larger modulus, and normalize the pairs as ``RiemannPoint``
+    does, as (z, w, norm) ndarrays.
 
     Turns numerically-computed images that are within eps of 0 or infinity
     into the exact points, which keeps orbit constructions tidy.
     """
-    m = max(abs(p.z), abs(p.w))
-
-    def clean(c: complex) -> complex:
-        return complex(0.0 if abs(c.real) < eps * m else c.real,
-                       0.0 if abs(c.imag) < eps * m else c.imag)
-
-    return RiemannPoint(clean(p.z), clean(p.w))
-
-
-def snap_arrays(z, w, eps: float = 1e-12):
-    """``snap_point`` on arrays of homogeneous pairs, bit for bit: the
-    snapped pairs renormalized, as (z, w, norm) ndarrays."""
     bound = eps * np.maximum(np.hypot(z.real, z.imag), np.hypot(w.real, w.imag))
 
     def clean(c):

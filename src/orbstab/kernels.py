@@ -20,7 +20,7 @@ separation, wide enough to survive the stretching of centering, unless
 the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
-Before the grid, the first block of candidates is tried on one third
+Before the grid, the candidates are tried block by block on one third
 point ``c``, the cloud point farthest from the plane of the anchor pair.
 The check uses a window, not the slack: how far the frame of a true
 symmetry can send ``c`` from its partner, derived from tol, the stretch
@@ -34,8 +34,11 @@ though often by less than the slack.  On a mirror-symmetric set the
 distance profiles cannot tell a point from its mirror image and leave a
 mirror candidate, which sends ``c`` onto the set only if the reflection
 of ``c`` across the anchor pair's plane lies near a point of the set.
-When the anchor's own pair is the only candidate left, only the identity
-can survive, and the scan returns it without building the grid.
+When the anchor's own pair is the only candidate left in every block,
+only the identity can survive, and the scan returns it without building
+the grid.  The check stops at the first block that keeps another
+candidate: the grid is then needed, and on a symmetric set most
+candidates land, so checking the remaining blocks would filter nothing.
 
 Matching only proposes permutations.  The scan returns the distinct ones
 that are bijections, in the order matching first found them, and the
@@ -56,7 +59,6 @@ call: the 3x3 solve of a Newton step, and kappa, use the adjugate.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -515,8 +517,8 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     images_a = matched[k].nonzero()[0]
     dab = dist[k, b]
 
-    # candidate pairs (a', b'), after the anchor's own pair (a, b)
-    ends = [np.array([a]), np.array([b])]
+    # candidate pairs (a', b'), the anchor's own pair (a, b) among them
+    ends = []
     for blk in _row_blocks(len(images_a), n):
         near = _distances(C, C.take(images_a[blk], axis=1)) - dab
         near = np.abs(near, out=near) <= slack
@@ -526,27 +528,30 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
         ends += [images_a[blk][r], s]
     starts, stops = np.concatenate(ends[::2]), np.concatenate(ends[1::2])
     frames = _frame(X.take(starts, axis=0), X.take(stops, axis=0))
+    own = (starts == a) & (stops == b)
     # the cloud in the anchor's frame, one row per frame axis
-    axes = frames[0][:, :, None]
+    axes = frames[own.argmax()][:, :, None]
     coords = axes[:, 0] * C[0] + axes[:, 1] * C[1] + axes[:, 2] * C[2]
-    frames = frames[1:]
 
-    # the first block's candidates that send the third point farther than
-    # any true symmetry's frame could are no symmetry: drop them before the
-    # grid, and when the anchor's own pair is all that is left, only the
-    # identity survives
+    # candidates that send the third point farther than any true symmetry's
+    # frame could are no symmetry: blocks are checked until one keeps a
+    # frame other than the anchor's own, and if none does, only the
+    # identity survives; the blocks after that one are matched unchecked
     window = min(slack, _third_point_window(
         _rotation_miss(tol, stretch, shift, kappa), float(off_line[k, b])))
     blocks = _row_blocks(len(frames), n)
-    first = next(blocks)
-    lands = _third_point_lands(frames[first], coords, C, window)
-    own = (starts[1:][first] == a) & (stops[1:][first] == b)
-    if first.stop >= len(frames) and (lands == own).all():
+    landed = []
+    for blk in blocks:
+        lands = _third_point_lands(frames[blk], coords, C, window)
+        landed.append(frames[blk][lands])
+        if not (lands == own[blk]).all():
+            break
+    else:
         return np.arange(n, dtype=np.int64)[None]
 
     grid = _Grid(X, slack)
     bijective = [np.empty((0, n), dtype=np.int64)]
-    for F in itertools.chain([frames[first][lands]], (frames[blk] for blk in blocks)):
+    for F in [np.concatenate(landed), *(frames[blk] for blk in blocks)]:
         rows = _match(grid, F, coords)
         bijective.append(rows[(np.sort(rows, axis=1) == np.arange(n)).all(axis=1)])
     # a slightly-off candidate rotation can snap onto a true permutation,

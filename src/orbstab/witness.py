@@ -21,8 +21,7 @@ from .errors import (AmbiguousDecision, AmbiguousMatching, InvalidCardinality,
                      WitnessSearchExhausted)
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                        chordal_distances, homogeneous_arrays,
-                       mobius_through_triple, point_arrays, snap_arrays,
-                       snap_point)
+                       mobius_through_triple, point_arrays, snap_arrays)
 from .oracle import stabilizer
 
 # ---------------------------------------------------------------------------
@@ -126,14 +125,15 @@ def polyhedral_group(kind: str) -> tuple[MobiusMap, ...]:
 def _orbit_of(point: RiemannPoint, group, tol: float) -> tuple[RiemannPoint, ...]:
     """The images of point under the group, in the group's order, each kept
     unless it lies within tol of an image kept before it."""
-    images = [snap_point(g.apply(point)) for g in group]
-    z, w, nrm = point_arrays(images)
+    z, w, _ = point_arrays([g.apply(point) for g in group])
+    z, w, nrm = snap_arrays(z, w)
     close = chordal_distances(z[:, None], w[:, None], nrm[:, None],
                               z, w, nrm) <= tol
-    kept = np.zeros(len(images), dtype=bool)
+    kept = np.zeros(len(z), dtype=bool)
     for i, row in enumerate(close):
         kept[i] = not row[kept].any()
-    return tuple(p for p, keep in zip(images, kept) if keep)
+    return tuple(RiemannPoint._of_normalized(a, b)
+                 for a, b in zip(z[kept].tolist(), w[kept].tolist()))
 
 
 #: The special-orbit tags of each polyhedral index slot, named by orbit

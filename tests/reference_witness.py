@@ -24,7 +24,7 @@ import math
 from orbstab import classifier as cl
 from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                               chordal_distance, homogeneous_arrays,
-                              maps_equal, snap_arrays, snap_point)
+                              maps_equal, snap_arrays)
 from orbstab.witness import _SPECIAL_TAGS, _orbit_key
 
 
@@ -44,6 +44,18 @@ def _close_group(generators, max_order: int = 200,
             frontier.append(f.compose(g))
             frontier.append(g.compose(f))
     return elements
+
+
+def snap_point(p: RiemannPoint, eps: float = 1e-12) -> RiemannPoint:
+    """Zero out homogeneous components below eps (relative): the scalar
+    reference for ``geometry.snap_arrays``."""
+    m = max(abs(p.z), abs(p.w))
+
+    def clean(c: complex) -> complex:
+        return complex(0.0 if abs(c.real) < eps * m else c.real,
+                       0.0 if abs(c.imag) < eps * m else c.imag)
+
+    return RiemannPoint(clean(p.z), clean(p.w))
 
 
 def _orbit_of(point: RiemannPoint, group, tol: float) -> tuple[RiemannPoint, ...]:

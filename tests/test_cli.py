@@ -393,7 +393,7 @@ class TestModuli:
                            "--seed", "0")
         assert code == 0 and "PASS" in out
 
-    @pytest.mark.parametrize("csv", ["0,2", "abc,2"])
+    @pytest.mark.parametrize("csv", ["0,2", "abc,2", ""])
     def test_bad_lambda_is_exit_2(self, capsys, csv):
         code, out, err = run(capsys, "moduli", "5", "--group-law", "--phi",
                              "--lambda", csv)

@@ -11,8 +11,9 @@ from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                               homogeneous_arrays, maps_equal,
                               mobius_through_triple, parse_complex,
                               point_from_str, point_to_str,
-                              snap_arrays, snap_point)
+                              snap_arrays)
 from reference_oracle import apply_map, set_equal
+from reference_witness import snap_point
 
 INF = RiemannPoint.infinity()
 

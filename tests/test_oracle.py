@@ -776,18 +776,24 @@ def forbidden(name):
     return call
 
 
-def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
-    # the third point, checked at the window of true symmetries, leaves only
-    # the anchor's own pair, so the scan builds no grid; a lone identity row
-    # needs no base triple, solve or decision
+def counted_grids(monkeypatch) -> list:
+    """Record each _Grid the scan builds."""
     grids = []
 
     class CountedGrid(kernels._Grid):
         def __init__(self, X, slack):
-            grids.append(name)
+            grids.append(len(X))
             super().__init__(X, slack)
 
     monkeypatch.setattr(kernels, "_Grid", CountedGrid)
+    return grids
+
+
+def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
+    # the third point, checked at the window of true symmetries, leaves only
+    # the anchor's own pair, so the scan builds no grid; a lone identity row
+    # needs no base triple, solve or decision
+    grids = counted_grids(monkeypatch)
     for step in ("_pick_base_triple", "base_triple_maps", "_decide"):
         monkeypatch.setattr(oracle, step, forbidden(step))
     rng = np.random.default_rng(26)
@@ -836,7 +842,8 @@ def test_a_decision_keeping_the_identity_alone_skips_the_checks(monkeypatch):
 
 def test_candidates_past_the_first_block_match_as_before(monkeypatch):
     # D_130 on 260 points: at least 260 candidate pairs, in blocks of
-    # _BLOCK // 260 = 252; the third point checks the first block only
+    # _BLOCK // 260 = 252; the first block keeps frames other than the
+    # anchor's own, so the third point checks that block only
     calls = record_third_point(monkeypatch)
     matched = []
     match = kernels._match
@@ -858,3 +865,50 @@ def test_candidates_past_the_first_block_match_as_before(monkeypatch):
                                                          (tuple(range(260)),))
     assert res.rows.tolist() == want.rows.tolist()
     assert res.maps.tobytes() == np.array(want.maps).tobytes()
+
+
+def jittered_dihedral(p, index, noise):
+    """The D_p witness with the given index, its sphere coordinates moved by
+    seeded normal noise of the given size and renormalized."""
+    xyz = np.array([q.to_sphere() for q in dihedral_witness(p, index).points])
+    return sphere_set(xyz + noise * np.random.default_rng(0).normal(size=xyz.shape))
+
+
+@pytest.mark.parametrize("block", [kernels._BLOCK, 256])
+def test_the_identity_exit_does_not_depend_on_the_block(monkeypatch, block):
+    # near-symmetric sets whose candidates span several blocks of 256
+    # entries: no frame but the anchor's own lands in any of them
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    grids = counted_grids(monkeypatch)
+    for p, index in ((13, (0, 0, 1)), (20, (1, 1, 1)), (30, (0, 0, 2))):
+        ps = jittered_dihedral(p, index, 1e-3)
+        z, w, _ = ps.arrays()
+        rows = scan_stabilizer_triples(z, w, ps.tol)
+        assert rows.tolist() == [list(range(ps.n))], (p, index)
+    assert grids == []
+
+
+def test_candidates_past_the_first_block_are_checked_before_the_grid(monkeypatch):
+    # jittered D_130 on 260 points: its candidates span two blocks of
+    # _BLOCK // 260 = 252 frames, and the third point lands in neither
+    calls = record_third_point(monkeypatch)
+    grids = counted_grids(monkeypatch)
+    ps = jittered_dihedral(130, (0, 0, 1), 1e-4)
+    z, w, _ = ps.arrays()
+    assert scan_stabilizer_triples(z, w, ps.tol).tolist() == [list(range(ps.n))]
+    assert len(calls) == 2 and grids == []
+    res = stabilizer(ps)
+    assert res.order == 1 and res.label == cl.LABEL_TRIVIAL
+
+
+def test_witness_results_do_not_depend_on_the_block(monkeypatch):
+    for n in range(5, 31):
+        for entry in classify(n):
+            ps = witness(n, entry)
+            want = stabilizer(ps)
+            monkeypatch.setattr(kernels, "_BLOCK", 256)
+            got = stabilizer(ps)
+            monkeypatch.undo()
+            assert (got.label, got.index) == (want.label, want.index), entry
+            assert set(map(tuple, got.rows.tolist())) == \
+                set(map(tuple, want.rows.tolist())), entry
