@@ -10,10 +10,10 @@ becomes a rotation preserving the centered cloud.
 
 Those rotations are found by congruence matching from one anchor pair
 (Alt, Mehlhorn, Wagener & Welzl, 1988): a rotation is fixed by the images
-of an anchor ``a`` and a non-collinear partner ``b``.  Candidate images of
-``a`` share its sorted distance profile, candidate images of ``b`` lie at
-``|a - b|`` from them, and of a few anchor options the one with the fewest
-candidate pairs is used; on the witnesses that number is the group order.
+of an anchor ``a`` and a non-collinear partner ``b``.  Of a few options,
+the anchor is the one whose sorted distances repeat least (a point fixed
+by a rotation repeats them).  Candidate images of ``a`` share its sorted
+distance profile, and candidate images of ``b`` lie at ``|a - b|`` from them.
 Each candidate rotation is checked by looking up the rotated points in a
 grid of cells.  The matching slack is a quarter of the centered minimum
 separation, wide enough to survive the stretching of centering, unless
@@ -442,11 +442,10 @@ def _third_point_lands(frames: np.ndarray, coords: np.ndarray, C: np.ndarray,
     return np.minimum.reduce(_squared_distances(C, Y), axis=1) <= window ** 2
 
 
-def _crowds(dist, profiles, slack: float) -> np.ndarray:
-    """How many points lie within slack of each distance ``dist[r, b]`` from
-    option r, by binary search in its sorted distances ``profiles[r]``."""
-    return np.array([p.searchsorted(hi, side="right") - p.searchsorted(lo)
-                     for p, hi, lo in zip(profiles, dist + slack, dist - slack)])
+def _crowds(dist, profile, slack: float) -> np.ndarray:
+    """How many points lie within slack of each distance ``dist[b]`` from
+    the anchor, by binary search in its sorted distances ``profile``."""
+    return profile.searchsorted(dist + slack, side="right") - profile.searchsorted(dist - slack)
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
@@ -481,19 +480,25 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     X, stretch, shift, kappa, residual, steps = _center(Z, W)
     C = np.ascontiguousarray(X.T)
 
-    # distance profiles: every point's sorted distances to the cloud,
-    # compared with those of a few anchor options spread over the indices
+    # the anchor a: of a few options spread over the indices, the one whose
+    # sorted distances repeat least within twice the slack of their own rows
     options = np.array(sorted({i * (n - 1) // (_ANCHORS - 1) for i in range(_ANCHORS)}))
     dist = _distances(C, C.take(options, axis=1))
     profiles = np.sort(dist, axis=1)
-    deviation = np.empty((len(options), n))
+    twice = 2.0 * max(float(np.minimum.reduce(profiles[:, 1])) / 4.0, 2.0 * tol * stretch)
+    k = int(np.add.reduce(profiles[:, 1:] - profiles[:, :-1] <= twice, axis=1).argmin())
+    a, dist, profile = int(options[k]), dist[k], profiles[k]
+
+    # distance profiles: every point's sorted distances to the cloud,
+    # compared with the anchor's
+    deviation = np.empty(n)
     sep = np.inf
-    for blk in _row_blocks(n, n * len(options)):
+    for blk in _row_blocks(n, n):
         sorted_rows = _distances(C, C[:, blk])
         sorted_rows.sort(axis=1)
         sep = min(sep, float(np.minimum.reduce(sorted_rows[:, 1])))
-        gap = sorted_rows - profiles[:, None, :]
-        np.maximum.reduce(np.abs(gap, out=gap), axis=2, out=deviation[:, blk])
+        sorted_rows -= profile
+        np.maximum.reduce(np.abs(sorted_rows, out=sorted_rows), axis=1, out=deviation[blk])
     if not shift <= CENTERING_SHIFT * sep:  # also when it is NaN
         raise CenteringFailed(
             f"centering residual {residual:.3g} leaves a shift of {shift:.3g}, "
@@ -502,20 +507,14 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     # a true symmetry's images may sit anywhere in the tol balls, which
     # centering stretches by up to ``stretch``
     slack = max(sep / 4.0, 2.0 * tol * stretch)
-    matched = deviation <= slack
+    images_a = (deviation <= slack).nonzero()[0]
 
-    # each option's partner b: far from the line through the anchor, with
-    # the fewest points at its distance from the anchor ("crowd")
+    # the partner b: far from the line through the anchor, with the fewest
+    # points at its distance from the anchor ("crowd")
     off_line = np.sqrt(np.maximum(0.0, 1.0 - (1.0 - dist * dist / 2.0) ** 2))
-    crowd = _crowds(dist, profiles, slack)
-    far = off_line >= 0.5 * np.maximum.reduce(off_line, axis=1, keepdims=True)
-    partner = np.where(far, crowd - 0.5 * off_line, np.inf).argmin(axis=1)
-    # the option whose candidate pairs (a', b') are fewest
-    option = np.arange(len(options))
-    k = int((np.add.reduce(matched, axis=1) * crowd[option, partner]).argmin())
-    a, b = int(options[k]), int(partner[k])
-    images_a = matched[k].nonzero()[0]
-    dab = dist[k, b]
+    far = off_line >= 0.5 * np.maximum.reduce(off_line)
+    b = int(np.where(far, _crowds(dist, profile, slack) - 0.5 * off_line, np.inf).argmin())
+    dab = dist[b]
 
     # candidate pairs (a', b'), the anchor's own pair (a, b) among them
     ends = []
@@ -538,7 +537,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     # frame other than the anchor's own, and if none does, only the
     # identity survives; the blocks after that one are matched unchecked
     window = min(slack, _third_point_window(
-        _rotation_miss(tol, stretch, shift, kappa), float(off_line[k, b])))
+        _rotation_miss(tol, stretch, shift, kappa), float(off_line[b])))
     blocks = _row_blocks(len(frames), n)
     landed = []
     for blk in blocks:

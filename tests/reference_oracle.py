@@ -220,17 +220,25 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     n = Z.shape[0]
     X, stretch, shift, residual, steps = _center(Z, W)
 
-    # distance profiles: every point's sorted distances to the cloud,
-    # compared with those of a few anchor options spread over the indices
+    # the anchor a: of a few options spread over the indices, the one whose
+    # sorted distances repeat least, within twice the slack that the
+    # options' own separation gives
     options = np.array(sorted({i * (n - 1) // (_ANCHORS - 1) for i in range(_ANCHORS)}))
     dist = _distances(X, options)
     profiles = np.sort(dist, axis=1)
-    deviation = np.empty((len(options), n))
+    own_slack = max(profiles[:, 1].min() / 4.0, 2.0 * tol * stretch)
+    repeats = (np.diff(profiles, axis=1) <= 2.0 * own_slack).sum(axis=1)
+    k = int(repeats.argmin())
+    a, dist = int(options[k]), dist[k]
+
+    # distance profiles: every point's sorted distances to the cloud,
+    # compared with the anchor's
+    deviation = np.empty(n)
     sep = np.inf
-    for blk in _row_blocks(n, n * len(options)):
+    for blk in _row_blocks(n, n):
         sorted_rows = np.sort(_distances(X, blk), axis=1)
         sep = min(sep, float(sorted_rows[:, 1].min()))
-        deviation[:, blk] = np.abs(sorted_rows - profiles[:, None, :]).max(axis=2)
+        deviation[blk] = np.abs(sorted_rows - profiles[k]).max(axis=1)
     if not shift <= CENTERING_SHIFT * sep:  # also when it is NaN
         raise CenteringFailed(
             f"centering residual {residual:.3g} leaves a shift of {shift:.3g}, "
@@ -239,23 +247,17 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray, nrm: np.ndarray,
     # a true symmetry's images may sit anywhere in the tol balls, which
     # centering stretches by up to ``stretch``
     slack = max(sep / 4.0, 2.0 * tol * stretch)
-    matched = deviation <= slack
 
-    # each option's partner b: far from the line through the anchor, with
-    # the fewest points at its distance from the anchor ("crowd")
+    # the partner b: far from the line through the anchor, with the fewest
+    # points at its distance from the anchor ("crowd")
     off_line = np.sqrt(np.maximum(0.0, 1.0 - (1.0 - dist * dist / 2.0) ** 2))
-    crowd = np.empty(dist.shape, dtype=np.int64)
-    for blk in _row_blocks(n, n * len(options)):
-        near = np.abs(dist[:, blk, None] - dist[:, None, :]) <= slack
-        crowd[:, blk] = near.sum(axis=2)
-    far = off_line >= 0.5 * off_line.max(axis=1, keepdims=True)
-    partner = np.where(far, crowd - 0.5 * off_line, np.inf).argmin(axis=1)
-    # the option whose candidate pairs (a', b') are fewest
-    option = np.arange(len(options))
-    k = int((matched.sum(axis=1) * crowd[option, partner]).argmin())
-    a, b = int(options[k]), int(partner[k])
-    images_a = np.flatnonzero(matched[k])
-    dab = dist[k, b]
+    crowd = np.empty(n, dtype=np.int64)
+    for blk in _row_blocks(n, n):
+        crowd[blk] = (np.abs(dist[blk, None] - dist[None, :]) <= slack).sum(axis=1)
+    far = off_line >= 0.5 * off_line.max()
+    b = int(np.where(far, crowd - 0.5 * off_line, np.inf).argmin())
+    images_a = np.flatnonzero(deviation <= slack)
+    dab = dist[b]
 
     pairs = []
     for blk in _row_blocks(len(images_a), n):

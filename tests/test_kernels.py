@@ -278,13 +278,14 @@ def crowd_sets():
 
 
 def test_crowds_equal_the_dense_count():
-    # two binary searches per point in its option's sorted row count what
-    # comparing the point's distance with every other distance counts
+    # two binary searches in an option's sorted row count, for every point,
+    # what comparing its distance with every other distance counts
     for name, ps in crowd_sets():
         dist, profiles, slack = scan_distances(ps)
         for s in (0.0, slack, 8.0 * slack):
-            dense = [(np.abs(row[:, None] - row) <= s).sum(axis=1) for row in dist]
-            assert np.array_equal(kernels._crowds(dist, profiles, s), dense), (name, s)
+            for row, profile in zip(dist, profiles):
+                dense = (np.abs(row[:, None] - row) <= s).sum(axis=1)
+                assert np.array_equal(kernels._crowds(row, profile, s), dense), (name, s)
 
 
 @pytest.mark.parametrize("slack", [0.01, 0.1, 0.6])
@@ -516,6 +517,20 @@ THIRD_POINT_CORPUS = {
 }
 
 
+def record_frames(monkeypatch) -> list:
+    """Record the arguments of each _frame call: the anchor images and the
+    partner images of the candidate pairs."""
+    calls = []
+    frame = kernels._frame
+
+    def recorded(starts, stops):
+        calls.append((starts, stops))
+        return frame(starts, stops)
+
+    monkeypatch.setattr(kernels, "_frame", recorded)
+    return calls
+
+
 def record_third_point(monkeypatch) -> list:
     """Record each third-point check: its arguments and its result."""
     calls = []
@@ -571,7 +586,7 @@ def within_tol_sets():
 
 def test_third_point_window_keeps_every_symmetry_within_tol(monkeypatch):
     # no frame of a true symmetry sends the third point outside the window,
-    # which is narrower than the slack on all but five of these sets
+    # which is narrower than the slack on all but three of these sets
     calls = record_third_point(monkeypatch)
     windows = []
     window = kernels._third_point_window
@@ -590,7 +605,7 @@ def test_third_point_window_keeps_every_symmetry_within_tol(monkeypatch):
         assert calls[0][3] <= windows[0], name
         tight += calls[0][3] == windows[0]
         sets += 1
-    assert (sets, tight) == (541, 536)
+    assert (sets, tight) == (541, 538)
 
 
 @pytest.mark.parametrize("part", ASYMMETRIC_CORPUS)
@@ -599,3 +614,20 @@ def test_search_equals_reference_on_asymmetric_sets(part):
     for name, ps in ASYMMETRIC_CORPUS[part]():
         assert row_set(run_scan(ps)[1]) == row_set(run_reference(ps)[1]), name
 
+
+def test_candidate_frame_totals(monkeypatch):
+    # the frames built for one anchor and its partner, summed over the
+    # witnesses n = 5..30 as built and over each oracle-asym round of seeds
+    # 1 to 3; an anchor or partner rule that multiplies them shows here
+    built = [(str(entry), witness(n, entry)) for n in range(5, 31) for entry in classify(n)]
+    calls = record_frames(monkeypatch)
+
+    def total(sets):
+        calls.clear()
+        for _, ps in sets:
+            z, w, _ = ps.arrays()
+            scan_stabilizer_triples(z, w, ps.tol)
+        return sum(len(starts) for starts, _ in calls)
+
+    assert total(built) == 4894
+    assert [total(asym_round(seed)) for seed in (1, 2, 3)] == [876, 876, 876]

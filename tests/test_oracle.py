@@ -28,7 +28,7 @@ from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orde
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
 import reference_oracle
 from reference_oracle import component_index, distance_matrix, index_of
-from test_kernels import record_third_point
+from test_kernels import record_frames, record_third_point
 from test_reference_paths import IDENTITY_MAP, sphere_set
 
 
@@ -809,10 +809,34 @@ def test_trivial_sets_skip_the_decision_and_mostly_the_grid(monkeypatch):
     assert grids == []
 
 
-def one_point_moved(ps, rng):
-    """ps with the first point of its largest orbit moved chordally by
-    50 tol in a random direction."""
-    t = max(stabilizer(ps).orbit_indices, key=len)[0]
+def anchor_partner_third(monkeypatch, ps) -> set:
+    """The points that the scan of ps takes as its anchor a, partner b and
+    third point c.  The third-point check reads the cloud in the frame of
+    (a, b): a is the point on its first axis, c the point farthest from its
+    plane, and b the partner image of each candidate pair from a whose
+    frame gives those coordinates.  Undoes every monkeypatch."""
+    pairs, checks = record_frames(monkeypatch), record_third_point(monkeypatch)
+    z, w, _ = ps.arrays()
+    scan_stabilizer_triples(z, w, ps.tol)
+    monkeypatch.undo()
+    C = kernels._center(z, w)[0].T
+    (starts, stops), coords = pairs[0], checks[0][1]
+    a = int(coords[0].argmax())
+    found = {a, int(np.abs(coords[2]).argmax())}
+    for start, stop in zip(starts, stops):
+        axes = kernels._frame(start, stop)[:, :, None]
+        if (start == C[:, a]).all() and np.array_equal(
+                axes[:, 0] * C[0] + axes[:, 1] * C[1] + axes[:, 2] * C[2], coords):
+            found.add(int((C.T == stop).all(axis=1).argmax()))
+    return found
+
+
+def one_point_moved(monkeypatch, ps, rng):
+    """ps with the first point of its largest orbit that the scan of ps
+    takes as none of its anchor, partner and third point moved chordally
+    by 50 tol in a random direction."""
+    taken = anchor_partner_third(monkeypatch, ps)
+    t = next(t for t in max(stabilizer(ps).orbit_indices, key=len) if t not in taken)
     x = np.array(ps.points[t].to_sphere())
     step = rng.normal(size=3)
     step -= (step @ x) * x
@@ -828,7 +852,7 @@ def test_a_decision_keeping_the_identity_alone_skips_the_checks(monkeypatch):
     # still land the third point, so matching proposes rows that the decision
     # rejects, and the identity it keeps is the trivial result
     rng = np.random.default_rng(27)
-    moved = [(f"{entry} n={n}", one_point_moved(witness(n, entry), rng))
+    moved = [(f"{entry} n={n}", one_point_moved(monkeypatch, witness(n, entry), rng))
              for n in range(8, 25) for entry in classify(n)
              if entry.label.kind in (cl.S4, cl.A4, cl.A5) or entry.label == dihedral(13)]
     assert len(moved) == 17
