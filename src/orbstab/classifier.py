@@ -357,8 +357,3 @@ def parse_entry(text: str) -> ClassificationEntry:
         raise ValueError(f"cannot parse index in entry {text!r}")
     index = tuple(int(part) for part in tail[1:-1].split(",") if part.strip())
     return ClassificationEntry(label, index)
-
-
-def entry_from_json(data: dict) -> ClassificationEntry:
-    return ClassificationEntry(_label(data["group"], data.get("p")),
-                               tuple(data.get("index", ())))

@@ -189,11 +189,15 @@ def _random_mobius(rng):
             return MobiusMap(a, b, c, d)
 
 
-def _jittered(ps: PointSet, rng, scale: float = 1e-3) -> PointSet:
+#: The standard deviation of each sphere coordinate's nudge in ``_jittered``.
+_JITTER = 1e-3
+
+
+def _jittered(ps: PointSet, rng) -> PointSet:
     """Nudge every point along the sphere, breaking all symmetries."""
     pts = []
     for p in ps.points:
-        xyz = np.asarray(p.to_sphere()) + scale * rng.normal(size=3)
+        xyz = np.asarray(p.to_sphere()) + _JITTER * rng.normal(size=3)
         xyz /= np.linalg.norm(xyz)
         pts.append(RiemannPoint.from_sphere(*xyz))
     return PointSet(pts, tol=ps.tol)

@@ -19,12 +19,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AmbiguousMatching, DegenerateMap, NearDegenerateTriple
+from .kernels import _row_blocks
 
 #: Default chordal tolerance used for point and map comparisons.
 DEFAULT_TOL = 1e-8
 
 #: Modulus floor for the determinant of a normalized Mobius matrix.
 DET_FLOOR = 1e-12
+
+#: ``snap_arrays`` zeroes the components below this share of a pair's
+#: larger modulus.
+_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,6 @@ class RiemannPoint:
     @classmethod
     def from_value(cls, value: complex) -> "RiemannPoint":
         """Build a point from an ordinary complex number (or inf)."""
-        if isinstance(value, (int, float)) and math.isinf(value):
-            return cls(1.0, 0.0)
         value = complex(value)
         if cmath.isinf(value):
             return cls(1.0, 0.0)
@@ -72,9 +75,6 @@ class RiemannPoint:
         object.__setattr__(p, "z", z)
         object.__setattr__(p, "w", w)
         return p
-
-    def is_infinity(self, tol: float = DEFAULT_TOL) -> bool:
-        return chordal_distance(self, _INF) <= tol
 
     def value(self) -> complex:
         """The point as a complex number; complex infinity for (1 : 0)."""
@@ -109,9 +109,6 @@ class RiemannPoint:
         return point_to_str(self)
 
 
-_INF = RiemannPoint(1.0, 0.0)
-
-
 def chordal_distance(p: RiemannPoint, q: RiemannPoint) -> float:
     """Chordal distance between two sphere points; in [0, 2].
 
@@ -131,15 +128,15 @@ def chordal_distances(z1, w1, n1, z2, w2, n2):
     return 2.0 * np.abs(z1 * w2 - z2 * w1) / (n1 * n2)
 
 
-def snap_arrays(z, w, eps: float = 1e-12):
-    """Zero out the components of homogeneous pairs below eps times the
-    pair's larger modulus, and normalize the pairs as ``RiemannPoint``
+def snap_arrays(z, w):
+    """Zero out the components of homogeneous pairs below ``_SNAP`` times
+    the pair's larger modulus, and normalize the pairs as ``RiemannPoint``
     does, as (z, w, norm) ndarrays.
 
-    Turns numerically-computed images that are within eps of 0 or infinity
-    into the exact points, which keeps orbit constructions tidy.
+    Turns numerically-computed images that are within ``_SNAP`` of 0 or
+    infinity into the exact points, which keeps orbit constructions tidy.
     """
-    bound = eps * np.maximum(np.hypot(z.real, z.imag), np.hypot(w.real, w.imag))
+    bound = _SNAP * np.maximum(np.hypot(z.real, z.imag), np.hypot(w.real, w.imag))
 
     def clean(c):
         c = c.copy()
@@ -242,20 +239,6 @@ class MobiusMap:
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    # Kept only for projective_order, which the benchmark wraps (ROADMAP benchmark request B3).
-    def power(self, m: int) -> "MobiusMap":
-        """m-th iterate by binary exponentiation; m may be negative."""
-        if m < 0:
-            return self.inverse().power(-m)
-        result = MobiusMap.identity()
-        base = self
-        while m:
-            if m & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            m >>= 1
-        return result
 
     def is_identity(self, tol: float = DEFAULT_TOL) -> bool:
         """Projective identity test (entries are O(1) after normalization)."""
@@ -360,19 +343,27 @@ def check_separation(z, w, nrm, tol: float) -> float:
     pair norms nrm; inf below two points.
 
     Raises AmbiguousMatching, naming a closest pair, unless that distance
-    exceeds 2*tol.
+    exceeds 2*tol.  The distances are computed a block of rows at a time,
+    so memory stays bounded as n grows; a block's minimum replaces the one
+    kept only when strictly smaller, so the pair is the first closest one
+    in row order, as an argmin over the whole matrix would find it.
     """
     n = len(z)
     if n < 2:
         return math.inf
-    d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
-    d[np.diag_indices(n)] = 4.0
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    if d[i, j] <= 2.0 * tol:
+    best = math.inf
+    for blk in _row_blocks(n, n):
+        d = chordal_distances(z[blk, None], w[blk, None], nrm[blk, None],
+                              z, w, nrm)
+        d.flat[blk.start::n + 1] = 4.0  # each row's own point
+        k = int(d.argmin())
+        if d.flat[k] < best:
+            best, i, j = float(d.flat[k]), blk.start + k // n, k % n
+    if best <= 2.0 * tol:
         p, q = (RiemannPoint(z[k], w[k]) for k in (i, j))
         raise AmbiguousMatching(
             f"points {p} and {q} are within 2*tol = {2.0 * tol} of each other")
-    return float(d[i, j])
+    return best
 
 
 class PointSet:
@@ -445,10 +436,6 @@ class PointSet:
     def to_json(self) -> list[str]:
         return [point_to_str(p) for p in self.points]
 
-    @classmethod
-    def from_json(cls, data, tol: float = DEFAULT_TOL) -> "PointSet":
-        return cls((point_from_str(s) for s in data), tol=tol)
-
 
 # ---------------------------------------------------------------------------
 # Serialization: finite points as "re+imi" decimals, infinity as "inf".
@@ -486,7 +473,3 @@ def point_to_str(p: RiemannPoint) -> str:
     if p.w == 0:
         return "inf"
     return format_complex(p.value())
-
-
-def point_from_str(text: str) -> RiemannPoint:
-    return RiemannPoint.from_value(parse_complex(text))

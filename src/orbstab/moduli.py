@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatch
 from .geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
-                       check_separation, homogeneous_arrays,
+                       check_separation, chordal_distances, homogeneous_arrays,
                        matrix_condition, mobius_through_triple,
                        normalized_entries, zero_one_inf_entries)
 from .kernels import _mul, _row_blocks, _row_keys
@@ -227,11 +227,6 @@ class LambdaTuple:
         from .geometry import format_complex
         return {"n": self.n, "values": [format_complex(v) for v in self.values]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LambdaTuple":
-        from .geometry import parse_complex
-        return cls(tuple(parse_complex(s) for s in data["values"]))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -247,9 +242,8 @@ def tuple_deviation(a, b) -> float:
         raise ValueError(f"cannot compare tuples of lengths {a.size} and {b.size}")
     if a.size == 0:
         return 0.0
-    # chordal_distances with both w == 1
-    return float((2.0 * np.abs(a - b)
-                  / (np.hypot(1.0, np.abs(a)) * np.hypot(1.0, np.abs(b)))).max())
+    return float(chordal_distances(a, 1.0, np.hypot(1.0, np.abs(a)),
+                                   b, 1.0, np.hypot(1.0, np.abs(b))).max())
 
 
 def _screened_deviation(a: np.ndarray, b, bound: float) -> float:
@@ -421,18 +415,26 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation) -> LambdaTuple:
     return LambdaTuple(by_def.tolist(), tol=lam.tol)
 
 
-def random_lambda(n: int, rng: np.random.Generator, margin: float = 0.05,
+#: How far ``random_lambda`` keeps each coordinate from 0, from 1 and from
+#: every other coordinate.
+_MARGIN = 0.05
+
+
+def random_lambda(n: int, rng: np.random.Generator,
                   tol: float = DEFAULT_TOL) -> LambdaTuple:
     """A generic K_n point at this tol, with coordinates comfortably
-    separated."""
-    while True:
-        values = [complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
-                  for _ in range(n - 3)]
-        ok = all(abs(v) > margin and abs(v - 1.0) > margin for v in values)
-        ok = ok and all(abs(a - b) > margin
-                        for i, a in enumerate(values) for b in values[i + 1:])
-        if ok:
-            return LambdaTuple(tuple(values), tol=tol)
+    separated.
+
+    The coordinates are drawn one at a time, and one that lands within
+    ``_MARGIN`` of 0, 1 or an earlier coordinate is drawn again alone, so
+    the number of draws grows about linearly in n.
+    """
+    values: list[complex] = []
+    while len(values) < n - 3:
+        v = complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
+        if all(abs(v - u) > _MARGIN for u in (0.0, 1.0, *values)):
+            values.append(v)
+    return LambdaTuple(tuple(values), tol=tol)
 
 
 @dataclass

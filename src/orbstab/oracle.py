@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import itertools
 import math
 
 import numpy as np
@@ -250,8 +249,9 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
 
     For elliptic elements the rotation angle theta satisfies
     tr^2/det = 2 + 2 cos(theta); the order is the denominator of
-    theta/(2 pi).  The candidate is verified by exponentiation, and an
-    element that fails the check is not of finite order <= cap.
+    theta/(2 pi).  The candidate is verified by the closed-form test that
+    the oracle applies to its own elements (``_check_finite_orders``), and
+    an element that fails it is not of finite order <= cap.
     """
     if f.is_identity(tol):
         return 1
@@ -262,8 +262,15 @@ def projective_order(f: MobiusMap, cap: int, tol: float = DEFAULT_TOL) -> int:
         from fractions import Fraction
         theta = math.acos(min(1.0, max(-1.0, q.real / 2.0 - 1.0)))
         m = Fraction(theta / (2.0 * math.pi)).limit_denominator(cap).denominator
-        if f.power(m).is_identity(10.0 * tol):
-            return m
+        # that test passes order 1 unchecked, and f is not the identity
+        if m > 1:
+            entries = np.array([[f.a], [f.b], [f.c], [f.d]])
+            try:
+                _check_finite_orders(_check_nondegenerate(entries),
+                                     np.array([m]), tol)
+                return m
+            except UnrecognizedGroup:
+                pass
     raise UnrecognizedGroup(
         f"element has no order dividing {cap}; not part of a finite group")
 
@@ -452,11 +459,11 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
     images of the base triple and then compared in full, so a product
     whose base-triple images match no row fails the comparison.  The
     identity must be a row.  Each generator s is the element of largest
-    order not yet reached, and s G must lie in G; a breadth-first search
-    from the identity along those products, continued from the rows it
-    has reached as each generator is added, reaches the group the
-    generators generate.  Each generator at least doubles that group, so
-    k <= log2 m, and once it is all of G, G is closed, inverses included.
+    order not yet reached, and s G must lie in G; once its products are
+    checked, a breadth-first search from the identity along the products
+    of every generator so far reaches the group the generators generate.
+    Each generator at least doubles that group, so k <= log2 m, and once
+    it is all of G, G is closed, inverses included.
     """
     m, n = rows.shape
     # _row_orders has checked that the rows of order 1 are the identity
@@ -490,30 +497,14 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
                 raise UnrecognizedGroup("stabilizer elements not closed under "
                                         "composition")
         products.append(image.tolist())
-        _reach(reached, queue, products)
-
-
-def _reach(seen: list[bool], queue: list[int], products: list[list[int]]):
-    """Continue a breadth-first search along the generator products.
-
-    ``queue`` lists the rows reached so far, in the order they were
-    reached, and ``seen`` marks them; both grow in place.  The search has
-    already followed every product but the last from each queued row, so
-    the new product is followed from those rows, and every product from
-    the rows it reaches.
-    """
-    new, done = products[-1], len(queue)
-    for g in queue[:done]:
-        h = new[g]
-        if not seen[h]:
-            seen[h] = True
-            queue.append(h)
-    for g in itertools.islice(queue, done, None):
-        for image in products:
-            h = image[g]
-            if not seen[h]:
-                seen[h] = True
-                queue.append(h)
+        # the queue grows while it is walked, and every product is followed
+        # from every row in it
+        for g in queue:
+            for product in products:
+                h = product[g]
+                if not reached[h]:
+                    reached[h] = True
+                    queue.append(h)
 
 
 #: The trivial group's one map, exactly the identity, as (4, 1) entries.

@@ -53,15 +53,18 @@ def rotation_mobius(axis, angle: float) -> MobiusMap:
     return mobius_through_triple(_REF_POINTS, images, tol=1e-12)
 
 
-def _close_group(generators, max_order: int = 200,
-                 tol: float = 1e-9) -> list[MobiusMap]:
+#: The tolerance at which ``_close_group`` takes two products for one map.
+_CLOSURE_TOL = 1e-9
+
+
+def _close_group(generators, max_order: int) -> list[MobiusMap]:
     """The group the generators generate, identity first.
 
     Products wait on a stack.  Each popped candidate f is tested against
     every element g found so far in one numpy pass over the (4, m) array
     of their entries, by ``maps_equal``'s rule: f g^-1, with g^-1 = (d, -b,
-    -c, a), is the identity within tol times the larger of its diagonal
-    moduli.
+    -c, a), is the identity within ``_CLOSURE_TOL`` times the larger of its
+    diagonal moduli.
     """
     elements = [MobiusMap.identity()]
     found = np.empty((4, max_order + 1), dtype=complex)
@@ -71,7 +74,7 @@ def _close_group(generators, max_order: int = 200,
         f = frontier.pop()
         a, b, c, d = found[:, :len(elements)]
         p, s = f.a * d - f.b * c, f.d * a - f.c * b   # diagonal of f g^-1
-        scale = tol * np.maximum(np.abs(p), np.abs(s))
+        scale = _CLOSURE_TOL * np.maximum(np.abs(p), np.abs(s))
         if ((np.abs(f.b * a - f.a * b) <= scale)
                 & (np.abs(f.c * d - f.d * c) <= scale)
                 & (np.abs(p - s) <= scale)).any():

@@ -31,7 +31,7 @@ from orbstab.kernels import (_ANCHORS, _BLOCK, _CELLS, _HALVINGS, _MAX_STEP,
                              CENTERING_RESIDUAL, CENTERING_SHIFT, CENTERING_STEPS,
                              _boost, _mul, _newton_direction, _second_moment)
 from orbstab.oracle import (StabilizerResult, _component_index, _label_of,
-                            _pick_base_triple, _reach)
+                            _pick_base_triple)
 
 
 def _sphere(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -392,8 +392,8 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
     images of the base triple and then compared in full.  The identity
     must be a row.  Each generator s is the element of largest order not
     yet reached, and s G must lie in G; a breadth-first search from the
-    identity along those products, continued from the rows it has reached
-    as each generator is added, reaches the group the generators generate.
+    identity along those products, run afresh as each generator is added
+    (``_reached_afresh``), reaches the group the generators generate.
     Each generator at least doubles that group, so k <= log2 m, and once
     it is all of G, G is closed, inverses included.
     """
@@ -423,9 +423,7 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
 
     identity = int(identities[0])
     products: list[list[int]] = []  # products[j][g]: the row of s_j g
-    reached = [False] * m
-    reached[identity] = True
-    queue = [identity]
+    reached = [g == identity for g in range(m)]
     for s in np.argsort(-orders, kind="stable").tolist():
         if reached[s]:
             continue
@@ -436,7 +434,22 @@ def _check_closure(rows: np.ndarray, orders: np.ndarray, base) -> None:
             raise UnrecognizedGroup("stabilizer elements not closed under "
                                     "composition")
         products.append(image.tolist())
-        _reach(reached, queue, products)
+        reached = _reached_afresh(identity, products, m)
+
+
+def _reached_afresh(start: int, products: list[list[int]], m: int) -> list[bool]:
+    """Which of the m rows a breadth-first search from ``start`` reaches
+    along every product."""
+    seen = [False] * m
+    seen[start] = True
+    queue = [start]
+    for g in queue:
+        for image in products:
+            h = image[g]
+            if not seen[h]:
+                seen[h] = True
+                queue.append(h)
+    return seen
 
 
 def stabilizer(ps: PointSet,

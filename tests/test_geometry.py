@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from orbstab.errors import (AmbiguousMatching, DegenerateMap,
                             NearDegenerateTriple)
 from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                               check_separation, chordal_distance,
-                              format_complex,
+                              chordal_distances, format_complex,
                               homogeneous_arrays, maps_equal,
                               mobius_through_triple, parse_complex,
-                              point_from_str, point_to_str,
-                              snap_arrays)
+                              point_to_str, snap_arrays)
+from orbstab.kernels import _row_blocks
 from reference_oracle import apply_map, set_equal
 from reference_witness import snap_point
 
@@ -47,8 +48,8 @@ class TestRiemannPoint:
 
     def test_infinity_round_trip(self):
         assert INF.value() == complex("inf")
-        assert pt(float("inf")).is_infinity()
-        assert not pt(1e6).is_infinity()
+        assert pt(float("inf")).w == 0
+        assert pt(1e6).w != 0
 
     def test_sphere_embedding_round_trip(self):
         rng = np.random.default_rng(3)
@@ -93,7 +94,7 @@ class TestMobiusMap:
 
     def test_apply_pole(self):
         inv = MobiusMap(0.0, 1.0, 1.0, 0.0)  # 1/z
-        assert inv.apply(pt(0)).is_infinity()
+        assert inv.apply(pt(0)).w == 0
 
     def test_apply_one_minus_z(self):
         f = MobiusMap(-1.0, 1.0, 0.0, 1.0)
@@ -128,9 +129,10 @@ class TestMobiusMap:
 
     def test_power(self):
         rot = MobiusMap(1j, 0.0, 0.0, 1.0)
-        assert rot.power(4).is_identity(1e-15)
-        assert not rot.power(2).is_identity(1e-6)
-        assert rot.power(-1).compose(rot).is_identity(1e-15)
+        half = rot.compose(rot)
+        assert half.compose(half).is_identity(1e-15)
+        assert not half.is_identity(1e-6)
+        assert rot.inverse().compose(rot).is_identity(1e-15)
 
     def test_fixed_points(self):
         rot = MobiusMap(1j, 0.0, 0.0, 1.0)
@@ -200,6 +202,38 @@ class TestPointSet:
             assert check_separation(*homogeneous_arrays(values), 1.0) == math.inf
             assert PointSet.from_values(values).min_separation == math.inf
 
+    @pytest.mark.parametrize("n,blocks", [(300, 2), (700, 8)])
+    def test_check_separation_in_blocks_equals_the_dense_matrix(self, n, blocks):
+        assert len(list(_row_blocks(n, n))) == blocks
+        rng = np.random.default_rng(n)
+        values = list(rng.normal(size=n) * 2.0 + 1j * rng.normal(size=n) * 2.0)
+        arrays = homogeneous_arrays(values)
+        assert check_separation(*arrays, DEFAULT_TOL) == \
+            dense_check_separation(*arrays, DEFAULT_TOL)
+        # a pair 1.9 tol apart in the first block, and the closest pair,
+        # 1.5 tol apart, in the last
+        for i, apart in ((1, 1.9), (n - 1, 1.5)):
+            v = values[i - 1]
+            values[i] = v + apart * DEFAULT_TOL * (1.0 + abs(v) ** 2) / 2.0
+        arrays = homogeneous_arrays(values)
+        messages = []
+        for check in (check_separation, dense_check_separation):
+            with pytest.raises(AmbiguousMatching) as caught:
+                check(*arrays, DEFAULT_TOL)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert str(RiemannPoint.from_value(values[n - 1])) in messages[0]
+
+    def test_separation_check_memory_stays_bounded(self):
+        values = list(np.exp(2j * np.pi * np.arange(2018) / 2018))
+        tracemalloc.start()
+        try:
+            PointSet.from_values(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_set_equal_order_independent(self):
         a = PointSet.from_values([0, 1, float("inf")])
         b = PointSet.from_values([float("inf"), 0, 1])
@@ -231,7 +265,7 @@ class TestPointSet:
 
     def test_json_round_trip(self):
         a = PointSet.from_values([0, 1, float("inf"), 2 + 3j])
-        b = PointSet.from_json(a.to_json())
+        b = PointSet.from_values([parse_complex(s) for s in a.to_json()])
         assert set_equal(a, b)
 
 
@@ -250,7 +284,7 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(37)
         for p in random_points(rng, 25) + [INF, pt(0)]:
-            q = point_from_str(point_to_str(p))
+            q = pt(parse_complex(point_to_str(p)))
             assert chordal_distance(p, q) < 1e-12
 
     def test_format(self):
@@ -258,11 +292,24 @@ class TestSerialization:
         assert point_to_str(INF) == "inf"
 
 
+def dense_check_separation(z, w, nrm, tol):
+    """``check_separation`` over the whole n x n matrix at once: the
+    reference for its row blocks."""
+    d = chordal_distances(z[:, None], w[:, None], nrm[:, None], z, w, nrm)
+    d[np.diag_indices(len(z))] = 4.0
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    if d[i, j] <= 2.0 * tol:
+        p, q = (RiemannPoint(z[k], w[k]) for k in (i, j))
+        raise AmbiguousMatching(
+            f"points {p} and {q} are within 2*tol = {2.0 * tol} of each other")
+    return float(d[i, j])
+
+
 def test_snap_point():
     p = snap_point(RiemannPoint(1e-15 + 1j * 1e-16, 1.0))
     assert p.value() == 0.0
     q = snap_point(RiemannPoint(1.0, 1e-14))
-    assert q.is_infinity()
+    assert q.w == 0
 
 
 def bits(values):

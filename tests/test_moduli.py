@@ -87,7 +87,8 @@ class TestLambdaTuple:
 
     def test_json_round_trip(self):
         lam = LambdaTuple((2.0 + 1.0j, 5.0))
-        again = LambdaTuple.from_json(lam.to_json())
+        again = LambdaTuple(tuple(map(geometry.parse_complex,
+                                      lam.to_json()["values"])))
         assert tuple_deviation(lam.values, again.values) < 1e-15
 
 
@@ -439,6 +440,39 @@ class TestGroupLaw:
         with pytest.raises(ClosedFormMismatch):
             cli.main(["moduli", "6", "--group-law", "--tol", "1e-12",
                       "--trials", "5"])
+
+    def test_random_points_return_at_large_n(self):
+        # drawing all coordinates again on any collision never returned here
+        values = np.array(random_lambda(400, np.random.default_rng(0)).values)
+        assert len(values) == 397
+        assert (abs(values) > 0.05).all() and (abs(values - 1.0) > 0.05).all()
+        apart = abs(values[:, None] - values)
+        np.fill_diagonal(apart, np.inf)
+        assert apart.min() > 0.05
+
+    def test_random_points_equal_the_whole_draw_where_it_passed_at_once(self):
+        def whole_first_draw(n, rng):
+            """The first draw of the rule that draws every coordinate again
+            when any two collide; None when it collides."""
+            values = [complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
+                      for _ in range(n - 3)]
+            ok = all(abs(v) > 0.05 and abs(v - 1.0) > 0.05 for v in values)
+            ok = ok and all(abs(a - b) > 0.05
+                            for i, a in enumerate(values) for b in values[i + 1:])
+            return values if ok else None
+
+        def bits(values):
+            return np.array(values, dtype=complex).view(np.int64).tolist()
+
+        passed = 0
+        for n in range(5, 41):
+            for seed in range(30):
+                first = whole_first_draw(n, np.random.default_rng(seed))
+                if first is not None:
+                    passed += 1
+                    lam = random_lambda(n, np.random.default_rng(seed))
+                    assert bits(lam.values) == bits(first), (n, seed)
+        assert passed == 928
 
     def test_random_points_at_any_tol_share_their_values(self):
         fine = random_lambda(9, np.random.default_rng(5), tol=1e-12)

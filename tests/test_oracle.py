@@ -23,7 +23,7 @@ from orbstab.moduli import ANHARMONIC_GROUP
 from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orders,
                             _check_nondegenerate, _component_index, _decide,
                             _label_of, _orbit_partition, base_triple_maps,
-                            _pick_base_triple, _reach, _row_orders,
+                            _pick_base_triple, _row_orders,
                             identify_group, projective_order, stabilizer)
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
 import reference_oracle
@@ -203,9 +203,11 @@ class TestProjectiveOrder:
         assert projective_order(MobiusMap.identity(), cap=60) == 1
 
     def test_loxodromic_rejected(self):
-        # the near-elliptic map's trace reads order 7; the power check refutes it
+        # the near-elliptic map's trace reads order 7; the power check refutes
+        # it.  The parabolic z + 1 reads order 1, which that check would pass
         for f in (MobiusMap(2.0, 0, 0, 1),
-                  MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1)):
+                  MobiusMap(cmath.exp(2j * math.pi * (1 / 7 + 1e-4)), 0, 0, 1),
+                  MobiusMap(1.0, 1.0, 0, 1)):
             with pytest.raises(UnrecognizedGroup):
                 projective_order(f, cap=30)
 
@@ -351,37 +353,6 @@ def test_exact_closure_rejects_one_foreign_row():
         _check_closure(bad, _row_orders(bad, base), base)
 
 
-def _reached_afresh(start, products, m):
-    """The closure search before it continued: a breadth-first search from
-    ``start`` along every product, run again after each generator."""
-    seen = [False] * m
-    seen[start] = True
-    queue = [start]
-    for g in queue:
-        for image in products:
-            h = image[g]
-            if not seen[h]:
-                seen[h] = True
-                queue.append(h)
-    return seen
-
-
-def test_continued_search_reaches_what_a_fresh_one_does():
-    rng = np.random.default_rng(41)
-    for m in (1, 2, 7, 60, 240):
-        for _ in range(5):
-            seen, queue, products = [False] * m, [0], []
-            seen[0] = True
-            for _ in range(4):
-                # any map of the rows to themselves, not only a permutation
-                products.append(rng.integers(0, m, size=m).tolist()
-                                if rng.random() < 0.3 else
-                                rng.permutation(m).tolist())
-                _reach(seen, queue, products)
-                assert seen == _reached_afresh(0, products, m)
-                assert sorted(queue) == [g for g in range(m) if seen[g]]
-
-
 def entries_of(*maps):
     """The (a, b, c, d) entry arrays of a list of maps."""
     return tuple(np.array([getattr(f, x) for f in maps]) for x in "abcd")
@@ -426,7 +397,8 @@ NOT_OF_ORDER_7 = (MobiusMap(2.0, 0, 0, 1),
 
 def test_finite_order_check():
     _check_finite_orders(
-        _check_nondegenerate(entries_of(MobiusMap.identity(), ROT7, ROT7.power(3))),
+        _check_nondegenerate(entries_of(MobiusMap.identity(), ROT7,
+                                        ROT7.compose(ROT7).compose(ROT7))),
         np.array([1, 7, 7]), tol=1e-8)
     for f in NOT_OF_ORDER_7:
         with pytest.raises(UnrecognizedGroup):
@@ -579,6 +551,9 @@ def test_ambiguous_decision_states_both_margins():
 
 
 def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
+    # the sets first: the polyhedral orbit closes its group by composing maps
+    d30_set = dihedral_witness(30, (0, 0, 1))
+    a5_set = polyhedral_orbit(cl.A5, "V12")
     calls = []
 
     def counted(name, original):
@@ -589,12 +564,11 @@ def test_stabilizer_does_no_per_element_map_arithmetic(monkeypatch):
 
     monkeypatch.setattr(oracle, "projective_order",
                         counted("projective_order", projective_order))
-    monkeypatch.setattr(MobiusMap, "power", counted("power", MobiusMap.power))
+    monkeypatch.setattr(MobiusMap, "compose", counted("compose", MobiusMap.compose))
     through = counted("mobius_through_triple", mobius_through_triple)
     monkeypatch.setattr(geometry, "mobius_through_triple", through)
     monkeypatch.setattr(oracle, "mobius_through_triple", through, raising=False)
-    d30 = stabilizer(dihedral_witness(30, (0, 0, 1)))
-    a5 = stabilizer(polyhedral_orbit(cl.A5, "V12"))
+    d30, a5 = stabilizer(d30_set), stabilizer(a5_set)
     assert (d30.label, a5.label) == (dihedral(30), cl.LABEL_A5)
     assert calls == []
 
