@@ -11,6 +11,15 @@ class InvalidCardinality(OrbstabError, ValueError):
     points, whose stabilizer is infinite, handed to the oracle."""
 
 
+class InvalidTolerance(OrbstabError, ValueError):
+    """A working tolerance that is not a finite number above 0."""
+
+
+class InvalidPoint(OrbstabError, ValueError):
+    """Coordinates that define no point of the sphere: (0 : 0), a NaN or
+    an infinite pair."""
+
+
 class NearDegenerateTriple(OrbstabError, ValueError):
     """Two points of a triple coincide within tolerance, so no unique
     Mobius transformation through the triple exists numerically."""

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousMatching, DegenerateMap, NearDegenerateTriple
+from .errors import (AmbiguousMatching, DegenerateMap, InvalidPoint, InvalidTolerance,
+                     NearDegenerateTriple)
 from .kernels import _row_blocks
 
 #: Default chordal tolerance used for point and map comparisons.
@@ -50,7 +51,7 @@ class RiemannPoint:
         az, aw = abs(z), abs(w)
         m = max(az, aw)
         if m == 0.0 or not math.isfinite(m):
-            raise ValueError(f"({z}, {w}) does not define a point of the sphere")
+            raise InvalidPoint(f"({z}, {w}) does not define a point of the sphere")
         pivot = w if aw >= az else z
         object.__setattr__(self, "z", z / pivot)
         object.__setattr__(self, "w", w / pivot)
@@ -332,7 +333,7 @@ def homogeneous_arrays(values, exact: bool = True
     z = np.array(values, dtype=complex).reshape(-1)
     at_inf = np.isinf(z)
     if (np.isnan(z) & ~at_inf).any():
-        raise ValueError("a NaN coordinate does not define a point of the sphere")
+        raise InvalidPoint("a NaN coordinate does not define a point of the sphere")
     w = np.ones_like(z)
     z[at_inf], w[at_inf] = 1.0, 0.0
     return _with_norms(*_normalized_pairs(z, w, exact))
@@ -342,12 +343,15 @@ def check_separation(z, w, nrm, tol: float) -> float:
     """The smallest pairwise chordal distance of the points (z : w) with
     pair norms nrm; inf below two points.
 
-    Raises AmbiguousMatching, naming a closest pair, unless that distance
+    Raises InvalidTolerance unless tol is finite and above 0, and
+    AmbiguousMatching, naming a closest pair, unless that distance
     exceeds 2*tol.  The distances are computed a block of rows at a time,
     so memory stays bounded as n grows; a block's minimum replaces the one
     kept only when strictly smaller, so the pair is the first closest one
     in row order, as an argmin over the whole matrix would find it.
     """
+    if not 0.0 < tol < math.inf:  # nan too
+        raise InvalidTolerance(f"tol must be a finite number above 0, not {tol!r}")
     n = len(z)
     if n < 2:
         return math.inf
@@ -371,11 +375,12 @@ class PointSet:
 
     All pairwise chordal distances must exceed 2*tol, which makes
     tolerance-ball matching against the set unambiguous; construction
-    checks this and keeps the smallest distance it found as
-    ``min_separation``.  The homogeneous coordinates, as read-only (z, w,
-    norm) arrays, are the set's state: ``PointSet(points, tol)`` takes them
-    from the points, ``from_values`` and ``from_arrays`` build no point at
-    all, and ``points`` makes the ``RiemannPoint`` objects on first read.
+    checks this, and that tol is finite and above 0, and keeps the
+    smallest distance it found as ``min_separation``.  The homogeneous
+    coordinates, as read-only (z, w, norm) arrays, are the set's state:
+    ``PointSet(points, tol)`` takes them from the points, ``from_values``
+    and ``from_arrays`` build no point at all, and ``points`` makes the
+    ``RiemannPoint`` objects on first read.
     """
 
     def __init__(self, points, tol: float = DEFAULT_TOL):

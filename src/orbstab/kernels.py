@@ -20,13 +20,21 @@ separation, wide enough to survive the stretching of centering, unless
 the images of the ``tol`` balls under the centering map are wider; a
 lookup takes the nearest point within the slack.
 
+The profile and partner screens, and the third point below, use windows,
+not the slack: how far a true symmetry can move what they compare,
+derived from tol, the stretch and the remaining shift of centering and
+the barycenter's sensitivity (``_rotation_miss``), and never wider than
+the slack.  A true symmetry moves every distance by at most twice its
+rotation miss, plus rounding (``_distance_window``).  On an asymmetric
+set that window, thousands of times narrower than the slack, usually
+leaves the anchor's own pair alone, and the scan then returns the
+identity before it builds any frame.
+
 Before the grid, the candidates are tried block by block on one third
 point ``c``, the cloud point farthest from the plane of the anchor pair.
-The check uses a window, not the slack: how far the frame of a true
-symmetry can send ``c`` from its partner, derived from tol, the stretch
-and the remaining shift of centering, the barycenter's sensitivity and
-the partner's distance from the anchor's line (``_rotation_miss``,
-``_third_point_window``), and never wider than the slack.  A candidate
+Its window is how far the frame of a true symmetry can send ``c`` from
+its partner, which also depends on the partner's distance from the
+anchor's line (``_third_point_window``).  A candidate
 that sends ``c`` outside the window of every cloud point is dropped.  On
 a near-symmetric set, a symmetric set moved by far more than tol, every
 frame but the anchor's own misses ``c`` by far more than the window,
@@ -403,6 +411,38 @@ def _rotation_miss(tol: float, stretch: float, shift: float, kappa: float) -> fl
     return eps + 2.0 * (kappa * eps + shift)
 
 
+#: Rounding of a computed distance minus another, in machine epsilons
+#: (derived in ``_distance_window``).
+_DISTANCE_ULPS = 8
+
+
+def _distance_window(delta: float) -> float:
+    """How far the computed distances of a true symmetry's images can
+    differ from the anchor's: the window of the profile and partner screens.
+
+    The rotation U of ``_rotation_miss`` sends each computed point within
+    delta of its partner, and keeps distances.  So for a true symmetry with
+    permutation pi, |x_pi(a) - x_pi(y)| lies within 2 delta of
+    |x_a - x_y| for every y.  Sorting is 1-Lipschitz in the max norm, so
+    the sorted distance profile of pi(a) lies within 2 delta of a's, and
+    the partner distance |x_pi(a) - x_pi(b)| within 2 delta of |x_a - x_b|.
+
+    ``_distances`` adds the rounding r, in units of the machine epsilon
+    eps.  The coordinates have modulus at most 1 (up to ulps), so each
+    coordinate difference is at most 2 and each distance at most 2.  The
+    difference and its square round to a relative error of 3 eps / 2, the
+    two additions of nonnegative squares add eps, and the square root
+    halves that and rounds once more: a relative error of 7 eps / 4, so
+    at most 3.5 eps on a distance.  The subtraction of two such distances
+    rounds a result of at most 2 by at most eps, so
+
+        r = 3.5 eps + 3.5 eps + eps = 8 eps,
+
+    and the window is 2 delta + r.  No constant here is fitted to data.
+    """
+    return 2.0 * delta + _DISTANCE_ULPS * _EPS
+
+
 def _third_point_window(delta: float, h: float) -> float:
     """W: how far from its partner a candidate frame built on a true
     symmetry's images (a', b') of the anchor pair can send a third point.
@@ -505,9 +545,13 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
             f"above {CENTERING_SHIFT:g} of the separation {sep:.3g}, after "
             f"{steps} Newton steps")
     # a true symmetry's images may sit anywhere in the tol balls, which
-    # centering stretches by up to ``stretch``
+    # centering stretches by up to ``stretch``; its rotation part moves
+    # each distance by at most the distance window, which the profile and
+    # partner screens use where it is narrower
     slack = max(sep / 4.0, 2.0 * tol * stretch)
-    images_a = (deviation <= slack).nonzero()[0]
+    delta = _rotation_miss(tol, stretch, shift, kappa)
+    reach = min(slack, _distance_window(delta))
+    images_a = (deviation <= reach).nonzero()[0]
 
     # the partner b: far from the line through the anchor, with the fewest
     # points at its distance from the anchor ("crowd")
@@ -516,16 +560,20 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     b = int(np.where(far, _crowds(dist, profile, slack) - 0.5 * off_line, np.inf).argmin())
     dab = dist[b]
 
-    # candidate pairs (a', b'), the anchor's own pair (a, b) among them
+    # candidate pairs (a', b'), the anchor's own pair (a, b) among them;
+    # when a is its only image, its own distances are at hand
     ends = []
     for blk in _row_blocks(len(images_a), n):
-        near = _distances(C, C.take(images_a[blk], axis=1)) - dab
-        near = np.abs(near, out=near) <= slack
+        near = (dist[None] if len(images_a) == 1
+                else _distances(C, C.take(images_a[blk], axis=1))) - dab
+        near = np.abs(near, out=near) <= reach
         r = np.arange(len(near))
-        near[r, images_a[blk]] = False  # a wide slack meets a' itself
+        near[r, images_a[blk]] = False  # a wide window meets a' itself
         r, s = near.nonzero()
         ends += [images_a[blk][r], s]
     starts, stops = np.concatenate(ends[::2]), np.concatenate(ends[1::2])
+    if len(starts) == 1:  # the anchor's own pair alone: only the identity
+        return np.arange(n, dtype=np.int64)[None]
     frames = _frame(X.take(starts, axis=0), X.take(stops, axis=0))
     own = (starts == a) & (stops == b)
     # the cloud in the anchor's frame, one row per frame axis
@@ -536,8 +584,7 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     # frame could are no symmetry: blocks are checked until one keeps a
     # frame other than the anchor's own, and if none does, only the
     # identity survives; the blocks after that one are matched unchecked
-    window = min(slack, _third_point_window(
-        _rotation_miss(tol, stretch, shift, kappa), float(off_line[b])))
+    window = min(slack, _third_point_window(delta, float(off_line[b])))
     blocks = _row_blocks(len(frames), n)
     landed = []
     for blk in blocks:

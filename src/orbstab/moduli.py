@@ -160,7 +160,8 @@ class LambdaTuple:
     """A point of K_n: the free coordinates of a normalized configuration.
 
     Construction builds the marked points (0, 1, inf, l_1, ..., l_{n-3})
-    as read-only homogeneous arrays, checks that they are pairwise more
+    as read-only homogeneous arrays, checks that tol is finite and above 0
+    (InvalidTolerance otherwise) and that the points are pairwise more
     than 2*tol apart (AmbiguousMatching otherwise), and keeps the smallest
     distance found as a lower bound on the point's separation.  The
     coordinates are also kept as a read-only array, which the closed form
@@ -419,19 +420,27 @@ def g_sigma(lam: LambdaTuple, sigma: Permutation) -> LambdaTuple:
 #: every other coordinate.
 _MARGIN = 0.05
 
+#: The most coordinates ``random_lambda`` draws from its fixed box.
+_BOX_COORDINATES = 2048
+
 
 def random_lambda(n: int, rng: np.random.Generator,
                   tol: float = DEFAULT_TOL) -> LambdaTuple:
     """A generic K_n point at this tol, with coordinates comfortably
     separated.
 
-    The coordinates are drawn one at a time, and one that lands within
-    ``_MARGIN`` of 0, 1 or an earlier coordinate is drawn again alone, so
-    the number of draws grows about linearly in n.
+    The coordinates are drawn one at a time from the box [-2, 3] x [-2, 2],
+    and one that lands within ``_MARGIN`` of 0, 1 or an earlier coordinate
+    is drawn again alone, so the number of draws grows about linearly in n.
+    Past ``_BOX_COORDINATES`` coordinates the box is scaled by
+    sqrt(coordinates / _BOX_COORDINATES), keeping its area per coordinate:
+    random sequential placement at margin 0.05 jams at about 2.7 times
+    that many coordinates, so the box never fills.
     """
+    s = max(1.0, math.sqrt((n - 3) / _BOX_COORDINATES))
     values: list[complex] = []
     while len(values) < n - 3:
-        v = complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
+        v = complex(rng.uniform(-2.0 * s, 3.0 * s), rng.uniform(-2.0 * s, 2.0 * s))
         if all(abs(v - u) > _MARGIN for u in (0.0, 1.0, *values)):
             values.append(v)
     return LambdaTuple(tuple(values), tol=tol)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orbstab.errors import (AmbiguousMatching, DegenerateMap,
-                            NearDegenerateTriple)
+from orbstab.errors import (AmbiguousMatching, DegenerateMap, InvalidTolerance,
+                            NearDegenerateTriple, OrbstabError)
 from orbstab.geometry import (DEFAULT_TOL, MobiusMap, PointSet, RiemannPoint,
                               check_separation, chordal_distance,
                               chordal_distances, format_complex,
@@ -196,6 +196,21 @@ class TestPointSet:
                 ps.min_separation = 1.0
         pair = PointSet.from_values([0.0, 1.0, 1.0 + 3e-8])
         assert pair.min_separation / pair.tol == pytest.approx(3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        values = [0.0, 1.0, 2.0 + 1.0j]
+        arrays = homogeneous_arrays(values)
+        for build in (lambda: PointSet([RiemannPoint.from_value(v) for v in values], tol),
+                      lambda: PointSet.from_values(values, tol=tol),
+                      lambda: PointSet.from_arrays(*arrays, tol=tol)):
+            with pytest.raises(InvalidTolerance, match=f"not {tol!r}$"):
+                build()
+
+    def test_a_nan_coordinate_is_a_named_error(self):
+        with pytest.raises(OrbstabError, match="a NaN coordinate") as err:
+            PointSet.from_values([0.0, complex(math.nan, 1.0), 1.0])
+        assert isinstance(err.value, ValueError)
 
     def test_check_separation_below_two_points(self):
         for values in ([], [2.0]):

@@ -517,6 +517,12 @@ THIRD_POINT_CORPUS = {
 }
 
 
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
 def record_frames(monkeypatch) -> list:
     """Record the arguments of each _frame call: the anchor images and the
     partner images of the candidate pairs."""
@@ -544,21 +550,35 @@ def record_third_point(monkeypatch) -> list:
     return calls
 
 
+#: Per part of the third-point corpus, how many scans the profile and
+#: partner screens end before the third point, leaving the anchor's own
+#: pair alone, and how many reach the third point.
+SCREENED = {"witnesses": (20, 1048), "oracle-asym 1": (32, 7), "oracle-asym 2": (32, 7),
+            "oracle-asym 3": (32, 7), "K_n": (32, 0)}
+
+
 @pytest.mark.parametrize("part", THIRD_POINT_CORPUS)
 def test_third_point_drops_exactly_the_frames_that_match_it_to_nothing(
         monkeypatch, part):
     calls = record_third_point(monkeypatch)
-    dropped = 0
+    dropped = screened = reached = 0
     for name, ps in THIRD_POINT_CORPUS[part]():
         calls.clear()
         z, w, _ = ps.arrays()
-        scan_stabilizer_triples(z, w, ps.tol)
+        rows = scan_stabilizer_triples(z, w, ps.tol)
+        if not calls:
+            assert rows.tolist() == [list(range(ps.n))], name
+            screened += 1
+            continue
         (frames, coords, C, window, lands), = calls
         c = int(np.abs(coords[2]).argmax())
         rows = kernels._match(kernels._Grid(C.T, window), frames, coords)
         assert np.array_equal(rows[:, c] != -1, lands), name
         dropped += int((~lands).sum())
-    assert dropped > 0
+        reached += 1
+    assert (screened, reached) == SCREENED[part]
+    # every K_n scan ends at the screens, so none drops a frame there
+    assert dropped > 0 or part == "K_n"
 
 
 def within_tol_sets():
@@ -584,28 +604,62 @@ def within_tol_sets():
             yield f"{entry} #{i}", moved_ps, stabilizer(ps).rows
 
 
-def test_third_point_window_keeps_every_symmetry_within_tol(monkeypatch):
-    # no frame of a true symmetry sends the third point outside the window,
-    # which is narrower than the slack on all but three of these sets
-    calls = record_third_point(monkeypatch)
-    windows = []
-    window = kernels._third_point_window
+def recorded_results(monkeypatch, name) -> list:
+    """Record what each call of the kernels function ``name`` returns."""
+    results = []
+    function = getattr(kernels, name)
 
     def recorded(*args):
-        windows.append(window(*args))
-        return windows[-1]
+        results.append(function(*args))
+        return results[-1]
 
-    monkeypatch.setattr(kernels, "_third_point_window", recorded)
-    sets = tight = 0
+    monkeypatch.setattr(kernels, name, recorded)
+    return results
+
+
+def test_third_point_window_keeps_every_symmetry_within_tol(monkeypatch):
+    # no frame of a true symmetry sends the third point outside the window,
+    # which is narrower than the slack on all but three of the sets whose
+    # scan reaches the third point; the trivial sets end at the screens
+    calls = record_third_point(monkeypatch)
+    windows = recorded_results(monkeypatch, "_third_point_window")
+    sets = screened = tight = 0
     for name, ps, rows in within_tol_sets():
         calls.clear(), windows.clear()
         z, w, _ = ps.arrays()
         proposed = set(map(tuple, scan_stabilizer_triples(z, w, ps.tol).tolist()))
         assert set(map(tuple, rows.tolist())) <= proposed, name
+        sets += 1
+        if not calls:
+            assert len(rows) == 1, name
+            screened += 1
+            continue
         assert calls[0][3] <= windows[0], name
         tight += calls[0][3] == windows[0]
-        sets += 1
-    assert (sets, tight) == (541, 538)
+    assert (sets, screened, tight) == (541, 17, 521)
+
+
+def test_distance_screens_keep_every_symmetry_within_tol(monkeypatch):
+    # every true symmetry moves every point's sorted distance profile, and
+    # every distance, by no more than the screens' window, whichever point
+    # is the anchor and whichever the partner
+    windows = recorded_results(monkeypatch, "_distance_window")
+    worst = math.inf
+    for name, ps, rows in within_tol_sets():
+        windows.clear()
+        z, w, _ = ps.arrays()
+        scan_stabilizer_triples(z, w, ps.tol)
+        C = np.ascontiguousarray(kernels._center(z, w)[0].T)
+        dist = kernels._distances(C, C)
+        profiles = np.sort(dist, axis=1)
+        for row in rows:
+            moved = max(np.abs(profiles[row] - profiles).max(),
+                        np.abs(dist[np.ix_(row, row)] - dist).max())
+            assert moved <= windows[0], name
+            if moved > 0.0:  # not the identity
+                worst = min(worst, windows[0] / moved)
+    # the smallest margin, window / largest true move, is 18.0 (D_3 (0, 0, 6))
+    assert worst > 1.0
 
 
 @pytest.mark.parametrize("part", ASYMMETRIC_CORPUS)
@@ -629,5 +683,24 @@ def test_candidate_frame_totals(monkeypatch):
             scan_stabilizer_triples(z, w, ps.tol)
         return sum(len(starts) for starts, _ in calls)
 
-    assert total(built) == 4894
-    assert [total(asym_round(seed)) for seed in (1, 2, 3)] == [876, 876, 876]
+    assert total(built) == 4794
+    assert [total(asym_round(seed)) for seed in (1, 2, 3)] == [14, 14, 14]
+
+
+def test_sets_ending_at_the_screens_read_trivial_without_a_frame(monkeypatch):
+    # the oracle-asym items whose screens leave the anchor's own pair alone
+    # build no frame, and the oracle still reads them as trivial
+    calls = record_frames(monkeypatch)
+    screened = []
+    for seed in (1, 2, 3):
+        for name, ps in asym_round(seed):
+            calls.clear()
+            z, w, _ = ps.arrays()
+            scan_stabilizer_triples(z, w, ps.tol)
+            if not calls:
+                screened.append((name, ps))
+    assert len(screened) == 3 * 32
+    monkeypatch.setattr(kernels, "_frame", forbidden("_frame"))
+    for name, ps in screened:
+        res = stabilizer(ps)
+        assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name

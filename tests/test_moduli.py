@@ -9,7 +9,7 @@ import pytest
 from orbstab.classifier import INFINITE, classify, dihedral
 from orbstab import cli, geometry, kernels, moduli
 from orbstab.errors import (AmbiguousDecision, AmbiguousMatching,
-                            ClosedFormMismatch)
+                            ClosedFormMismatch, InvalidTolerance)
 from orbstab.geometry import (MobiusMap, RiemannPoint, chordal_distance,
                               chordal_distances, maps_equal)
 from orbstab.moduli import (ANHARMONIC_GROUP, LambdaTuple, Permutation,
@@ -84,6 +84,11 @@ class TestLambdaTuple:
         with pytest.raises(ValueError, match="NaN") as err:
             LambdaTuple((2.0, complex(float("nan"), 1.0)))
         assert not isinstance(err.value, AmbiguousMatching)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidTolerance, match=f"not {tol!r}$"):
+            LambdaTuple((2.0 + 1.0j, 5.0), tol=tol)
 
     def test_json_round_trip(self):
         lam = LambdaTuple((2.0 + 1.0j, 5.0))
@@ -449,6 +454,19 @@ class TestGroupLaw:
         apart = abs(values[:, None] - values)
         np.fill_diagonal(apart, np.inf)
         assert apart.min() > 0.05
+
+    def test_random_points_return_past_the_fixed_box(self):
+        # the box [-2, 3] x [-2, 2] jams at about 5500 coordinates; the box
+        # that grows with n keeps every margin
+        values = np.array(random_lambda(6000, np.random.default_rng(0)).values)
+        assert len(values) == 5997
+        assert (values.real < -2.0).any() and (values.real > 3.0).any()
+        assert (abs(values) > 0.05).all() and (abs(values - 1.0) > 0.05).all()
+        for blk in kernels._row_blocks(len(values), len(values)):
+            rows = np.arange(len(values))[blk]
+            apart = abs(values[rows, None] - values)
+            apart[np.arange(len(rows)), rows] = np.inf
+            assert apart.min() > 0.05
 
     def test_random_points_equal_the_whole_draw_where_it_passed_at_once(self):
         def whole_first_draw(n, rng):

@@ -28,7 +28,7 @@ from orbstab.oracle import (_canonical_order, _check_closure, _check_finite_orde
 from orbstab.witness import dihedral_witness, polyhedral_orbit, trivial_witness, witness
 import reference_oracle
 from reference_oracle import component_index, distance_matrix, index_of
-from test_kernels import record_frames, record_third_point
+from test_kernels import forbidden, record_frames, record_third_point
 from test_reference_paths import IDENTITY_MAP, sphere_set
 
 
@@ -744,12 +744,6 @@ def test_base_triple_is_nearly_as_separated_as_the_dense_choice(witness_rows):
     assert worst >= 0.5
 
 
-def forbidden(name):
-    def call(*args, **kwargs):
-        raise AssertionError(f"{name} called")
-    return call
-
-
 def counted_grids(monkeypatch) -> list:
     """Record each _Grid the scan builds."""
     grids = []
@@ -805,37 +799,43 @@ def anchor_partner_third(monkeypatch, ps) -> set:
     return found
 
 
-def one_point_moved(monkeypatch, ps, rng):
+def one_point_moved(monkeypatch, ps, rng, tols):
     """ps with the first point of its largest orbit that the scan of ps
     takes as none of its anchor, partner and third point moved chordally
-    by 50 tol in a random direction."""
+    by ``tols`` times tol in a random direction."""
     taken = anchor_partner_third(monkeypatch, ps)
     t = next(t for t in max(stabilizer(ps).orbit_indices, key=len) if t not in taken)
     x = np.array(ps.points[t].to_sphere())
     step = rng.normal(size=3)
     step -= (step @ x) * x
-    x += 50.0 * ps.tol * step / np.linalg.norm(step)
+    x += tols * ps.tol * step / np.linalg.norm(step)
     points = list(ps.points)
     points[t] = RiemannPoint.from_sphere(*(x / np.linalg.norm(x)))
     return PointSet(points, tol=ps.tol)
 
 
 def test_a_decision_keeping_the_identity_alone_skips_the_checks(monkeypatch):
-    # polyhedral and D_13 witnesses with one point moved by 50 tol, none of
-    # the scan's anchor, partner and third point: the true symmetries' frames
-    # still land the third point, so matching proposes rows that the decision
-    # rejects, and the identity it keeps is the trivial result
-    rng = np.random.default_rng(27)
-    moved = [(f"{entry} n={n}", one_point_moved(monkeypatch, witness(n, entry), rng))
-             for n in range(8, 25) for entry in classify(n)
-             if entry.label.kind in (cl.S4, cl.A4, cl.A5) or entry.label == dihedral(13)]
-    assert len(moved) == 17
-    monkeypatch.setattr(oracle, "_row_orders", forbidden("_row_orders"))
-    for name, ps in moved:
-        z, w, _ = ps.arrays()
-        assert len(scan_stabilizer_triples(z, w, ps.tol)) > 1, name
-        res = stabilizer(ps)
-        assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name
+    # polyhedral and D_13 witnesses with one point moved, none of the scan's
+    # anchor, partner and third point.  Moved by 8 tol, inside the window of
+    # the distance screens: the true symmetries' frames still land the third
+    # point, so matching proposes rows that the decision rejects, and the
+    # identity it keeps is the trivial result.  Moved by 50 tol, one set
+    # ends at the screens instead, and every set still reads as trivial.
+    for tols, proposing in ((8.0, 17), (50.0, 16)):
+        rng = np.random.default_rng(27)
+        moved = [(f"{entry} n={n}", one_point_moved(monkeypatch, witness(n, entry), rng, tols))
+                 for n in range(8, 25) for entry in classify(n)
+                 if entry.label.kind in (cl.S4, cl.A4, cl.A5) or entry.label == dihedral(13)]
+        assert len(moved) == 17
+        monkeypatch.setattr(oracle, "_row_orders", forbidden("_row_orders"))
+        proposals = []
+        for name, ps in moved:
+            z, w, _ = ps.arrays()
+            proposals.append(len(scan_stabilizer_triples(z, w, ps.tol)))
+            res = stabilizer(ps)
+            assert res.order == 1 and res.label == cl.LABEL_TRIVIAL, name
+        assert sum(count > 1 for count in proposals) == proposing, tols
+        monkeypatch.undo()
 
 
 def test_candidates_past_the_first_block_match_as_before(monkeypatch):
@@ -872,29 +872,41 @@ def jittered_dihedral(p, index, noise):
     return sphere_set(xyz + noise * np.random.default_rng(0).normal(size=xyz.shape))
 
 
+def mirrored_set(m, seed):
+    """m seeded random points and their complex conjugates: a mirror image
+    shares its point's distances, so the anchor's mirror pair passes both
+    distance screens, but no Mobius map keeps the set."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return PointSet.from_values(np.concatenate([values, values.conj()]))
+
+
 @pytest.mark.parametrize("block", [kernels._BLOCK, 256])
 def test_the_identity_exit_does_not_depend_on_the_block(monkeypatch, block):
-    # near-symmetric sets whose candidates span several blocks of 256
-    # entries: no frame but the anchor's own lands in any of them
+    # near-symmetric sets, which end at the distance screens, and mirrored
+    # sets, whose two frames span two blocks of 256 entries at n = 160: no
+    # frame but the anchor's own lands in any of them
     monkeypatch.setattr(kernels, "_BLOCK", block)
     grids = counted_grids(monkeypatch)
-    for p, index in ((13, (0, 0, 1)), (20, (1, 1, 1)), (30, (0, 0, 2))):
-        ps = jittered_dihedral(p, index, 1e-3)
+    sets = [jittered_dihedral(p, index, 1e-3)
+            for p, index in ((13, (0, 0, 1)), (20, (1, 1, 1)), (30, (0, 0, 2)))]
+    for ps in sets + [mirrored_set(m, 0) for m in (10, 80)]:
         z, w, _ = ps.arrays()
         rows = scan_stabilizer_triples(z, w, ps.tol)
-        assert rows.tolist() == [list(range(ps.n))], (p, index)
+        assert rows.tolist() == [list(range(ps.n))], ps.n
     assert grids == []
 
 
 def test_candidates_past_the_first_block_are_checked_before_the_grid(monkeypatch):
-    # jittered D_130 on 260 points: its candidates span two blocks of
-    # _BLOCK // 260 = 252 frames, and the third point lands in neither
+    # in blocks of one frame, the anchor's own pair and its mirror pair are
+    # two blocks, and the third point lands in neither
+    monkeypatch.setattr(kernels, "_BLOCK", 40)
     calls = record_third_point(monkeypatch)
     grids = counted_grids(monkeypatch)
-    ps = jittered_dihedral(130, (0, 0, 1), 1e-4)
+    ps = mirrored_set(20, 0)
     z, w, _ = ps.arrays()
     assert scan_stabilizer_triples(z, w, ps.tol).tolist() == [list(range(ps.n))]
-    assert len(calls) == 2 and grids == []
+    assert [len(frames) for frames, *_ in calls] == [1, 1] and grids == []
     res = stabilizer(ps)
     assert res.order == 1 and res.label == cl.LABEL_TRIVIAL
 
