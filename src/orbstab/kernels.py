@@ -383,13 +383,13 @@ def _rotation_miss(tol: float, stretch: float, shift: float, kappa: float) -> fl
       lies in the closed hemisphere that H blows up most (else the
       centroid would not be 0), so stretch >= ||H||_F^2 / 2 >= 1 up to the
       centroid's residual.  Across a tol ball, s then changes by a factor
-      below 2 while tol stretch < 1/16, which holds wherever the window
-      below is narrower than the slack: the ball's image has radius at
-      most 2 tol stretch.  Forming H p costs 4 ulps of ||H||_F |p| per
-      coordinate, a chordal error of at most 8 sqrt(2) ulps times the
-      stretch, and ``_sphere`` a few ulps more: each computed point is
-      within 16 ulps times the stretch of the exact one, at both ends of
-      a miss.
+      below 2 while tol stretch < 1/16, so the ball's image has radius at
+      most 2 tol stretch; that premise holds wherever a window of at
+      least 2 delta is narrower than the slack (see below).  Forming H p
+      costs 4 ulps of ||H||_F |p| per coordinate, a chordal error of at
+      most 8 sqrt(2) ulps times the stretch, and ``_sphere`` a few ulps
+      more: each computed point is within 16 ulps times the stretch of
+      the exact one, at both ends of a miss.
     - h = U B, with U a rotation and B a boost of hyperbolic length
       l = d(0, h(0)) in the units of ``_boost``.  B moves each sphere
       point by at most 2 tanh(l / 2) <= l, so U misses by at most eps + l.
@@ -406,6 +406,14 @@ def _rotation_miss(tol: float, stretch: float, shift: float, kappa: float) -> fl
       same small quantities.
 
     So delta = eps + eta.  No constant here is fitted to data.
+
+    kappa >= 1: M is positive semidefinite with trace 1, so the eigenvalues
+    of (I - M)^-1 are at least 1.  Hence delta >= 3 eps >= 6 tol stretch,
+    and a window of at least 2 delta is at least 12 tol stretch, above
+    2 tol stretch; it is narrower than the slack, max(sep / 4,
+    2 tol stretch), only below sep / 4 <= 1/2, so only where
+    tol stretch < 1/24, inside the premise.  The screens and the third
+    point use a window only where it is narrower than the slack.
     """
     eps = 2.0 * (tol + _CLOUD_ULPS * _EPS) * stretch
     return eps + 2.0 * (kappa * eps + shift)
@@ -439,6 +447,8 @@ def _distance_window(delta: float) -> float:
         r = 3.5 eps + 3.5 eps + eps = 8 eps,
 
     and the window is 2 delta + r.  No constant here is fitted to data.
+    The scan uses it only where it is narrower than the slack, which keeps
+    it inside the premise of delta (see ``_rotation_miss``).
     """
     return 2.0 * delta + _DISTANCE_ULPS * _EPS
 
@@ -560,12 +570,10 @@ def scan_stabilizer_triples(Z: np.ndarray, W: np.ndarray,
     b = int(np.where(far, _crowds(dist, profile, slack) - 0.5 * off_line, np.inf).argmin())
     dab = dist[b]
 
-    # candidate pairs (a', b'), the anchor's own pair (a, b) among them;
-    # when a is its only image, its own distances are at hand
+    # candidate pairs (a', b'), the anchor's own pair (a, b) among them
     ends = []
     for blk in _row_blocks(len(images_a), n):
-        near = (dist[None] if len(images_a) == 1
-                else _distances(C, C.take(images_a[blk], axis=1))) - dab
+        near = _distances(C, C.take(images_a[blk], axis=1)) - dab
         near = np.abs(near, out=near) <= reach
         r = np.arange(len(near))
         near[r, images_a[blk]] = False  # a wide window meets a' itself
